@@ -42,8 +42,8 @@ def main() -> None:
             improved += np.mean((result.output - oracle) ** 2) < np.mean(
                 (body_image - oracle) ** 2
             )
-            probed += record.attr_probe[0] >= 2
-            errors.append(record.mse_head)
+            probed += record["attr_probe"]["matched"] >= 2
+            errors.append(record["mse_head"])
         print(
             f"{w:5.1f} {improved / args.pairs:9.0%} {probed / args.pairs:11.0%} "
             f"{np.mean(errors):10.6f}"

@@ -31,7 +31,7 @@ def main() -> None:
         w=args.w,
         out_dir=Path(args.out) if args.out else None,
     )
-    records = run_experiment(cfg, variants=VARIANTS, verbose=False)
+    records = run_experiment(cfg, variants=VARIANTS)
 
     summary = summarize(records)
     print(f"{args.pairs} pairs, seed {args.seed}, guidance {args.w}")
@@ -45,7 +45,7 @@ def main() -> None:
 
     by_pair = {}
     for record in records:
-        by_pair.setdefault(record.pair_id, {})[record.variant] = record.iou
+        by_pair.setdefault(record["pair_id"], {})[record["variant"]] = record["iou"]
     wins = np.mean([p["full"] > p["naive"] for p in by_pair.values()])
     print(f"\nfull beats naive on {wins:.0%} of individual pairs")
 

@@ -16,11 +16,17 @@ from .diffusion import (
     ddim_invert_step,
     ddim_sample_loop,
     ddim_sample_step,
-    empirical_eps,
     invert_trajectory,
     make_schedule,
 )
-from .hid import SwapConfig, SwapResult, body_condition, compose_head_condition, run_headswap
+from .hid import (
+    RunConfig,
+    SwapResult,
+    body_condition,
+    compose_head_condition,
+    invert_and_mask,
+    run_headswap,
+)
 from .imaging import (
     gaussian_filter,
     minmax_normalize,
@@ -34,7 +40,7 @@ from .imaging import (
 )
 from .iomask import IOMaskConfig, build_iomask, io_map, orthogonal_component
 from .metrics import attribute_probe, mask_iou, region_mse
-from .experiment import PairRecord, RunConfig, run_experiment, sample_pairs, summarize
+from .experiment import run_experiment, sample_pairs, summarize
 from .synthgen import (
     AttributeSpec,
     AvatarRender,
@@ -47,51 +53,3 @@ from .synthgen import (
     oracle_swap,
     render_avatar,
 )
-
-__all__ = [
-    "AttributeSpec",
-    "AvatarRender",
-    "Condition",
-    "EmpiricalNoisePredictor",
-    "IOMaskConfig",
-    "NULL_CONDITION",
-    "NoiseSchedule",
-    "PairRecord",
-    "RunConfig",
-    "SwapConfig",
-    "SwapResult",
-    "all_attribute_specs",
-    "attribute_probe",
-    "body_condition",
-    "build_iomask",
-    "cfg_combine",
-    "compose_head_condition",
-    "condition_match",
-    "ddim_invert_step",
-    "ddim_sample_loop",
-    "ddim_sample_step",
-    "empirical_eps",
-    "enumerate_dataset",
-    "gaussian_filter",
-    "ground_truth_edit_mask",
-    "invert_trajectory",
-    "io_map",
-    "make_schedule",
-    "mask_iou",
-    "minmax_normalize",
-    "oracle_swap",
-    "orthogonal_component",
-    "overlay_heatmap",
-    "read_gray",
-    "read_image",
-    "region_mse",
-    "render_avatar",
-    "run_experiment",
-    "run_headswap",
-    "sample_pairs",
-    "summarize",
-    "threshold",
-    "write_gray",
-    "write_image",
-    "write_mask",
-]

@@ -1,8 +1,8 @@
 """Command-line surface: gen / swap / mask / ablate / eval.
 
 Exit codes: 0 on success, 1 for usage errors (bad flags, malformed
-attribute tuples, bad config content), 2 for runtime errors (missing
-files, failed IO).
+attribute tuples, bad config content, settings RunConfig rejects), 2 for
+runtime errors (missing files, failed IO, a malformed metrics.jsonl).
 """
 
 from __future__ import annotations
@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
-from .diffusion import EmpiricalNoisePredictor, invert_trajectory, make_schedule
+from .diffusion import EmpiricalNoisePredictor, make_schedule
 from .experiment import (
     METRICS_FILENAME,
     RunConfig,
@@ -24,21 +24,14 @@ from .experiment import (
     summarize,
     write_metrics,
 )
-from .hid import body_condition, compose_head_condition, run_headswap
+from .hid import invert_and_mask, run_headswap
 from .imaging import minmax_normalize, overlay_heatmap, write_gray, write_image, write_mask
-from .iomask import VARIANTS, build_iomask, io_map
+from .iomask import VARIANTS
 from .synthgen import AttributeSpec, enumerate_dataset, oracle_swap, render_avatar
 
 CONFIG_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "variant", "seed")
-_CONFIG_PARSERS = {
-    "T": int,
-    "w": float,
-    "tau": float,
-    "sigma": float,
-    "edit_fraction": float,
-    "variant": str,
-    "seed": int,
-}
+# each config key parses as the type of its RunConfig default
+_CONFIG_PARSERS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 class UsageError(Exception):
@@ -85,29 +78,22 @@ def read_config_file(path: str) -> dict:
             values[key] = _CONFIG_PARSERS[key](value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-    if "variant" in values and values["variant"] not in VARIANTS:
-        raise UsageError(f"{path}: variant must be one of {VARIANTS}")
     return values
 
 
 def _merge_run_config(args) -> RunConfig:
-    """defaults <- config file <- explicit CLI flags."""
+    """defaults <- config file <- explicit CLI flags, checked by RunConfig."""
     values = {}
     if getattr(args, "config", None):
         values.update(read_config_file(args.config))
-    for key in CONFIG_KEYS:
+    for key in CONFIG_KEYS + ("pairs",):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if "variant" in values and values["variant"] not in VARIANTS:
-        raise UsageError(f"--variant must be one of {VARIANTS}")
     try:
-        cfg = RunConfig(out_dir=Path(args.out), **values)
+        return RunConfig(out_dir=Path(args.out), **values)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
-    if getattr(args, "pairs", None) is not None:
-        cfg = replace(cfg, pairs=args.pairs)
-    return cfg
 
 
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
@@ -134,17 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("gen", help="render the avatar corpus to PPM files")
     gen.add_argument("--out", required=True, help="output directory")
 
-    swap = subs.add_parser("swap", help="run one head swap and write its artifacts")
-    swap.add_argument("--body", required=True, help="body attributes a,b,c,d,e")
-    swap.add_argument("--head", required=True, help="head attributes a,b,c,d,e")
-    swap.add_argument("--out", required=True, help="output directory")
-    _add_run_options(swap)
-
-    mask = subs.add_parser("mask", help="emit only the edit map, mask, and overlay")
-    mask.add_argument("--body", required=True, help="body attributes a,b,c,d,e")
-    mask.add_argument("--head", required=True, help="head attributes a,b,c,d,e")
-    mask.add_argument("--out", required=True, help="output directory")
-    _add_run_options(mask)
+    for name, text in (
+        ("swap", "run one head swap and write its artifacts"),
+        ("mask", "emit only the edit map, mask, and overlay"),
+    ):
+        sub = subs.add_parser(name, help=text)
+        sub.add_argument("--body", required=True, help="body attributes a,b,c,d,e")
+        sub.add_argument("--head", required=True, help="head attributes a,b,c,d,e")
+        sub.add_argument("--out", required=True, help="output directory")
+        _add_run_options(sub)
 
     ablate = subs.add_parser("ablate", help="run all mask variants over sampled pairs")
     ablate.add_argument("--pairs", type=int, default=None, help="number of sampled pairs")
@@ -182,20 +166,25 @@ def _swap_setup(args):
     return body, head, cfg, sched, pred, out_dir
 
 
+def _write_mask_files(out_dir: Path, traj, edit_map, mask) -> None:
+    """iomap.pgm, mask.pgm and overlay.ppm (the normalized map over the body image)."""
+    normalized = minmax_normalize(edit_map)
+    write_gray(normalized, out_dir / "iomap.pgm")
+    write_mask(mask, out_dir / "mask.pgm")
+    write_image(overlay_heatmap(traj[0], normalized), out_dir / "overlay.ppm")
+
+
 def _cmd_swap(args) -> int:
     body, head, cfg, sched, pred, out_dir = _swap_setup(args)
     started = time.perf_counter()
-    result = run_headswap(body, head, cfg.swap_config(), sched, pred)
+    result = run_headswap(body, head, cfg, sched, pred)
     elapsed_ms = (time.perf_counter() - started) * 1e3
 
     write_image(render_avatar(body).image, out_dir / "body.ppm")
     write_image(render_avatar(head).image, out_dir / "head.ppm")
     write_image(oracle_swap(body, head).image, out_dir / "oracle.ppm")
     write_image(result.output, out_dir / "output.ppm")
-    write_mask(result.mask, out_dir / "mask.pgm")
-    normalized = minmax_normalize(result.io_map)
-    write_gray(normalized, out_dir / "iomap.pgm")
-    write_image(overlay_heatmap(result.trajectory[0], normalized), out_dir / "overlay.ppm")
+    _write_mask_files(out_dir, result.trajectory, result.io_map, result.mask)
 
     record = evaluate_swap("pair000", body, head, cfg.variant, result, elapsed_ms)
     write_metrics([record], out_dir / METRICS_FILENAME)
@@ -207,26 +196,15 @@ def _cmd_swap(args) -> int:
 
 def _cmd_mask(args) -> int:
     body, head, cfg, sched, pred, out_dir = _swap_setup(args)
-    swap_cfg = cfg.swap_config()
-    body_image = render_avatar(body).image
-    traj = invert_trajectory(body_image, body_condition(body), sched, pred)
-    t_edit = swap_cfg.edit_start
-    edit_map = io_map(
-        traj, t_edit, compose_head_condition(head, body), body_condition(body),
-        swap_cfg.mask, sched, pred,
-    )
-    mask = build_iomask(edit_map, swap_cfg.mask)
-    normalized = minmax_normalize(edit_map)
-    write_gray(normalized, out_dir / "iomap.pgm")
-    write_mask(mask, out_dir / "mask.pgm")
-    write_image(overlay_heatmap(body_image, normalized), out_dir / "overlay.ppm")
-    print(f"mask covers {int(mask.sum())} pixels at t={t_edit}")
+    traj, edit_map, mask = invert_and_mask(body, head, cfg, sched, pred)
+    _write_mask_files(out_dir, traj, edit_map, mask)
+    print(f"mask covers {int(mask.sum())} pixels at t={cfg.edit_start}")
     return 0
 
 
 def _cmd_ablate(args) -> int:
     cfg = _merge_run_config(args)
-    run_experiment(cfg, variants=VARIANTS)
+    print(format_summary(summarize(run_experiment(cfg, variants=VARIANTS))))
     print(f"wrote records to {Path(args.out) / METRICS_FILENAME}")
     return 0
 
@@ -235,8 +213,7 @@ def _cmd_eval(args) -> int:
     path = Path(args.out) / METRICS_FILENAME
     if not path.exists():
         raise RuntimeError(f"no metrics file at {path}")
-    rows = read_metrics(path)
-    print(format_summary(summarize(rows)))
+    print(format_summary(summarize(read_metrics(path))))
     return 0
 
 

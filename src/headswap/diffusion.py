@@ -9,6 +9,7 @@ condition is the marginal over the whole corpus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,7 +94,6 @@ class EmpiricalNoisePredictor:
         if images.shape[0] != len(attrs):
             raise ValueError("one AttributeSpec required per image")
         self.images = images
-        self.attrs = tuple(attrs)
         self.schedule = schedule
         self.grid_shape = images.shape[1:]
         self._flat = np.ascontiguousarray(images.reshape(images.shape[0], -1))
@@ -123,44 +123,31 @@ class EmpiricalNoisePredictor:
         self._subsets[cond.constraints] = (indices, flat, row_sq)
         return indices, flat, row_sq
 
-    def _posterior(self, z_t: np.ndarray, t, cond: Condition):
+    def posterior_weights(self, z_t: np.ndarray, t, cond: Condition):
+        """Dataset indices and posterior weights of the conditional subset."""
         step = _check_step(t, 1, self.schedule.T, self.schedule)
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.shape != self.grid_shape:
             raise ValueError(f"latent shape {z_t.shape} != dataset shape {self.grid_shape}")
         indices, flat, row_sq = self._subset(cond)
-        alpha_bar = self.schedule.alpha_bar[step]
-        scale = np.sqrt(alpha_bar)
+        alpha_bar = float(self.schedule.alpha_bar[step])
+        scale = math.sqrt(alpha_bar)
         variance = 1.0 - alpha_bar
         # Squared distances |z - scale*x_i|^2 up to a shared |z|^2 term,
         # which cancels in the softmax.
-        z_flat = z_t.ravel()
-        logits = (2.0 * scale * (flat @ z_flat) - alpha_bar * row_sq) / (2.0 * variance)
+        logits = (2.0 * scale * (flat @ z_t.ravel()) - alpha_bar * row_sq) / (2.0 * variance)
         logits -= logits.max()
         weights = np.exp(logits)
         weights /= weights.sum()
-        return indices, weights, flat, scale, variance
-
-    def posterior_weights(self, z_t: np.ndarray, t, cond: Condition):
-        """Dataset indices and posterior weights of the conditional subset."""
-        indices, weights, _, _, _ = self._posterior(z_t, t, cond)
         return indices, weights
-
-    def posterior_mean(self, z_t: np.ndarray, t, cond: Condition) -> np.ndarray:
-        """The denoised estimate x0 implied by the posterior weights."""
-        _, weights, flat, _, _ = self._posterior(z_t, t, cond)
-        return (weights @ flat).reshape(self.grid_shape)
 
     def evaluate(self, z_t: np.ndarray, t, cond: Condition) -> np.ndarray:
         """Conditional noise prediction at step t (t = 0 is undefined)."""
-        _, weights, flat, scale, variance = self._posterior(z_t, t, cond)
-        x0 = (weights @ flat).reshape(self.grid_shape)
-        return (np.asarray(z_t, dtype=np.float64) - scale * x0) / np.sqrt(variance)
-
-
-def empirical_eps(z_t: np.ndarray, t, cond: Condition, predictor: EmpiricalNoisePredictor):
-    """Functional form of EmpiricalNoisePredictor.evaluate."""
-    return predictor.evaluate(z_t, t, cond)
+        _, weights = self.posterior_weights(z_t, t, cond)
+        alpha_bar = float(self.schedule.alpha_bar[int(t)])
+        x0 = (weights @ self._subset(cond)[1]).reshape(self.grid_shape)
+        z_t = np.asarray(z_t, dtype=np.float64)
+        return (z_t - math.sqrt(alpha_bar) * x0) / math.sqrt(1.0 - alpha_bar)
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:
@@ -245,17 +232,15 @@ def ddim_sample_loop(
     cond: Condition,
     sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
-    t_start: int | None = None,
 ) -> np.ndarray:
-    """Denoise from step t_start (default T) down to a clean image.
+    """Denoise from step T down to a clean image.
 
     Uses the conditional prediction directly (guidance scale 1), matching
     how inversion trajectories are retraced for reconstruction checks.
     """
     _check_predictor(sched, pred)
-    top = sched.T if t_start is None else _check_step(t_start, 1, sched.T, sched)
     z = np.asarray(z_start, dtype=np.float64)
-    for t in range(top, 0, -1):
+    for t in range(sched.T, 0, -1):
         eps = pred.evaluate(z, t, cond)
         z = ddim_sample_step(z, eps, t, sched)
     return z

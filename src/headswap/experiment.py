@@ -1,25 +1,25 @@
 """Batch swap runner: seeded pair sampling, per-pair metrics, JSONL records.
 
 One JSON object per line in metrics.jsonl keeps records independently
-parseable and append-safe.  Wall-clock runtimes are kept on the in-memory
-records and in the printed summary but never written to metrics.jsonl,
-so repeated runs with the same seed produce byte-identical files.
+parseable.  Wall-clock runtimes are kept on the in-memory rows (key
+``runtime_ms``) and in the printed summary but never written to
+metrics.jsonl, so repeated runs with the same seed produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .diffusion import EmpiricalNoisePredictor, NoiseSchedule, make_schedule
-from .hid import SwapConfig, SwapResult, run_headswap
+from .hid import RunConfig, SwapResult, run_headswap
 from .imaging import minmax_normalize, overlay_heatmap, write_image, write_mask
-from .iomask import IOMaskConfig, VARIANTS
 from .metrics import attribute_probe, mask_iou, region_mse
 from .synthgen import (
     AttributeSpec,
@@ -45,63 +45,6 @@ RECORD_FIELDS = (
 )
 
 
-@dataclass
-class PairRecord:
-    """Metrics for one (body, head, variant) swap."""
-
-    pair_id: str
-    body_attrs: AttributeSpec
-    head_attrs: AttributeSpec
-    variant: str
-    iou: float
-    mse_head: float
-    mse_outside: float
-    attr_probe: tuple[int, int]
-    runtime_ms: float
-
-    def to_json_dict(self) -> dict:
-        matched, total = self.attr_probe
-        return {
-            "pair_id": self.pair_id,
-            "body_attrs": list(self.body_attrs.to_ints()),
-            "head_attrs": list(self.head_attrs.to_ints()),
-            "variant": self.variant,
-            "iou": self.iou,
-            "mse_head": self.mse_head,
-            "mse_outside": self.mse_outside,
-            "attr_probe": {"matched": matched, "total": total},
-        }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One experiment: swap settings plus sampling seed, pair count, output dir."""
-
-    T: int = 50
-    w: float = 3.0
-    tau: float = 0.6
-    sigma: float = 2.0
-    edit_fraction: float = 0.8
-    variant: str = "full"
-    seed: int = 0
-    pairs: int = 5
-    out_dir: Path | None = None
-
-    def __post_init__(self):
-        if self.pairs < 1:
-            raise ValueError(f"pairs must be >= 1, got {self.pairs}")
-
-    def swap_config(self, variant: str | None = None) -> SwapConfig:
-        # the single CLI guidance knob drives both denoising and mask extraction
-        mask = IOMaskConfig(
-            tau=self.tau,
-            sigma=self.sigma,
-            variant=self.variant if variant is None else variant,
-            w=self.w,
-        )
-        return SwapConfig(T=self.T, w=self.w, edit_fraction=self.edit_fraction, mask=mask)
-
-
 def sample_pairs(seed: int, count: int) -> list[tuple[AttributeSpec, AttributeSpec]]:
     """Seeded (body, head) pairs, rejecting body == head."""
     specs = all_attribute_specs()
@@ -121,65 +64,95 @@ def evaluate_swap(
     variant: str,
     result: SwapResult,
     runtime_ms: float,
-) -> PairRecord:
-    """Reduce a finished swap to its metric record."""
+) -> dict:
+    """Reduce a finished swap to its metrics.jsonl row plus ``runtime_ms``."""
     oracle = oracle_swap(body, head)
     head_region = oracle.head_mask.astype(bool) | oracle.hair_mask.astype(bool)
     body_image = render_avatar(body).image
-    outside = 1 - result.mask
-    return PairRecord(
-        pair_id=pair_id,
-        body_attrs=body,
-        head_attrs=head,
-        variant=variant,
-        iou=mask_iou(result.mask, ground_truth_edit_mask(body, head)),
-        mse_head=region_mse(result.output, oracle.image, head_region.astype(np.uint8)),
-        mse_outside=region_mse(result.output, body_image, outside),
-        attr_probe=attribute_probe(result.output, body, head),
-        runtime_ms=runtime_ms,
-    )
+    matched, total = attribute_probe(result.output, body, head)
+    return {
+        "pair_id": pair_id,
+        "body_attrs": list(body.to_ints()),
+        "head_attrs": list(head.to_ints()),
+        "variant": variant,
+        "iou": mask_iou(result.mask, ground_truth_edit_mask(body, head)),
+        "mse_head": region_mse(result.output, oracle.image, head_region.astype(np.uint8)),
+        "mse_outside": region_mse(result.output, body_image, 1 - result.mask),
+        "attr_probe": {"matched": matched, "total": total},
+        "runtime_ms": runtime_ms,
+    }
 
 
-def write_metrics(records: Sequence[PairRecord], path) -> None:
-    """Append-style serialization through a single writer, one object per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), sort_keys=False) + "\n")
+def write_metrics(rows: Sequence[dict], path) -> None:
+    """Write the RECORD_FIELDS of each row, one object per line.
+
+    The lines go to a temporary file beside ``path`` that then replaces it
+    in one step, so a failed write leaves an existing file as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            for row in rows:
+                fh.write(json.dumps({key: row[key] for key in RECORD_FIELDS}) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _check_row(row) -> None:
+    """Raise ValueError unless a parsed line holds every key and value summarize reads."""
+    if not isinstance(row, dict):
+        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+    missing = [key for key in RECORD_FIELDS if key not in row]
+    if missing:
+        raise ValueError(f"record lacks {', '.join(missing)}")
+    probe = row["attr_probe"]
+    if not (
+        isinstance(row["variant"], str)
+        and all(type(row[key]) in (int, float) for key in ("iou", "mse_head", "mse_outside"))
+        and isinstance(probe, dict)
+        and type(probe.get("matched")) is int
+        and type(probe.get("total")) is int
+        and 0 <= probe["matched"] <= probe["total"]
+        and probe["total"] > 0
+    ):
+        raise ValueError(
+            "expected a string variant, numeric iou/mse_head/mse_outside and attr_probe "
+            "counts 0 <= matched <= total with total > 0"
+        )
 
 
 def read_metrics(path) -> list[dict]:
+    """Parse metrics.jsonl; a malformed line raises ValueError naming path:line."""
+    rows = []
     with open(path, "r", encoding="ascii") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    row = json.loads(line)
+                    _check_row(row)
+                except ValueError as exc:  # json.JSONDecodeError is a ValueError
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                rows.append(row)
+    return rows
 
 
-def summarize(rows: Sequence) -> dict[str, dict[str, float]]:
-    """Per-variant arithmetic means of the metric columns.
-
-    Accepts PairRecord objects or dicts parsed back from metrics.jsonl.
-    """
-    grouped: dict[str, list] = {}
+def summarize(rows: Sequence[dict]) -> dict[str, dict[str, float]]:
+    """Per-variant means of metrics.jsonl rows, and of runtime_ms where rows carry it."""
+    grouped: dict[str, list[dict]] = {}
     for row in rows:
-        variant = row.variant if isinstance(row, PairRecord) else row["variant"]
-        grouped.setdefault(variant, []).append(row)
-
-    def _value(row, name):
-        if isinstance(row, PairRecord):
-            if name == "attr_probe":
-                matched, total = row.attr_probe
-                return matched / total
-            return getattr(row, name)
-        if name == "attr_probe":
-            probe = row["attr_probe"]
-            return probe["matched"] / probe["total"]
-        return row[name]
+        grouped.setdefault(row["variant"], []).append(row)
 
     summary: dict[str, dict[str, float]] = {}
     for variant, members in grouped.items():
         entry = {"count": float(len(members))}
-        for name in ("iou", "mse_head", "mse_outside", "attr_probe"):
-            key = "probe_fraction" if name == "attr_probe" else name
-            entry[key] = float(np.mean([_value(m, name) for m in members]))
-        runtimes = [m.runtime_ms for m in members if isinstance(m, PairRecord)]
+        for key in ("iou", "mse_head", "mse_outside"):
+            entry[key] = float(np.mean([m[key] for m in members]))
+        entry["probe_fraction"] = float(
+            np.mean([m["attr_probe"]["matched"] / m["attr_probe"]["total"] for m in members])
+        )
+        runtimes = [m["runtime_ms"] for m in members if "runtime_ms" in m]
         if runtimes:
             entry["runtime_ms"] = float(np.mean(runtimes))
         summary[variant] = entry
@@ -208,9 +181,8 @@ def _write_variant_images(out_dir: Path, pair_id: str, variant: str, result: Swa
     stem = f"{pair_id}_{variant}"
     write_image(result.output, out_dir / f"{stem}_output.ppm")
     write_mask(result.mask, out_dir / f"{stem}_mask.pgm")
-    normalized = minmax_normalize(result.io_map)
-    body_image = result.trajectory[0]
-    write_image(overlay_heatmap(body_image, normalized), out_dir / f"{stem}_overlay.ppm")
+    overlay = overlay_heatmap(result.trajectory[0], minmax_normalize(result.io_map))
+    write_image(overlay, out_dir / f"{stem}_overlay.ppm")
 
 
 def run_experiment(
@@ -218,19 +190,14 @@ def run_experiment(
     variants: Sequence[str] | None = None,
     sched: NoiseSchedule | None = None,
     pred: EmpiricalNoisePredictor | None = None,
-    verbose: bool = True,
-) -> list[PairRecord]:
-    """Run seeded swap pairs for each requested variant and collect metrics.
+) -> list[dict]:
+    """Run seeded swap pairs for each requested variant and collect metric rows.
 
-    Writes per-pair images plus metrics.jsonl when cfg.out_dir is set, and
-    prints per-variant summary means at the end.  A shared schedule and
-    predictor may be injected to amortize dataset setup across calls.
+    Writes per-pair images plus metrics.jsonl when cfg.out_dir is set.  A
+    shared schedule and predictor may be injected to amortize dataset
+    setup across calls.
     """
-    if variants is None:
-        variants = (cfg.variant,)
-    unknown = [v for v in variants if v not in VARIANTS]
-    if unknown:
-        raise ValueError(f"unknown variants {unknown}; expected subset of {VARIANTS}")
+    configs = [cfg.swap_config(v) for v in variants or (cfg.variant,)]
     if sched is None:
         sched = make_schedule(cfg.T)
     if pred is None:
@@ -241,21 +208,21 @@ def run_experiment(
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    records: list[PairRecord] = []
+    rows: list[dict] = []
     for index, (body, head) in enumerate(sample_pairs(cfg.seed, cfg.pairs)):
         pair_id = f"pair{index:03d}"
         if out_dir is not None:
             _write_pair_images(out_dir, pair_id, body, head)
-        for variant in variants:
+        for variant_cfg in configs:
             started = time.perf_counter()
-            result = run_headswap(body, head, cfg.swap_config(variant), sched, pred)
+            result = run_headswap(body, head, variant_cfg, sched, pred)
             elapsed_ms = (time.perf_counter() - started) * 1e3
-            records.append(evaluate_swap(pair_id, body, head, variant, result, elapsed_ms))
+            rows.append(
+                evaluate_swap(pair_id, body, head, variant_cfg.variant, result, elapsed_ms)
+            )
             if out_dir is not None:
-                _write_variant_images(out_dir, pair_id, variant, result)
+                _write_variant_images(out_dir, pair_id, variant_cfg.variant, result)
 
     if out_dir is not None:
-        write_metrics(records, out_dir / METRICS_FILENAME)
-    if verbose:
-        print(format_summary(summarize(records)))
-    return records
+        write_metrics(rows, out_dir / METRICS_FILENAME)
+    return rows

@@ -15,7 +15,6 @@ round-trips quantized values exactly.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -216,11 +215,3 @@ def overlay_heatmap(base, field) -> np.ndarray:
         )
     alpha = HEAT_ALPHA * field_arr[..., None]
     return (1.0 - alpha) * base_arr + alpha * _HEAT_RED
-
-
-def files_identical(path_a, path_b) -> bool:
-    """Byte-level comparison helper for determinism checks."""
-    if os.path.getsize(path_a) != os.path.getsize(path_b):
-        return False
-    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
-        return fa.read() == fb.read()

@@ -20,10 +20,6 @@ from .synthgen import Condition, NULL_CONDITION
 
 VARIANTS = ("naive", "no_orth", "full")
 
-DEFAULT_TAU = 0.6
-DEFAULT_SIGMA = 2.0
-DEFAULT_MASK_GUIDANCE = 3.0
-
 
 class DegenerateReferenceError(ValueError):
     """Raised when the projection reference prediction is identically zero."""
@@ -31,46 +27,24 @@ class DegenerateReferenceError(ValueError):
 
 @dataclass(frozen=True)
 class IOMaskConfig:
-    """Mask-extraction settings: threshold, blur width, variant, guidance."""
+    """Mask-extraction settings; ``RunConfig.mask`` builds them from checked values."""
 
-    tau: float = DEFAULT_TAU
-    sigma: float = DEFAULT_SIGMA
-    variant: str = "full"
-    w: float = DEFAULT_MASK_GUIDANCE
-    per_pixel: bool = False  # experimental per-pixel projection, off by default
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.w < 0:
-            raise ValueError(f"guidance scale must be non-negative, got {self.w}")
+    tau: float
+    sigma: float
+    variant: str
+    w: float
 
 
-def orthogonal_component(
-    eps_h: np.ndarray, eps_b: np.ndarray, per_pixel: bool = False
-) -> np.ndarray:
+def orthogonal_component(eps_h: np.ndarray, eps_b: np.ndarray) -> np.ndarray:
     """Remove from eps_h its projection onto the reference eps_b.
 
-    By default the projection coefficient <eps_b, eps_h> / |eps_b|^2 is a
-    single scalar over the fully flattened grids.  With per_pixel=True the
-    projection is taken per pixel over the channel vectors instead
-    (pixels where the reference vanishes are passed through unchanged).
+    The projection coefficient <eps_b, eps_h> / |eps_b|^2 is a single
+    scalar over the fully flattened grids.
     """
     eps_h = np.asarray(eps_h, dtype=np.float64)
     eps_b = np.asarray(eps_b, dtype=np.float64)
     if eps_h.shape != eps_b.shape:
         raise ValueError(f"prediction shapes differ: {eps_h.shape} vs {eps_b.shape}")
-    if per_pixel:
-        denom = (eps_b * eps_b).sum(axis=-1, keepdims=True)
-        if not denom.any():
-            raise DegenerateReferenceError("reference prediction is identically zero")
-        num = (eps_b * eps_h).sum(axis=-1, keepdims=True)
-        coef = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
-        return eps_h - coef * eps_b
     ref = eps_b.ravel()
     denom = ref @ ref
     if denom == 0.0:
@@ -101,11 +75,13 @@ def io_map(
     eps_null = pred.evaluate(z_t, step, NULL_CONDITION)
     eps_head = cfg_combine(eps_null, pred.evaluate(z_t, step, cond_head), cfg.w)
     if cfg.variant == "full":
-        diff = orthogonal_component(eps_head, eps_body, per_pixel=cfg.per_pixel)
+        diff = orthogonal_component(eps_head, eps_body)
     elif cfg.variant == "no_orth":
         diff = eps_head - eps_body
-    else:  # naive: difference of two guided predictions
+    elif cfg.variant == "naive":  # difference of two guided predictions
         diff = eps_head - cfg_combine(eps_null, eps_body, cfg.w)
+    else:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
     return np.abs(diff).mean(axis=2)
 
 

@@ -12,7 +12,7 @@ smoothed, thresholded edit map (see render_avatar).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -21,7 +21,6 @@ SIZE = 32
 
 # hair styles, by index
 BALD, SHORT, LONG = 0, 1, 2
-HAIR_STYLE_NAMES = ("bald", "short", "long")
 
 TILT_VALUES = (-1, 0, 1)
 
@@ -33,7 +32,6 @@ ATTRIBUTE_VALUES = {
     "clothing_color": (0, 1, 2, 3),
     "head_tilt": TILT_VALUES,
 }
-DATASET_SIZE = 324  # 3 * 3 * 3 * 4 * 3
 
 # Palette geometry carries the benchmark's contrast budget.  Edit-region
 # extraction normalizes per-pixel contrast and applies a fixed threshold, so
@@ -155,10 +153,6 @@ class Condition:
     def as_dict(self) -> dict[str, int]:
         return dict(self.constraints)
 
-    @property
-    def is_null(self) -> bool:
-        return not self.constraints
-
 
 NULL_CONDITION = Condition()
 
@@ -255,13 +249,7 @@ def enumerate_dataset() -> list[AvatarRender]:
 
 def composite_spec(body: AttributeSpec, head: AttributeSpec) -> AttributeSpec:
     """Attributes of the ideal swap: head identity on the body's pose and clothing."""
-    return AttributeSpec(
-        skin_tone=head.skin_tone,
-        hair_style=head.hair_style,
-        hair_color=head.hair_color,
-        clothing_color=body.clothing_color,
-        head_tilt=body.head_tilt,
-    )
+    return replace(head, clothing_color=body.clothing_color, head_tilt=body.head_tilt)
 
 
 def oracle_swap(body: AttributeSpec, head: AttributeSpec) -> AvatarRender:

@@ -3,10 +3,12 @@
 These deliberately avoid the library's computational paths: the blur
 reference is a direct dense 2-D convolution over an explicitly padded
 array, and the denoiser reference evaluates naive (unshifted)
-exponentials in 50-digit arithmetic.
+exponentials in 50-digit arithmetic.  ``files_identical`` compares
+written artifacts byte for byte.
 """
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -48,3 +50,8 @@ def mp_posterior_eps(images: np.ndarray, z_t: np.ndarray, alpha_bar: float) -> n
             x0 += float(w) * x
         eps = (z - float(scale) * x0) / float(mpmath.sqrt(variance))
     return eps.reshape(z_t.shape)
+
+
+def files_identical(path_a, path_b) -> bool:
+    """Byte-level comparison for determinism checks."""
+    return Path(path_a).read_bytes() == Path(path_b).read_bytes()

@@ -14,10 +14,9 @@ import pytest
 import headswap as hs
 import conftest
 from headswap.experiment import evaluate_swap, sample_pairs
-from headswap.hid import SwapConfig
-from headswap.imaging import files_identical
-from headswap.iomask import IOMaskConfig, orthogonal_component
+from headswap.iomask import orthogonal_component
 from headswap.synthgen import BALD, LONG, oracle_swap, render_avatar
+from helpers import files_identical
 
 
 def report(criterion: int, ok: bool, elapsed: float, budget: float, detail: str):
@@ -116,7 +115,7 @@ def test_criterion_5_identity_swap(sched50, predictor):
     started = time.perf_counter()
     specs = hs.all_attribute_specs()
     rng = np.random.default_rng(11)
-    cfg = SwapConfig(T=50, w=1.0, mask=IOMaskConfig(tau=0.6, variant="full", w=1.0))
+    cfg = hs.RunConfig(T=50, w=1.0, tau=0.6, variant="full")
     empty, exact = 0, 0
     for k in rng.choice(len(specs), size=10, replace=False):
         spec = specs[int(k)]
@@ -132,7 +131,7 @@ def test_criterion_6_outside_mask_exactness(sched50, predictor):
     cfg = hs.RunConfig(seed=23, pairs=25)
     clean, contained = 0, 0
     for body, head in sample_pairs(23, 25):
-        result = hs.run_headswap(body, head, cfg.swap_config(), sched50, predictor)
+        result = hs.run_headswap(body, head, cfg, sched50, predictor)
         body_image = render_avatar(body).image
         outside = ~result.mask.astype(bool)
         diff = np.abs(result.output - body_image)
@@ -146,8 +145,8 @@ def test_criterion_6_outside_mask_exactness(sched50, predictor):
 
 def test_criterion_7_ablation(ablation_run):
     started = time.perf_counter() - ablation_run["elapsed"]
-    iou_full = np.array([rec.iou for _, _, _, rec in ablation_run["full"]])
-    iou_naive = np.array([rec.iou for _, _, _, rec in ablation_run["naive"]])
+    iou_full = np.array([rec["iou"] for _, _, _, rec in ablation_run["full"]])
+    iou_naive = np.array([rec["iou"] for _, _, _, rec in ablation_run["naive"]])
     wins = float((iou_full > iou_naive).mean())
     ok = iou_full.mean() >= iou_naive.mean() and wins >= 0.60
     report(7, ok, time.perf_counter() - started, 300.0,
@@ -167,7 +166,7 @@ def test_criterion_8_end_to_end(ablation_run, sched50, predictor):
     probe_rates = {}
     best = 0.0
     records_w3 = [rec for _, _, _, rec in ablation_run["full"]]
-    probe_rates[3.0] = np.mean([rec.attr_probe[0] >= 2 for rec in records_w3])
+    probe_rates[3.0] = np.mean([rec["attr_probe"]["matched"] >= 2 for rec in records_w3])
     best = probe_rates[3.0]
     if best < 0.70:
         for w in (1.0, 7.5):
@@ -176,7 +175,7 @@ def test_criterion_8_end_to_end(ablation_run, sched50, predictor):
             for body, head in ablation_run["pairs"]:
                 result = hs.run_headswap(body, head, cfg.swap_config("full"), sched50, predictor)
                 record = evaluate_swap("sweep", body, head, "full", result, 0.0)
-                hits += record.attr_probe[0] >= 2
+                hits += record["attr_probe"]["matched"] >= 2
             probe_rates[w] = hits / 50
             best = max(best, probe_rates[w])
             if best >= 0.70:

@@ -1,8 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from headswap.cli import UsageError, cli_main, parse_attrs, read_config_file
-from headswap.imaging import files_identical, read_gray, read_image
+from headswap.imaging import read_gray, read_image
+from helpers import files_identical
+
+GOOD_ROW = {
+    "pair_id": "pair000",
+    "body_attrs": [0, 2, 0, 1, 0],
+    "head_attrs": [2, 0, 1, 3, -1],
+    "variant": "full",
+    "iou": 0.5,
+    "mse_head": 0.01,
+    "mse_outside": 0.0,
+    "attr_probe": {"matched": 2, "total": 3},
+}
 
 
 class TestAttributeParsing:
@@ -78,6 +92,40 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [("T", "1"), ("tau", "2"), ("sigma", "0"), ("w", "-1"), ("w", "nan"), ("w", "inf"),
+         ("edit_fraction", "0.001")],
+    )
+    def test_bad_setting_exit_one(self, tmp_path, capsys, key, value, via_config):
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            setting = ["--config", str(cfg)]
+        else:
+            setting = ["--" + key.replace("_", "-"), value]
+        out = tmp_path / "out"
+        argv = ["swap", "--body", "0,2,0,1,0", "--head", "2,0,1,3,-1", "--out", str(out)]
+        assert cli_main(argv + setting) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not out.exists()  # rejected before any pipeline work
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            json.dumps({k: v for k, v in GOOD_ROW.items() if k != "variant"}),
+            json.dumps({**GOOD_ROW, "attr_probe": {"matched": 0, "total": 0}}),
+            '{"pair_id": "pair001", ',
+        ],
+        ids=["missing_variant", "zero_probe_total", "not_json"],
+    )
+    def test_eval_malformed_metrics_exit_two(self, tmp_path, capsys, bad_line):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text(json.dumps(GOOD_ROW) + "\n" + bad_line + "\n")
+        assert cli_main(["eval", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
 
     def test_bad_flag_exit_one(self):
         assert cli_main(["swap", "--bogus"]) == 1

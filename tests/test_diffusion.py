@@ -13,10 +13,10 @@ from headswap.diffusion import (
     ddim_invert_step,
     ddim_sample_loop,
     ddim_sample_step,
-    empirical_eps,
     invert_trajectory,
     make_schedule,
 )
+from headswap.hid import body_condition
 from headswap.synthgen import AttributeSpec, Condition, NULL_CONDITION
 from helpers import mp_posterior_eps
 
@@ -119,10 +119,10 @@ class TestEmpiricalEps:
         images = rng.uniform(0, 1, (5,) + SHAPE)
         pred = toy_predictor(images, sched)
         z = rng.normal(size=SHAPE)
-        _, weights = pred.posterior_weights(z, 35, NULL_CONDITION)
+        indices, weights = pred.posterior_weights(z, 35, NULL_CONDITION)
         assert (weights >= 0).all()
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-        x0 = pred.posterior_mean(z, 35, NULL_CONDITION)
+        x0 = np.tensordot(weights, images[indices], axes=1)
         assert (x0 >= images.min(axis=0) - 1e-12).all()
         assert (x0 <= images.max(axis=0) + 1e-12).all()
 
@@ -134,14 +134,6 @@ class TestEmpiricalEps:
         for t in (1, 25, 50):
             out = pred.evaluate(z, t, NULL_CONDITION)
             assert np.isfinite(out).all()
-
-    def test_functional_alias(self, rng):
-        sched = make_schedule(50)
-        pred = toy_predictor(rng.uniform(0, 1, (3,) + SHAPE), sched)
-        z = rng.normal(size=SHAPE)
-        np.testing.assert_array_equal(
-            empirical_eps(z, 10, NULL_CONDITION, pred), pred.evaluate(z, 10, NULL_CONDITION)
-        )
 
 
 class TestCfgCombine:
@@ -234,6 +226,21 @@ class TestTrajectories:
         a = invert_trajectory(images[0], NULL_CONDITION, sched, pred)
         b = invert_trajectory(images[0], NULL_CONDITION, sched, pred)
         assert np.array_equal(a, b)
+
+    def test_one_image_condition_inversion_is_scaled_image(self, dataset, sched50, predictor):
+        # Only the body itself matches its body condition, so the posterior
+        # mean is the body image x at every step and every latent stays a
+        # multiple of x: traj[t] = c_t x, c_t = sqrt(ab_t) + k sqrt(1 - ab_t),
+        # k = (1 - sqrt(ab_1)) / sqrt(1 - ab_1).
+        ab = sched50.alpha_bar
+        k = (1.0 - np.sqrt(ab[1])) / np.sqrt(1.0 - ab[1])
+        coefficients = np.sqrt(ab) + k * np.sqrt(1.0 - ab)
+        for render in dataset[::81]:
+            traj = invert_trajectory(
+                render.image, body_condition(render.attrs), sched50, predictor
+            )
+            expected = coefficients[:, None, None, None] * render.image
+            assert np.abs(traj - expected).max() <= 1e-12
 
     def test_single_point_round_trip(self, dataset):
         sched = make_schedule(50)

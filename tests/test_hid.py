@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from headswap.hid import SwapConfig, body_condition, compose_head_condition, run_headswap
-from headswap.iomask import IOMaskConfig
+from headswap.hid import RunConfig, body_condition, compose_head_condition, run_headswap
 from headswap.metrics import region_mse
 from headswap.synthgen import (
     AttributeSpec,
@@ -20,7 +19,7 @@ HEAD = AttributeSpec(2, BALD, 1, 3, -1)
 
 
 def identity_config():
-    return SwapConfig(T=50, w=1.0, mask=IOMaskConfig(variant="full", w=1.0))
+    return RunConfig(T=50, w=1.0, variant="full")
 
 
 class TestConditions:
@@ -55,20 +54,24 @@ class TestConditions:
 class TestSwapConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SwapConfig(T=1)
+            RunConfig(T=1)
         with pytest.raises(ValueError):
-            SwapConfig(edit_fraction=0.0)
+            RunConfig(edit_fraction=0.0)
         with pytest.raises(ValueError):
-            SwapConfig(edit_fraction=1.2)
+            RunConfig(edit_fraction=1.2)
         with pytest.raises(ValueError):
-            SwapConfig(w=-2.0)
+            RunConfig(edit_fraction=0.001)  # rounds to step 0 at T=50
+        with pytest.raises(ValueError):
+            RunConfig(w=-2.0)
+        with pytest.raises(ValueError):
+            RunConfig().swap_config("fancy")
 
     def test_edit_start_rounding(self):
-        assert SwapConfig(T=50, edit_fraction=0.8).edit_start == 40
-        assert SwapConfig(T=50, edit_fraction=1.0).edit_start == 50
+        assert RunConfig(T=50, edit_fraction=0.8).edit_start == 40
+        assert RunConfig(T=50, edit_fraction=1.0).edit_start == 50
 
     def test_schedule_mismatch_rejected(self, sched50, predictor):
-        cfg = SwapConfig(T=40)
+        cfg = RunConfig(T=40)
         with pytest.raises(ValueError):
             run_headswap(BODY, HEAD, cfg, sched50, predictor)
 
@@ -86,7 +89,7 @@ class TestIdentitySwap:
 
 @pytest.fixture(scope="module")
 def swap_result(sched50, predictor):
-    return run_headswap(BODY, HEAD, SwapConfig(), sched50, predictor)
+    return run_headswap(BODY, HEAD, RunConfig(), sched50, predictor)
 
 
 class TestSwapPipeline:
@@ -105,10 +108,9 @@ class TestSwapPipeline:
         assert swap_result.mask.shape == (32, 32)
         assert swap_result.io_map.shape == (32, 32)
         assert swap_result.trajectory.shape == (51, 32, 32, 3)
-        assert swap_result.per_step_latents is None
 
     def test_deterministic(self, sched50, predictor, swap_result):
-        again = run_headswap(BODY, HEAD, SwapConfig(), sched50, predictor)
+        again = run_headswap(BODY, HEAD, RunConfig(), sched50, predictor)
         assert np.array_equal(again.output, swap_result.output)
         assert np.array_equal(again.mask, swap_result.mask)
         assert np.array_equal(again.io_map, swap_result.io_map)
@@ -125,15 +127,8 @@ class TestSwapPipeline:
         assert not swap_result.degenerate_mask
         assert swap_result.mask.sum() > 0
 
-    def test_recorded_steps(self, sched50, predictor):
-        cfg = SwapConfig(record_steps=True)
-        result = run_headswap(BODY, HEAD, cfg, sched50, predictor)
-        assert result.per_step_latents is not None
-        assert len(result.per_step_latents) == cfg.edit_start
-        assert np.array_equal(result.per_step_latents[-1], result.output)
-
     def test_full_window_edit_runs(self, sched50, predictor):
-        cfg = SwapConfig(edit_fraction=1.0)
+        cfg = RunConfig(edit_fraction=1.0)
         result = run_headswap(BODY, AttributeSpec(1, SHORT, 2, 1, 0), cfg, sched50, predictor)
         outside = ~result.mask.astype(bool)
         body_image = render_avatar(BODY).image

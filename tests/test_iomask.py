@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from headswap.diffusion import invert_trajectory
-from headswap.hid import body_condition, compose_head_condition
+from headswap.hid import RunConfig, body_condition, compose_head_condition
 from headswap.imaging import gaussian_filter, minmax_normalize
 from headswap.iomask import (
     DegenerateReferenceError,
@@ -18,20 +18,24 @@ from helpers import dense_gaussian_reference
 
 class TestConfig:
     def test_defaults(self):
-        cfg = IOMaskConfig()
+        cfg = RunConfig().mask
         assert cfg.tau == 0.6
         assert cfg.sigma == 2.0
         assert cfg.variant == "full"
+        assert cfg.w == 3.0
 
     def test_validation(self):
+        # mask settings are checked once, by the RunConfig that builds the mask config
         with pytest.raises(ValueError):
-            IOMaskConfig(tau=1.5)
+            RunConfig(tau=1.5)
         with pytest.raises(ValueError):
-            IOMaskConfig(sigma=0.0)
+            RunConfig(sigma=0.0)
         with pytest.raises(ValueError):
-            IOMaskConfig(variant="fancy")
+            RunConfig(variant="fancy")
         with pytest.raises(ValueError):
-            IOMaskConfig(w=-1.0)
+            RunConfig(w=-1.0)
+        mask = RunConfig(tau=0.5, sigma=1.5, variant="naive", w=2.0).mask
+        assert mask == IOMaskConfig(tau=0.5, sigma=1.5, variant="naive", w=2.0)
 
 
 class TestOrthogonalComponent:
@@ -63,13 +67,6 @@ class TestOrthogonalComponent:
         with pytest.raises(ValueError):
             orthogonal_component(np.zeros((2, 2, 3)), np.zeros((2, 3, 3)))
 
-    def test_per_pixel_mode_orthogonal_per_pixel(self, rng):
-        eps_h = rng.normal(size=(5, 5, 3))
-        eps_b = rng.normal(size=(5, 5, 3))
-        out = orthogonal_component(eps_h, eps_b, per_pixel=True)
-        dots = (out * eps_b).sum(axis=2)
-        assert np.abs(dots).max() < 1e-12
-
 
 @pytest.fixture(scope="module")
 def body_traj(sched50, predictor):
@@ -84,7 +81,7 @@ class TestIoMap:
         body, traj = body_traj
         cond = body_condition(body)
         for variant in ("full", "naive", "no_orth"):
-            cfg = IOMaskConfig(variant=variant, w=1.0)
+            cfg = RunConfig(variant=variant, w=1.0).mask
             field = io_map(traj, 40, cond, cond, cfg, sched50, predictor)
             assert (field == 0.0).all()
 
@@ -95,7 +92,7 @@ class TestIoMap:
         cond = body_condition(body)
         masks = []
         for variant in ("full", "naive", "no_orth"):
-            cfg = IOMaskConfig(variant=variant, w=1.0)
+            cfg = RunConfig(variant=variant, w=1.0).mask
             field = io_map(traj, 40, cond, cond, cfg, sched50, predictor)
             masks.append(build_iomask(field, cfg))
         assert all(np.array_equal(masks[0], m) for m in masks[1:])
@@ -117,7 +114,7 @@ class TestIoMap:
         gt = ground_truth_edit_mask(body, head)
         fractions, ious = {}, {}
         for variant in ("full", "naive"):
-            cfg = IOMaskConfig(variant=variant, w=3.0)
+            cfg = RunConfig(variant=variant, w=3.0).mask
             field = io_map(traj, 40, cond_h, cond_b, cfg, sched50, predictor)
             fractions[variant] = field[gt.astype(bool)].sum() / field.sum()
             ious[variant] = mask_iou(build_iomask(field, cfg), gt)
@@ -134,7 +131,7 @@ class TestIoMap:
         from headswap.diffusion import cfg_combine
         from headswap.synthgen import NULL_CONDITION
 
-        cfg = IOMaskConfig(variant="full", w=3.0)
+        cfg = RunConfig(variant="full", w=3.0).mask
         eps_h = cfg_combine(
             predictor.evaluate(z_t, 40, NULL_CONDITION),
             predictor.evaluate(z_t, 40, cond_h),
@@ -148,23 +145,29 @@ class TestIoMap:
         body, traj = body_traj
         cond = body_condition(body)
         with pytest.raises(ValueError):
-            io_map(traj, 0, cond, cond, IOMaskConfig(), sched50, predictor)
+            io_map(traj, 0, cond, cond, RunConfig().mask, sched50, predictor)
+
+    def test_unknown_variant_rejected(self, body_traj, sched50, predictor):
+        body, traj = body_traj
+        cond = body_condition(body)
+        with pytest.raises(ValueError, match="variant"):
+            io_map(traj, 40, cond, cond, IOMaskConfig(0.6, 2.0, "fancy", 3.0), sched50, predictor)
 
 
 class TestBuildIoMask:
     def test_zero_map_gives_empty_mask(self):
-        mask = build_iomask(np.zeros((32, 32)), IOMaskConfig(tau=0.6))
+        mask = build_iomask(np.zeros((32, 32)), RunConfig(tau=0.6).mask)
         assert mask.sum() == 0
 
     def test_zero_tau_gives_full_mask(self, rng):
         field = rng.uniform(0, 1, (32, 32))
-        mask = build_iomask(field, IOMaskConfig(tau=0.0))
+        mask = build_iomask(field, RunConfig(tau=0.0).mask)
         assert (mask == 1).all()
 
     def test_single_spike_filtered_below_threshold(self):
         spike = np.zeros((32, 32))
         spike[16, 16] = 1.0
-        cfg = IOMaskConfig(tau=0.6, sigma=2.0)
+        cfg = RunConfig(tau=0.6, sigma=2.0).mask
         mask = build_iomask(spike, cfg)
         assert mask.sum() == 0
         # pin the mechanism with the dense-convolution reference: the
@@ -175,13 +178,13 @@ class TestBuildIoMask:
 
     def test_scale_invariance(self, rng):
         field = rng.uniform(0, 1, (32, 32))
-        cfg = IOMaskConfig()
+        cfg = RunConfig().mask
         base = build_iomask(field, cfg)
         for scale in (1e-9, 3.0, 1e7):
             np.testing.assert_array_equal(build_iomask(scale * field, cfg), base)
 
     def test_pipeline_order_normalize_filter_threshold(self, rng):
         field = rng.uniform(0, 5, (32, 32))
-        cfg = IOMaskConfig(tau=0.55, sigma=1.3)
+        cfg = RunConfig(tau=0.55, sigma=1.3).mask
         expected = (gaussian_filter(minmax_normalize(field), 1.3) >= 0.55).astype(np.uint8)
         np.testing.assert_array_equal(build_iomask(field, cfg), expected)
