@@ -13,9 +13,9 @@ import argparse
 
 import numpy as np
 
-from headswap import EmpiricalNoisePredictor, enumerate_dataset, make_schedule, run_headswap
-from headswap.experiment import RunConfig, evaluate_swap, sample_pairs
-from headswap.synthgen import oracle_swap, render_avatar
+from headswap import EmpiricalNoisePredictor, enumerate_dataset, make_schedule, swap_pairs
+from headswap.experiment import CHUNK_PAIRS, RunConfig, evaluate_swap, sample_pairs
+from headswap.metrics import swap_reference
 
 
 def main() -> None:
@@ -34,16 +34,18 @@ def main() -> None:
     for w in args.scales:
         cfg = RunConfig(seed=args.seed, pairs=args.pairs, w=w)
         improved, probed, errors = 0, 0, []
-        for body, head in pairs:
-            result = run_headswap(body, head, cfg.swap_config("full"), sched, predictor)
-            record = evaluate_swap("sweep", body, head, "full", result, 0.0)
-            oracle = oracle_swap(body, head).image
-            body_image = render_avatar(body).image
-            improved += np.mean((result.output - oracle) ** 2) < np.mean(
-                (body_image - oracle) ** 2
-            )
-            probed += record["attr_probe"]["matched"] >= 2
-            errors.append(record["mse_head"])
+        for first in range(0, len(pairs), CHUNK_PAIRS):
+            chunk = pairs[first : first + CHUNK_PAIRS]
+            results = swap_pairs(chunk, cfg, ("full",), sched, predictor)
+            for (body, head), [result] in zip(chunk, results):
+                ref = swap_reference(body, head)
+                record = evaluate_swap("sweep", ref, "full", result, 0.0)
+                oracle = ref.oracle.image
+                improved += np.mean((result.output - oracle) ** 2) < np.mean(
+                    (ref.body_image - oracle) ** 2
+                )
+                probed += record["attr_probe"]["matched"] >= 2
+                errors.append(record["mse_head"])
         print(
             f"{w:5.1f} {improved / args.pairs:9.0%} {probed / args.pairs:11.0%} "
             f"{np.mean(errors):10.6f}"

@@ -22,10 +22,13 @@ from .diffusion import (
 from .hid import (
     RunConfig,
     SwapResult,
+    blend_denoise,
     body_condition,
     compose_head_condition,
-    invert_and_mask,
+    extract_mask,
+    invert_body,
     run_headswap,
+    swap_pairs,
 )
 from .imaging import (
     gaussian_filter,
@@ -39,7 +42,7 @@ from .imaging import (
     write_mask,
 )
 from .iomask import IOMaskConfig, build_iomask, io_map, orthogonal_component
-from .metrics import attribute_probe, mask_iou, region_mse
+from .metrics import SwapReference, attribute_probe, mask_iou, region_mse, swap_reference
 from .experiment import run_experiment, sample_pairs, summarize
 from .synthgen import (
     AttributeSpec,

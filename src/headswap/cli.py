@@ -24,12 +24,15 @@ from .experiment import (
     summarize,
     write_metrics,
 )
-from .hid import invert_and_mask, run_headswap
+from .hid import extract_mask, invert_body, run_headswap
 from .imaging import minmax_normalize, overlay_heatmap, write_gray, write_image, write_mask
 from .iomask import VARIANTS
-from .synthgen import AttributeSpec, enumerate_dataset, oracle_swap, render_avatar
+from .metrics import swap_reference
+from .synthgen import AttributeSpec, enumerate_dataset, render_avatar
 
 CONFIG_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "variant", "seed")
+# ablate runs every variant, so it takes no variant setting
+ABLATE_KEYS = tuple(key for key in CONFIG_KEYS if key != "variant")
 # each config key parses as the type of its RunConfig default
 _CONFIG_PARSERS = {f.name: type(f.default) for f in fields(RunConfig)}
 
@@ -56,8 +59,8 @@ def parse_attrs(text: str, flag: str) -> AttributeSpec:
         raise UsageError(f"{flag}: {exc}") from None
 
 
-def read_config_file(path: str) -> dict:
-    """Parse flat 'key = value' lines; unknown keys or bad values are usage errors."""
+def read_config_file(path: str, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
+    """Parse flat 'key = value' lines; keys outside ``keys`` or bad values are usage errors."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -72,8 +75,10 @@ def read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in keys:
+            raise UsageError(
+                f"{path}:{lineno}: unknown config key {key!r}, expected one of {', '.join(keys)}"
+            )
         try:
             values[key] = _CONFIG_PARSERS[key](value)
         except ValueError:
@@ -81,12 +86,12 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def _merge_run_config(args) -> RunConfig:
+def _merge_run_config(args, keys: tuple[str, ...] = CONFIG_KEYS) -> RunConfig:
     """defaults <- config file <- explicit CLI flags, checked by RunConfig."""
     values = {}
     if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
-    for key in CONFIG_KEYS + ("pairs",):
+        values.update(read_config_file(args.config, keys))
+    for key in keys + ("pairs",):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -96,7 +101,7 @@ def _merge_run_config(args) -> RunConfig:
         raise UsageError(str(exc)) from None
 
 
-def _add_run_options(sub: argparse.ArgumentParser) -> None:
+def _add_run_options(sub: argparse.ArgumentParser, keys: tuple[str, ...] = CONFIG_KEYS) -> None:
     sub.add_argument("--config", help="flat 'key = value' settings file")
     sub.add_argument("--T", type=int, default=None, help="diffusion steps")
     sub.add_argument("--w", type=float, default=None, help="guidance scale")
@@ -106,7 +111,8 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
         "--edit-fraction", dest="edit_fraction", type=float, default=None,
         help="fraction of the schedule at which editing begins",
     )
-    sub.add_argument("--variant", choices=VARIANTS, default=None, help="edit-map variant")
+    if "variant" in keys:
+        sub.add_argument("--variant", choices=VARIANTS, default=None, help="edit-map variant")
     sub.add_argument("--seed", type=int, default=None, help="sampling seed")
 
 
@@ -133,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ablate = subs.add_parser("ablate", help="run all mask variants over sampled pairs")
     ablate.add_argument("--pairs", type=int, default=None, help="number of sampled pairs")
     ablate.add_argument("--out", required=True, help="output directory")
-    _add_run_options(ablate)
+    _add_run_options(ablate, ABLATE_KEYS)
 
     ev = subs.add_parser("eval", help="recompute summary means from metrics.jsonl")
     ev.add_argument("--out", required=True, help="directory containing metrics.jsonl")
@@ -180,13 +186,14 @@ def _cmd_swap(args) -> int:
     result = run_headswap(body, head, cfg, sched, pred)
     elapsed_ms = (time.perf_counter() - started) * 1e3
 
-    write_image(render_avatar(body).image, out_dir / "body.ppm")
+    ref = swap_reference(body, head)
+    write_image(ref.body_image, out_dir / "body.ppm")
     write_image(render_avatar(head).image, out_dir / "head.ppm")
-    write_image(oracle_swap(body, head).image, out_dir / "oracle.ppm")
+    write_image(ref.oracle.image, out_dir / "oracle.ppm")
     write_image(result.output, out_dir / "output.ppm")
     _write_mask_files(out_dir, result.trajectory, result.io_map, result.mask)
 
-    record = evaluate_swap("pair000", body, head, cfg.variant, result, elapsed_ms)
+    record = evaluate_swap("pair000", ref, cfg.variant, result, elapsed_ms)
     write_metrics([record], out_dir / METRICS_FILENAME)
     if result.degenerate_mask:
         print("warning: edit mask is empty; output equals the body image")
@@ -196,14 +203,15 @@ def _cmd_swap(args) -> int:
 
 def _cmd_mask(args) -> int:
     body, head, cfg, sched, pred, out_dir = _swap_setup(args)
-    traj, edit_map, mask = invert_and_mask(body, head, cfg, sched, pred)
+    traj = invert_body(body, cfg, sched, pred)
+    edit_map, mask = extract_mask(traj, body, head, cfg, sched, pred)
     _write_mask_files(out_dir, traj, edit_map, mask)
     print(f"mask covers {int(mask.sum())} pixels at t={cfg.edit_start}")
     return 0
 
 
 def _cmd_ablate(args) -> int:
-    cfg = _merge_run_config(args)
+    cfg = _merge_run_config(args, ABLATE_KEYS)
     print(format_summary(summarize(run_experiment(cfg, variants=VARIANTS))))
     print(f"wrote records to {Path(args.out) / METRICS_FILENAME}")
     return 0

@@ -18,19 +18,17 @@ from typing import Sequence
 import numpy as np
 
 from .diffusion import EmpiricalNoisePredictor, NoiseSchedule, make_schedule
-from .hid import RunConfig, SwapResult, run_headswap
+from .hid import RunConfig, SwapResult, swap_pairs
 from .imaging import minmax_normalize, overlay_heatmap, write_image, write_mask
-from .metrics import attribute_probe, mask_iou, region_mse
-from .synthgen import (
-    AttributeSpec,
-    all_attribute_specs,
-    enumerate_dataset,
-    ground_truth_edit_mask,
-    oracle_swap,
-    render_avatar,
-)
+from .metrics import SwapReference, attribute_probe, mask_iou, region_mse, swap_reference
+from .synthgen import AttributeSpec, all_attribute_specs, enumerate_dataset, render_avatar
 
 METRICS_FILENAME = "metrics.jsonl"
+
+# Pairs denoised in lockstep by run_experiment (times its variants: the stack
+# height).  Larger chunks amortize the corpus GEMMs further but hold one more
+# inversion trajectory per pair; see CHANGES.md for the measurement.
+CHUNK_PAIRS = 4
 
 # metrics.jsonl carries exactly these keys, in this order
 RECORD_FIELDS = (
@@ -58,26 +56,20 @@ def sample_pairs(seed: int, count: int) -> list[tuple[AttributeSpec, AttributeSp
 
 
 def evaluate_swap(
-    pair_id: str,
-    body: AttributeSpec,
-    head: AttributeSpec,
-    variant: str,
-    result: SwapResult,
-    runtime_ms: float,
+    pair_id: str, ref: SwapReference, variant: str, result: SwapResult, runtime_ms: float
 ) -> dict:
     """Reduce a finished swap to its metrics.jsonl row plus ``runtime_ms``."""
-    oracle = oracle_swap(body, head)
+    oracle = ref.oracle
     head_region = oracle.head_mask.astype(bool) | oracle.hair_mask.astype(bool)
-    body_image = render_avatar(body).image
-    matched, total = attribute_probe(result.output, body, head)
+    matched, total = attribute_probe(result.output, ref)
     return {
         "pair_id": pair_id,
-        "body_attrs": list(body.to_ints()),
-        "head_attrs": list(head.to_ints()),
+        "body_attrs": list(ref.body.to_ints()),
+        "head_attrs": list(ref.head.to_ints()),
         "variant": variant,
-        "iou": mask_iou(result.mask, ground_truth_edit_mask(body, head)),
+        "iou": mask_iou(result.mask, ref.truth),
         "mse_head": region_mse(result.output, oracle.image, head_region.astype(np.uint8)),
-        "mse_outside": region_mse(result.output, body_image, 1 - result.mask),
+        "mse_outside": region_mse(result.output, ref.body_image, 1 - result.mask),
         "attr_probe": {"matched": matched, "total": total},
         "runtime_ms": runtime_ms,
     }
@@ -124,17 +116,24 @@ def _check_row(row) -> None:
 
 
 def read_metrics(path) -> list[dict]:
-    """Parse metrics.jsonl; a malformed line raises ValueError naming path:line."""
+    """Parse metrics.jsonl; a malformed line raises ValueError naming path:line.
+
+    A file without any record raises ValueError naming the path.
+    """
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    row = json.loads(line)
-                    _check_row(row)
-                except ValueError as exc:  # json.JSONDecodeError is a ValueError
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                rows.append(row)
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("ascii")  # UnicodeDecodeError is a ValueError
+                if not line.strip():
+                    continue
+                row = json.loads(line)
+                _check_row(row)
+            except ValueError as exc:  # so is json.JSONDecodeError
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no records")
     return rows
 
 
@@ -171,10 +170,10 @@ def format_summary(summary: dict[str, dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def _write_pair_images(out_dir: Path, pair_id: str, body, head) -> None:
-    write_image(render_avatar(body).image, out_dir / f"{pair_id}_body.ppm")
-    write_image(render_avatar(head).image, out_dir / f"{pair_id}_head.ppm")
-    write_image(oracle_swap(body, head).image, out_dir / f"{pair_id}_oracle.ppm")
+def _write_pair_images(out_dir: Path, pair_id: str, ref: SwapReference) -> None:
+    write_image(ref.body_image, out_dir / f"{pair_id}_body.ppm")
+    write_image(render_avatar(ref.head).image, out_dir / f"{pair_id}_head.ppm")
+    write_image(ref.oracle.image, out_dir / f"{pair_id}_oracle.ppm")
 
 
 def _write_variant_images(out_dir: Path, pair_id: str, variant: str, result: SwapResult):
@@ -185,6 +184,25 @@ def _write_variant_images(out_dir: Path, pair_id: str, variant: str, result: Swa
     write_image(overlay, out_dir / f"{stem}_overlay.ppm")
 
 
+def _run_chunk(pairs, first: int, cfg: RunConfig, variants, sched, pred, out_dir) -> list[dict]:
+    """Swap, score and write pairs[first : first + CHUNK_PAIRS]."""
+    chunk = pairs[first : first + CHUNK_PAIRS]
+    started = time.perf_counter()
+    results = swap_pairs(chunk, cfg, variants, sched, pred)
+    runtime_ms = (time.perf_counter() - started) * 1e3 / (len(chunk) * len(variants))
+    rows = []
+    for index, (body, head), pair_results in zip(range(first, len(pairs)), chunk, results):
+        pair_id = f"pair{index:03d}"
+        ref = swap_reference(body, head)
+        if out_dir is not None:
+            _write_pair_images(out_dir, pair_id, ref)
+        for variant, result in zip(variants, pair_results):
+            rows.append(evaluate_swap(pair_id, ref, variant, result, runtime_ms))
+            if out_dir is not None:
+                _write_variant_images(out_dir, pair_id, variant, result)
+    return rows
+
+
 def run_experiment(
     cfg: RunConfig,
     variants: Sequence[str] | None = None,
@@ -193,11 +211,16 @@ def run_experiment(
 ) -> list[dict]:
     """Run seeded swap pairs for each requested variant and collect metric rows.
 
-    Writes per-pair images plus metrics.jsonl when cfg.out_dir is set.  A
-    shared schedule and predictor may be injected to amortize dataset
-    setup across calls.
+    The pairs go through ``swap_pairs`` in chunks of CHUNK_PAIRS, in pair
+    order, so every pair x variant of a chunk is denoised in lockstep; a
+    row's ``runtime_ms`` is its chunk's swap time divided evenly among the
+    chunk's swaps.  Writes per-pair images plus metrics.jsonl when
+    cfg.out_dir is set.  A shared schedule and predictor may be injected
+    to amortize dataset setup across calls.
     """
-    configs = [cfg.swap_config(v) for v in variants or (cfg.variant,)]
+    variants = tuple(variants or (cfg.variant,))
+    for variant in variants:
+        cfg.swap_config(variant)  # rejects an unknown variant before any work
     if sched is None:
         sched = make_schedule(cfg.T)
     if pred is None:
@@ -208,20 +231,11 @@ def run_experiment(
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    pairs = sample_pairs(cfg.seed, cfg.pairs)
     rows: list[dict] = []
-    for index, (body, head) in enumerate(sample_pairs(cfg.seed, cfg.pairs)):
-        pair_id = f"pair{index:03d}"
-        if out_dir is not None:
-            _write_pair_images(out_dir, pair_id, body, head)
-        for variant_cfg in configs:
-            started = time.perf_counter()
-            result = run_headswap(body, head, variant_cfg, sched, pred)
-            elapsed_ms = (time.perf_counter() - started) * 1e3
-            rows.append(
-                evaluate_swap(pair_id, body, head, variant_cfg.variant, result, elapsed_ms)
-            )
-            if out_dir is not None:
-                _write_variant_images(out_dir, pair_id, variant_cfg.variant, result)
+    for first in range(0, len(pairs), CHUNK_PAIRS):
+        # a function call per chunk, so one chunk's trajectories are freed before the next
+        rows += _run_chunk(pairs, first, cfg, variants, sched, pred, out_dir)
 
     if out_dir is not None:
         write_metrics(rows, out_dir / METRICS_FILENAME)

@@ -5,7 +5,8 @@ condition, computes the edit mask once at the edit-window start, then
 denoises under the head condition while re-imposing the stored inversion
 latent outside the mask at every step.  Because the final blend mixes
 with the stored clean image itself, unmasked pixels of the output equal
-the body image exactly.
+the body image exactly.  Swaps are denoised as a stack in lockstep
+(``swap_pairs``); a single swap is a stack of one.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .diffusion import (
     invert_trajectory,
 )
 from .iomask import VARIANTS, IOMaskConfig, build_iomask, io_map
-from .synthgen import AttributeSpec, Condition, NULL_CONDITION, composite_spec, render_avatar
+from .synthgen import AttributeSpec, Condition, composite_spec, render_avatar
 
 
 @dataclass(frozen=True)
@@ -107,25 +109,93 @@ def compose_head_condition(head: AttributeSpec, body: AttributeSpec) -> Conditio
     return Condition.from_mapping(attrs)
 
 
-def invert_and_mask(
+def invert_body(
+    body: AttributeSpec, cfg: RunConfig, sched: NoiseSchedule, pred: EmpiricalNoisePredictor
+) -> np.ndarray:
+    """DDIM inversion of the body image under its own condition at guidance 1.
+
+    Returns every latent, (T+1, H, W, C); traj[0] is the body image.
+    """
+    if cfg.T != sched.T:
+        raise ValueError(f"config T={cfg.T} does not match schedule T={sched.T}")
+    return invert_trajectory(render_avatar(body).image, body_condition(body), sched, pred)
+
+
+def extract_mask(
+    traj: np.ndarray,
     body: AttributeSpec,
     head: AttributeSpec,
     cfg: RunConfig,
     sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Invert the body image and extract the edit mask: (trajectory, edit map, mask).
-
-    Inversion runs under the body's own condition at guidance 1; the map
-    and mask are taken at t_edit = cfg.edit_start.  traj[0] is the body image.
-    """
-    if cfg.T != sched.T:
-        raise ValueError(f"config T={cfg.T} does not match schedule T={sched.T}")
-    cond_body = body_condition(body)
-    traj = invert_trajectory(render_avatar(body).image, cond_body, sched, pred)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edit map at t_edit = cfg.edit_start and the binary mask built from it."""
     cond_head = compose_head_condition(head, body)
-    edit_map = io_map(traj, cfg.edit_start, cond_head, cond_body, cfg.mask, sched, pred)
-    return traj, edit_map, build_iomask(edit_map, cfg.mask)
+    edit_map = io_map(traj, cfg.edit_start, cond_head, body_condition(body), cfg.mask, sched, pred)
+    return edit_map, build_iomask(edit_map, cfg.mask)
+
+
+def blend_denoise(
+    trajs: Sequence[np.ndarray],
+    masks: Sequence[np.ndarray],
+    conds: Sequence[Condition],
+    cfg: RunConfig,
+    sched: NoiseSchedule,
+    pred: EmpiricalNoisePredictor,
+) -> np.ndarray:
+    """Denoise a stack of swaps in lockstep from t_edit to 0: (B, H, W, C).
+
+    Row b starts from trajs[b][t_edit] and is guided towards conds[b].
+    Each step evaluates the whole stack at once (``evaluate_stack``: one
+    corpus GEMM for the logits, one for the null means), then applies CFG
+    and the DDIM step to the stack and re-imposes each row's stored
+    inversion latent outside its mask.  The last blend takes traj[0], the
+    body image itself, so unmasked output pixels equal it bit-exactly.
+    """
+    z = np.stack([traj[cfg.edit_start] for traj in trajs])
+    # a full-size boolean mask: np.where runs twice as fast without broadcasting
+    inside = np.broadcast_to(np.stack(masks).astype(bool)[..., None], z.shape).copy()
+    for t in range(cfg.edit_start, 0, -1):
+        guided = cfg_combine(*pred.evaluate_stack(z, t, conds), cfg.w)
+        denoised = ddim_sample_step(z, guided, t, sched)
+        z = np.where(inside, denoised, np.stack([traj[t - 1] for traj in trajs]))
+    return z
+
+
+def swap_pairs(
+    pairs: Sequence[tuple[AttributeSpec, AttributeSpec]],
+    cfg: RunConfig,
+    variants: Sequence[str],
+    sched: NoiseSchedule,
+    pred: EmpiricalNoisePredictor,
+) -> list[list[SwapResult]]:
+    """Swap every (body, head) pair under every mask variant, denoised in lockstep.
+
+    Each body is inverted once and its trajectory is shared by the pair's
+    variants; each variant extracts its own mask.  Then one
+    ``blend_denoise`` call denoises all pairs x variants together under
+    the head conditions.  Returns one list of results per pair, in the
+    order of ``variants``.  An all-empty mask is reported via
+    ``degenerate_mask``, not an error: that output equals the body image
+    bit-exactly.
+    """
+    configs = [cfg.swap_config(variant) for variant in variants]
+    trajs, masks, maps, conds = [], [], [], []
+    for body, head in pairs:
+        traj = invert_body(body, cfg, sched, pred)
+        cond_head = compose_head_condition(head, body)
+        for variant_cfg in configs:
+            edit_map, mask = extract_mask(traj, body, head, variant_cfg, sched, pred)
+            trajs.append(traj)
+            masks.append(mask)
+            maps.append(edit_map)
+            conds.append(cond_head)
+    outputs = blend_denoise(trajs, masks, conds, cfg, sched, pred)
+    results = [
+        SwapResult(output, mask, edit_map, traj, degenerate_mask=not mask.any())
+        for output, mask, edit_map, traj in zip(outputs, masks, maps, trajs)
+    ]
+    return [results[i : i + len(configs)] for i in range(0, len(results), len(configs))]
 
 
 def run_headswap(
@@ -135,32 +205,5 @@ def run_headswap(
     sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> SwapResult:
-    """Swap the head of the body avatar for the head avatar's.
-
-    After ``invert_and_mask``, denoise from the stored latent at t_edit
-    down to 0 under the head condition, blending every step's result with
-    the stored inversion latent outside the mask.  An all-empty mask is
-    reported via ``degenerate_mask``, not an error: the output then equals
-    the body image bit-exactly.
-    """
-    traj, edit_map, mask = invert_and_mask(body, head, cfg, sched, pred)
-    cond_head = compose_head_condition(head, body)
-    mask3 = mask.astype(bool)[..., None]
-
-    z = traj[cfg.edit_start]
-    for t in range(cfg.edit_start, 0, -1):
-        guided = cfg_combine(
-            pred.evaluate(z, t, NULL_CONDITION),
-            pred.evaluate(z, t, cond_head),
-            cfg.w,
-        )
-        denoised = ddim_sample_step(z, guided, t, sched)
-        z = np.where(mask3, denoised, traj[t - 1])
-
-    return SwapResult(
-        output=z,
-        mask=mask,
-        io_map=edit_map,
-        trajectory=traj,
-        degenerate_mask=not mask.any(),
-    )
+    """Swap the head of the body avatar for the head avatar's: a batch of one."""
+    return swap_pairs([(body, head)], cfg, (cfg.variant,), sched, pred)[0][0]

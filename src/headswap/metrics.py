@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .synthgen import (
     AttributeSpec,
+    AvatarRender,
     HAIR_PALETTE,
     HEAD_CY,
     HEAD_RADIUS,
     LONG,
     SKIN_PALETTE,
     composite_spec,
+    edit_region,
     oracle_swap,
     render_avatar,
 )
-from dataclasses import replace
 
 HAIR_DETECT_DISTANCE = 0.15
 HAIR_DETECT_FRACTION = 0.25
@@ -55,7 +58,35 @@ def _nearest_palette(color: np.ndarray, palette: np.ndarray) -> int:
     return int(np.argmin(np.linalg.norm(palette - color, axis=1)))
 
 
-def attribute_probe(image, body: AttributeSpec, head: AttributeSpec) -> tuple[int, int]:
+@dataclass(frozen=True, eq=False)
+class SwapReference:
+    """What every swap of one (body, head) pair is scored against, rendered once."""
+
+    body: AttributeSpec
+    head: AttributeSpec
+    body_image: np.ndarray
+    oracle: AvatarRender
+    truth: np.ndarray  # the ground-truth edit region, ground_truth_edit_mask(body, head)
+    long_hair: np.ndarray  # below-disc pixels where a long-haired composite draws hair
+
+
+def swap_reference(body: AttributeSpec, head: AttributeSpec) -> SwapReference:
+    """Render the pair's references: the body, the oracle swap and its long-haired variant."""
+    body_render = render_avatar(body)
+    oracle = oracle_swap(body, head)
+    long_variant = render_avatar(replace(composite_spec(body, head), hair_style=LONG))
+    rows = np.arange(long_variant.image.shape[0])[:, None]
+    return SwapReference(
+        body=body,
+        head=head,
+        body_image=body_render.image,
+        oracle=oracle,
+        truth=edit_region(body_render, oracle),
+        long_hair=long_variant.hair_mask.astype(bool) & (rows > HEAD_CY + HEAD_RADIUS),
+    )
+
+
+def attribute_probe(image, ref: SwapReference) -> tuple[int, int]:
     """Score how many of {skin tone, hair color, hair style} a swap carried over.
 
     The probe samples the oracle swap's head-disc and hair-region pixel
@@ -67,14 +98,14 @@ def attribute_probe(image, body: AttributeSpec, head: AttributeSpec) -> tuple[in
     to classify, so hair color counts as matched there.
     """
     image = np.asarray(image, dtype=np.float64)
-    oracle = oracle_swap(body, head)
+    head = ref.head
 
-    disc = oracle.head_mask.astype(bool)
+    disc = ref.oracle.head_mask.astype(bool)
     skin_ok = (
         _nearest_palette(image[disc].mean(axis=0), SKIN_PALETTE) == head.skin_tone
     )
 
-    hair_region = oracle.hair_mask.astype(bool)
+    hair_region = ref.oracle.hair_mask.astype(bool)
     if hair_region.any():
         hair_ok = (
             _nearest_palette(image[hair_region].mean(axis=0), HAIR_PALETTE)
@@ -83,10 +114,7 @@ def attribute_probe(image, body: AttributeSpec, head: AttributeSpec) -> tuple[in
     else:
         hair_ok = True
 
-    long_variant = render_avatar(replace(composite_spec(body, head), hair_style=LONG))
-    rows = np.arange(image.shape[0])[:, None]
-    below_disc = long_variant.hair_mask.astype(bool) & (rows > HEAD_CY + HEAD_RADIUS)
-    samples = image[below_disc]
+    samples = image[ref.long_hair]
     distances = np.linalg.norm(samples[:, None, :] - HAIR_PALETTE[None, :, :], axis=2)
     hairlike = (distances.min(axis=1) <= HAIR_DETECT_DISTANCE).mean()
     detected_long = hairlike >= HAIR_DETECT_FRACTION

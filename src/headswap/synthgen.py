@@ -264,8 +264,11 @@ def ground_truth_edit_mask(body: AttributeSpec, head: AttributeSpec) -> np.ndarr
     be removed from the body (e.g. long hair when the new head is bald)
     and hair to be grown where the body had none.
     """
-    body_render = render_avatar(body)
-    oracle = oracle_swap(body, head)
+    return edit_region(render_avatar(body), oracle_swap(body, head))
+
+
+def edit_region(body_render: AvatarRender, oracle: AvatarRender) -> np.ndarray:
+    """``ground_truth_edit_mask`` from renders already at hand."""
     union = (
         body_render.head_mask.astype(bool)
         | body_render.hair_mask.astype(bool)

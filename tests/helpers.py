@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's computational paths: the blur
 reference is a direct dense 2-D convolution over an explicitly padded
-array, and the denoiser reference evaluates naive (unshifted)
-exponentials in 50-digit arithmetic.  ``files_identical`` compares
+array, the denoiser reference evaluates naive (unshifted) exponentials in
+50-digit arithmetic, and the blended-denoise reference steps one latent
+at a time with the single-latent predictor.  ``files_identical`` compares
 written artifacts byte for byte.
 """
 
@@ -12,6 +13,9 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
+
+from headswap.diffusion import cfg_combine, ddim_sample_step
+from headswap.synthgen import NULL_CONDITION
 
 
 def dense_gaussian_reference(field: np.ndarray, sigma: float) -> np.ndarray:
@@ -50,6 +54,18 @@ def mp_posterior_eps(images: np.ndarray, z_t: np.ndarray, alpha_bar: float) -> n
             x0 += float(w) * x
         eps = (z - float(scale) * x0) / float(mpmath.sqrt(variance))
     return eps.reshape(z_t.shape)
+
+
+def per_latent_blend_denoise(traj, mask, cond_head, cfg, sched, pred) -> np.ndarray:
+    """One swap's blended denoise, one latent and two evaluate calls per step."""
+    inside = mask.astype(bool)[..., None]
+    z = traj[cfg.edit_start]
+    for t in range(cfg.edit_start, 0, -1):
+        guided = cfg_combine(
+            pred.evaluate(z, t, NULL_CONDITION), pred.evaluate(z, t, cond_head), cfg.w
+        )
+        z = np.where(inside, ddim_sample_step(z, guided, t, sched), traj[t - 1])
+    return z
 
 
 def files_identical(path_a, path_b) -> bool:

@@ -15,6 +15,7 @@ import headswap as hs
 import conftest
 from headswap.experiment import evaluate_swap, sample_pairs
 from headswap.iomask import orthogonal_component
+from headswap.metrics import swap_reference
 from headswap.synthgen import BALD, LONG, oracle_swap, render_avatar
 from helpers import files_identical
 
@@ -39,9 +40,10 @@ def ablation_run(sched50, predictor):
     out = {"pairs": pairs, "full": [], "naive": []}
     cfg = hs.RunConfig(seed=7, pairs=50)  # defaults: T=50 w=3 tau=0.6 sigma=2 edit=0.8
     for index, (body, head) in enumerate(pairs):
+        ref = swap_reference(body, head)
         for variant in ("full", "naive"):
             result = hs.run_headswap(body, head, cfg.swap_config(variant), sched50, predictor)
-            record = evaluate_swap(f"pair{index:03d}", body, head, variant, result, 0.0)
+            record = evaluate_swap(f"pair{index:03d}", ref, variant, result, 0.0)
             out[variant].append((body, head, result, record))
     out["elapsed"] = time.perf_counter() - started
     return out
@@ -174,7 +176,7 @@ def test_criterion_8_end_to_end(ablation_run, sched50, predictor):
             hits = 0
             for body, head in ablation_run["pairs"]:
                 result = hs.run_headswap(body, head, cfg.swap_config("full"), sched50, predictor)
-                record = evaluate_swap("sweep", body, head, "full", result, 0.0)
+                record = evaluate_swap("sweep", swap_reference(body, head), "full", result, 0.0)
                 hits += record["attr_probe"]["matched"] >= 2
             probe_rates[w] = hits / 50
             best = max(best, probe_rates[w])

@@ -127,6 +127,31 @@ class TestExitCodes:
         assert cli_main(["eval", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
 
+    def test_eval_empty_metrics_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "metrics.jsonl"
+        path.write_text("")
+        assert cli_main(["eval", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    def test_eval_non_ascii_byte_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "metrics.jsonl"
+        path.write_bytes(json.dumps(GOOD_ROW).encode() + b"\n" + b'{"pair_id": "caf\xc3\xa9"}\n')
+        assert cli_main(["eval", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: ")
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_ablate_rejects_variant(self, tmp_path, capsys, via_config):
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("variant = naive\n")
+            setting = ["--config", str(cfg)]
+        else:
+            setting = ["--variant", "naive"]
+        out = tmp_path / "out"
+        assert cli_main(["ablate", "--pairs", "1", "--out", str(out)] + setting) == 1
+        assert "variant" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_exit_one(self):
         assert cli_main(["swap", "--bogus"]) == 1
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,8 @@ from headswap.diffusion import (
     invert_trajectory,
     make_schedule,
 )
-from headswap.hid import body_condition
-from headswap.synthgen import AttributeSpec, Condition, NULL_CONDITION
+from headswap.hid import body_condition, compose_head_condition
+from headswap.synthgen import AttributeSpec, Condition, NULL_CONDITION, all_attribute_specs
 from helpers import mp_posterior_eps
 
 SHAPE = (4, 4, 3)
@@ -134,6 +136,83 @@ class TestEmpiricalEps:
         for t in (1, 25, 50):
             out = pred.evaluate(z, t, NULL_CONDITION)
             assert np.isfinite(out).all()
+
+
+    def test_one_image_shortcut_bit_equals_softmax_path(self, rng):
+        sched = make_schedule(50)
+        images = rng.uniform(0, 1, (4,) + SHAPE)
+        pred = toy_predictor(images, sched)  # clothing_color i selects image i alone
+        cond = Condition.of(clothing_color=2)
+        x = images[2].ravel()
+        for t in (1, 20, 50):
+            z = rng.normal(size=SHAPE)
+            indices, weights = pred.posterior_weights(z, t, cond)
+            assert indices.tolist() == [2] and weights.tolist() == [1.0]
+            # the general path: a softmax over the one logit, then the weighted mean
+            ab = float(sched.alpha_bar[t])
+            logit = (2.0 * math.sqrt(ab) * (x @ z.ravel()) - ab * (x @ x)) / (2.0 * (1.0 - ab))
+            logits = np.array([logit])
+            logits -= logits.max()
+            general = np.exp(logits)
+            general /= general.sum()
+            x0 = (general @ x[None, :]).reshape(SHAPE)
+            expected = (z - math.sqrt(ab) * x0) / math.sqrt(1.0 - ab)
+            assert np.array_equal(pred.evaluate(z, t, cond), expected)
+
+
+class TestStackedPredictor:
+    """The lockstep predictor against the single-latent subset path."""
+
+    @pytest.fixture(scope="class")
+    def stack(self, dataset):
+        specs = all_attribute_specs()
+        gen = np.random.default_rng(11)
+        bodies = [specs[int(k)] for k in gen.choice(324, size=3, replace=False)]
+        heads = [specs[int(k)] for k in gen.choice(324, size=3, replace=False)]
+        heads_of = [compose_head_condition(h, b) for b, h in zip(bodies, heads)]
+        # runs of one condition, a repeat that is not adjacent, null and one-image rows
+        conds = [heads_of[0], heads_of[0], heads_of[1], NULL_CONDITION, heads_of[0],
+                 body_condition(bodies[2]), heads_of[2], heads_of[2]]
+        images = [dataset[int(k)].image for k in gen.choice(324, size=len(conds))]
+        z = np.stack([0.3 * image + 0.2 * gen.normal(size=image.shape) for image in images])
+        return z, conds
+
+    @pytest.mark.parametrize("t", [1, 10, 25, 40, 50])
+    def test_masked_softmax_matches_subset_weights(self, stack, predictor, t):
+        z, conds = stack
+        null_weights, runs = predictor.posterior_weights_stack(z, t, conds)
+        covered = []
+        for rows, cond, weights in runs:
+            covered += range(len(conds))[rows]
+            assert all(conds[row] == cond for row in range(len(conds))[rows])
+            for row, row_weights in zip(range(len(conds))[rows], weights):
+                _, expected = predictor.posterior_weights(z[row], t, cond)
+                np.testing.assert_allclose(row_weights, expected, rtol=0, atol=1e-12)
+        assert covered == list(range(len(conds)))
+        for row in range(len(conds)):
+            _, expected = predictor.posterior_weights(z[row], t, NULL_CONDITION)
+            np.testing.assert_allclose(null_weights[row], expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [1, 25, 50])
+    def test_predictions_match_single_latent_evaluate(self, stack, predictor, t):
+        z, conds = stack
+        eps_null, eps_cond = predictor.evaluate_stack(z, t, conds)
+        # the noise divides by sqrt(1 - ab_t), so compare at the posterior-mean scale
+        tolerance = 1e-12 / math.sqrt(1.0 - predictor.schedule.alpha_bar[t])
+        for row, cond in enumerate(conds):
+            np.testing.assert_allclose(
+                eps_null[row], predictor.evaluate(z[row], t, NULL_CONDITION), rtol=0, atol=tolerance
+            )
+            np.testing.assert_allclose(
+                eps_cond[row], predictor.evaluate(z[row], t, cond), rtol=0, atol=tolerance
+            )
+
+    def test_stack_shape_checked(self, stack, predictor):
+        z, conds = stack
+        with pytest.raises(ValueError):
+            predictor.evaluate_stack(z, 30, conds[:-1])
+        with pytest.raises(ValueError):
+            predictor.evaluate_stack(z, 0, conds)
 
 
 class TestCfgCombine:

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from headswap import experiment, hid
 from headswap.experiment import (
+    CHUNK_PAIRS,
     METRICS_FILENAME,
     RECORD_FIELDS,
     RunConfig,
@@ -13,6 +15,9 @@ from headswap.experiment import (
     summarize,
     write_metrics,
 )
+from headswap.hid import compose_head_condition, run_headswap, swap_pairs
+from headswap.iomask import VARIANTS
+from helpers import per_latent_blend_denoise
 
 
 class TestSamplePairs:
@@ -78,6 +83,46 @@ class TestRunExperiment:
     def test_unknown_variant_rejected(self, sched50, predictor):
         with pytest.raises(ValueError):
             run_experiment(RunConfig(pairs=1), variants=("bogus",), sched=sched50, pred=predictor)
+
+
+class TestLockstep:
+    def test_batch_independence(self, sched50, predictor, monkeypatch):
+        # one full chunk and one partial chunk, against a batch of one per swap
+        cfg = RunConfig(seed=4, pairs=CHUNK_PAIRS + 1)
+        seen = {}
+        score = experiment.evaluate_swap
+
+        def capture(pair_id, ref, variant, result, runtime_ms):
+            seen[pair_id, variant] = result
+            return score(pair_id, ref, variant, result, runtime_ms)
+
+        monkeypatch.setattr(experiment, "evaluate_swap", capture)
+        rows = run_experiment(cfg, variants=VARIANTS, sched=sched50, pred=predictor)
+        assert len(seen) == len(rows) == cfg.pairs * len(VARIANTS)
+        for index, (body, head) in enumerate(sample_pairs(cfg.seed, cfg.pairs)):
+            for variant in VARIANTS:
+                alone = run_headswap(body, head, cfg.swap_config(variant), sched50, predictor)
+                batched = seen[f"pair{index:03d}", variant]
+                assert np.array_equal(batched.mask, alone.mask)
+                assert np.array_equal(batched.io_map, alone.io_map)
+                assert np.abs(batched.output - alone.output).max() <= 1e-12
+                reference = per_latent_blend_denoise(
+                    batched.trajectory, batched.mask, compose_head_condition(head, body),
+                    cfg, sched50, predictor,
+                )
+                assert np.abs(batched.output - reference).max() <= 1e-12
+
+    def test_inverts_each_body_once(self, sched50, predictor, monkeypatch):
+        calls = []
+        invert = hid.invert_trajectory
+        monkeypatch.setattr(
+            hid, "invert_trajectory", lambda *args: calls.append(args) or invert(*args)
+        )
+        results = swap_pairs(sample_pairs(2, 2), RunConfig(), VARIANTS, sched50, predictor)
+        assert len(calls) == 2
+        assert [len(per_pair) for per_pair in results] == [3, 3]
+        for per_pair in results:
+            assert all(r.trajectory is per_pair[0].trajectory for r in per_pair)
 
 
 class TestSummaries:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from headswap.metrics import attribute_probe, mask_iou, region_mse
+from headswap.metrics import attribute_probe, mask_iou, region_mse, swap_reference
 from headswap.synthgen import AttributeSpec, BALD, LONG, SHORT, oracle_swap, render_avatar
 
 
@@ -68,13 +68,13 @@ class TestAttributeProbe:
         ],
     )
     def test_oracle_scores_perfectly(self, body, head):
-        matched, total = attribute_probe(oracle_swap(body, head).image, body, head)
+        matched, total = attribute_probe(oracle_swap(body, head).image, swap_reference(body, head))
         assert (matched, total) == (3, 3)
 
     def test_unedited_body_scores_zero_when_all_attributes_differ(self):
         body = AttributeSpec(0, LONG, 0, 1, 0)
         head = AttributeSpec(1, SHORT, 1, 1, 0)  # differs in skin, style, color
-        matched, total = attribute_probe(render_avatar(body).image, body, head)
+        matched, total = attribute_probe(render_avatar(body).image, swap_reference(body, head))
         assert (matched, total) == (0, 3)
 
     def test_probe_detects_missing_long_hair(self):
@@ -83,6 +83,6 @@ class TestAttributeProbe:
         # the body image lacks the long hair the head demands, so the style
         # judgment must fail; the skin (unchanged) always matches, and the
         # color read off the revealed background may land anywhere
-        matched, total = attribute_probe(render_avatar(body).image, body, head)
+        matched, total = attribute_probe(render_avatar(body).image, swap_reference(body, head))
         assert total == 3
         assert 1 <= matched <= 2
