@@ -204,7 +204,7 @@ def _cmd_swap(args) -> int:
 def _cmd_mask(args) -> int:
     body, head, cfg, sched, pred, out_dir = _swap_setup(args)
     traj = invert_body(body, cfg, sched, pred)
-    edit_map, mask = extract_mask(traj, body, head, cfg, sched, pred)
+    [(edit_map, mask)] = extract_mask(traj, body, head, cfg, (cfg.variant,), sched, pred)
     _write_mask_files(out_dir, traj, edit_map, mask)
     print(f"mask covers {int(mask.sum())} pixels at t={cfg.edit_start}")
     return 0

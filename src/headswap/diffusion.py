@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .synthgen import ATTRIBUTE_NAMES, AttributeSpec, Condition, NULL_CONDITION
+from .synthgen import ATTRIBUTE_NAMES, AttributeSpec, Condition
 
 COSINE_OFFSET = 0.008
 ALPHA_BAR_FLOOR = 1e-4
@@ -79,7 +79,8 @@ class EmpiricalNoisePredictor:
     forms posterior weights w_i = softmax(-|z_t - sqrt(ab_t) x_i|^2 /
     (2 (1 - ab_t))) over flattened images (max-subtracted exponentials),
     takes the posterior mean x0 = sum w_i x_i, and returns the implied
-    noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).
+    noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).  A stack of latents under
+    one condition is evaluated the same way, with one GEMM per product.
     """
 
     def __init__(
@@ -130,99 +131,51 @@ class EmpiricalNoisePredictor:
         self._subsets[cond.constraints] = (indices, flat, row_sq)
         return indices, flat, row_sq
 
-    def _logits(self, dots: np.ndarray, row_sq: np.ndarray, step: int) -> np.ndarray:
-        """Posterior logits from the dot products z . x_i and the squared norms |x_i|^2.
-
-        -|z - scale*x_i|^2 / (2 variance) up to the shared |z|^2 term,
-        which cancels in the softmax.
-        """
-        alpha_bar = float(self.schedule.alpha_bar[step])
-        scale = math.sqrt(alpha_bar)
-        variance = 1.0 - alpha_bar
-        return (2.0 * scale * dots - alpha_bar * row_sq) / (2.0 * variance)
-
     def posterior_weights(self, z_t: np.ndarray, t, cond: Condition):
-        """Dataset indices and posterior weights of the conditional subset."""
-        step = _check_step(t, 1, self.schedule.T, self.schedule)
-        z_t = np.asarray(z_t, dtype=np.float64)
-        if z_t.shape != self.grid_shape:
-            raise ValueError(f"latent shape {z_t.shape} != dataset shape {self.grid_shape}")
-        indices, flat, row_sq = self._subset(cond)
-        if indices.size == 1:
-            return indices, np.ones(1)  # the softmax of a single logit is exactly 1
-        logits = self._logits(flat @ z_t.ravel(), row_sq, step)
-        logits -= logits.max()
-        weights = np.exp(logits)
-        weights /= weights.sum()
-        return indices, weights
+        """Dataset indices and posterior weights of the conditional subset.
+
+        ``z_t`` is one latent (H, W, C), with weights of shape (S,), or a
+        stack (B, H, W, C) whose rows all share ``cond``, with weights of
+        shape (B, S): one GEMM of the rows against the subset gives every
+        logit, and each row takes its own max-subtracted softmax.
+        """
+        z_t, indices, _, weights = self._posterior(z_t, t, cond)
+        # one matching image: the softmax of a single logit is exactly 1
+        return indices, np.ones(z_t.shape[:-3] + (1,)) if weights is None else weights
 
     def evaluate(self, z_t: np.ndarray, t, cond: Condition) -> np.ndarray:
-        """Conditional noise prediction at step t (t = 0 is undefined)."""
-        indices, weights = self.posterior_weights(z_t, t, cond)
-        flat = self._subset(cond)[1]
-        # one matching image has weight 1: the posterior mean is that image, bit for bit
-        x0 = (flat[0] if indices.size == 1 else weights @ flat).reshape(self.grid_shape)
+        """Conditional noise prediction at step t (t = 0 is undefined).
+
+        ``z_t`` is one latent or a stack of latents sharing ``cond``, as in
+        ``posterior_weights``; the result has its shape.
+        """
+        z_t, _, flat, weights = self._posterior(z_t, t, cond)
+        if weights is None:  # weight 1: the posterior mean is that image, bit for bit
+            x0 = flat[0].reshape(self.grid_shape)
+        else:
+            x0 = (weights @ flat).reshape(z_t.shape)
         alpha_bar = float(self.schedule.alpha_bar[int(t)])
-        z_t = np.asarray(z_t, dtype=np.float64)
         return (z_t - math.sqrt(alpha_bar) * x0) / math.sqrt(1.0 - alpha_bar)
 
-    def posterior_weights_stack(self, z: np.ndarray, t, conds: Sequence[Condition]):
-        """Posterior weights of a stack of latents (B, H, W, C), row b under conds[b].
-
-        One GEMM of the stack against the whole corpus gives every row's
-        logits.  The null weights are their row softmax.  A run of rows
-        under one condition takes the softmax of that condition's columns
-        alone (a masked softmax): the same subset restriction as
-        ``posterior_weights``.  Returns the (B, N) null weights and a list
-        of (rows, cond, weights) with ``rows`` a slice of the stack and
-        ``weights`` of shape (rows, subset size).
-        """
+    def _posterior(self, z_t, t, cond: Condition):
+        """The checked latent(s), the subset's indices and images, and the
+        weights, which are None when one image matches."""
         step = _check_step(t, 1, self.schedule.T, self.schedule)
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape[1:] != self.grid_shape or z.shape[0] != len(conds):
-            raise ValueError(
-                f"expected {len(conds)} latents of shape {self.grid_shape}, got {z.shape}"
-            )
-        _, flat, row_sq = self._subset(NULL_CONDITION)
-        logits = self._logits(z.reshape(len(z), -1) @ flat.T, row_sq, step)
-        runs = []
-        start = 0
-        for stop in range(1, len(conds) + 1):
-            if stop == len(conds) or conds[stop] != conds[start]:
-                rows = slice(start, stop)
-                indices = self._subset(conds[start])[0]
-                runs.append((rows, conds[start], _softmax_rows(logits[rows, indices])))
-                start = stop
-        return _softmax_rows(logits), runs
-
-    def evaluate_stack(self, z: np.ndarray, t, conds: Sequence[Condition]):
-        """Null and conditional noise predictions of a stack of latents, row b under conds[b].
-
-        The null posterior means are one (B, N) @ (N, D) GEMM; each run of
-        rows under one condition uses only that condition's images.
-        """
-        null_weights, runs = self.posterior_weights_stack(z, t, conds)
-        x0_null = null_weights @ self._flat
-        x0_cond = np.empty_like(x0_null)
-        for rows, cond, weights in runs:
-            np.matmul(weights, self._subset(cond)[1], out=x0_cond[rows])
-        alpha_bar = float(self.schedule.alpha_bar[int(t)])
-        z = np.asarray(z, dtype=np.float64).reshape(x0_null.shape)
-        # (z - sqrt(ab) x0) / sqrt(1 - ab), in place, in the same rounding as evaluate
-        for x0 in (x0_null, x0_cond):
-            x0 *= -math.sqrt(alpha_bar)
-            x0 += z
-            x0 /= math.sqrt(1.0 - alpha_bar)
-        shape = (len(z),) + self.grid_shape
-        return x0_null.reshape(shape), x0_cond.reshape(shape)
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise max-subtracted softmax, in place."""
-    logits -= logits.max(axis=1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    return logits
+        z_t = np.asarray(z_t, dtype=np.float64)
+        if z_t.shape != self.grid_shape and z_t.shape[1:] != self.grid_shape:
+            raise ValueError(f"latent shape {z_t.shape} is not {self.grid_shape} or a stack of it")
+        indices, flat, row_sq = self._subset(cond)
+        if indices.size == 1:
+            return z_t, indices, flat, None
+        # -|z - sqrt(ab) x_i|^2 / (2 (1 - ab)) up to the shared |z|^2 term,
+        # which cancels in the softmax
+        ab = float(self.schedule.alpha_bar[step])
+        dots = z_t.reshape(z_t.shape[:-3] + (-1,)) @ flat.T
+        logits = (2.0 * math.sqrt(ab) * dots - ab * row_sq) / (2.0 * (1.0 - ab))
+        logits -= logits.max(axis=-1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=-1, keepdims=True)
+        return z_t, indices, flat, logits
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:

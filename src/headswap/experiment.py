@@ -10,6 +10,7 @@ files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -93,7 +94,10 @@ def write_metrics(rows: Sequence[dict], path) -> None:
 
 
 def _check_row(row) -> None:
-    """Raise ValueError unless a parsed line holds every key and value summarize reads."""
+    """Raise ValueError unless a parsed line holds every key and value summarize reads.
+
+    An integer too large for a float raises OverflowError.
+    """
     if not isinstance(row, dict):
         raise ValueError(f"expected a JSON object, got {type(row).__name__}")
     missing = [key for key in RECORD_FIELDS if key not in row]
@@ -102,7 +106,13 @@ def _check_row(row) -> None:
     probe = row["attr_probe"]
     if not (
         isinstance(row["variant"], str)
-        and all(type(row[key]) in (int, float) for key in ("iou", "mse_head", "mse_outside"))
+        and all(
+            type(row[key]) in (int, float) and math.isfinite(row[key])
+            for key in ("iou", "mse_head", "mse_outside")
+        )
+        and 0 <= row["iou"] <= 1
+        and row["mse_head"] >= 0
+        and row["mse_outside"] >= 0
         and isinstance(probe, dict)
         and type(probe.get("matched")) is int
         and type(probe.get("total")) is int
@@ -110,13 +120,14 @@ def _check_row(row) -> None:
         and probe["total"] > 0
     ):
         raise ValueError(
-            "expected a string variant, numeric iou/mse_head/mse_outside and attr_probe "
-            "counts 0 <= matched <= total with total > 0"
+            "expected a string variant, a finite iou in [0, 1], finite mse_head/mse_outside "
+            ">= 0 and attr_probe counts 0 <= matched <= total with total > 0"
         )
 
 
 def read_metrics(path) -> list[dict]:
-    """Parse metrics.jsonl; a malformed line raises ValueError naming path:line.
+    """Parse metrics.jsonl into rows of RECORD_FIELDS; a malformed line raises ValueError
+    naming path:line.
 
     A file without any record raises ValueError naming the path.
     """
@@ -129,9 +140,9 @@ def read_metrics(path) -> list[dict]:
                     continue
                 row = json.loads(line)
                 _check_row(row)
-            except ValueError as exc:  # so is json.JSONDecodeError
+            except (ValueError, OverflowError) as exc:  # so is json.JSONDecodeError
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            rows.append(row)
+            rows.append({key: row[key] for key in RECORD_FIELDS})
     if not rows:
         raise ValueError(f"{path}: no records")
     return rows

@@ -25,8 +25,8 @@ from .diffusion import (
     ddim_sample_step,
     invert_trajectory,
 )
-from .iomask import VARIANTS, IOMaskConfig, build_iomask, io_map
-from .synthgen import AttributeSpec, Condition, composite_spec, render_avatar
+from .iomask import VARIANTS, IOMaskConfig, build_iomask, io_predictions, variant_map
+from .synthgen import NULL_CONDITION, AttributeSpec, Condition, composite_spec, render_avatar
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,16 @@ class RunConfig:
     out_dir: Path | None = None
 
     def __post_init__(self):
-        if self.T < 2:
-            raise ValueError(f"T must be at least 2, got {self.T}")
+        # upper bounds on memory: an inversion keeps all T + 1 latents
+        # (24.6 KB each), and the mask blur pads the map by 3 sigma per side
+        if not 2 <= self.T <= 1000:
+            raise ValueError(f"T must lie in [2, 1000], got {self.T}")
         if not (math.isfinite(self.w) and self.w >= 0):
             raise ValueError(f"w must be finite and non-negative, got {self.w}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must lie in [0, 1], got {self.tau}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        if not 0 < self.sigma <= 100:
+            raise ValueError(f"sigma must lie in (0, 100], got {self.sigma}")
         if not (0.0 < self.edit_fraction <= 1.0 and self.edit_start >= 1):
             raise ValueError(
                 f"edit_fraction must lie in (0, 1] and round to a step >= 1 at T={self.T}, "
@@ -126,13 +128,20 @@ def extract_mask(
     body: AttributeSpec,
     head: AttributeSpec,
     cfg: RunConfig,
+    variants: Sequence[str],
     sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The edit map at t_edit = cfg.edit_start and the binary mask built from it."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each variant's edit map at t_edit = cfg.edit_start and the binary mask built from it.
+
+    The pair's three predictions are evaluated once and shared by the variants.
+    """
     cond_head = compose_head_condition(head, body)
-    edit_map = io_map(traj, cfg.edit_start, cond_head, body_condition(body), cfg.mask, sched, pred)
-    return edit_map, build_iomask(edit_map, cfg.mask)
+    predictions = io_predictions(
+        traj, cfg.edit_start, cond_head, body_condition(body), cfg.w, sched, pred
+    )
+    maps = [variant_map(predictions, variant, cfg.w) for variant in variants]
+    return [(edit_map, build_iomask(edit_map, cfg.mask)) for edit_map in maps]
 
 
 def blend_denoise(
@@ -146,17 +155,23 @@ def blend_denoise(
     """Denoise a stack of swaps in lockstep from t_edit to 0: (B, H, W, C).
 
     Row b starts from trajs[b][t_edit] and is guided towards conds[b].
-    Each step evaluates the whole stack at once (``evaluate_stack``: one
-    corpus GEMM for the logits, one for the null means), then applies CFG
-    and the DDIM step to the stack and re-imposes each row's stored
-    inversion latent outside its mask.  The last blend takes traj[0], the
-    body image itself, so unmasked output pixels equal it bit-exactly.
+    Each step evaluates the null condition on the whole stack at once (one
+    corpus GEMM for the logits, one for the means) and each head
+    condition on its run of adjacent rows, then applies CFG and the DDIM
+    step to the stack and re-imposes each row's stored inversion latent
+    outside its mask.  The last blend takes traj[0], the body image
+    itself, so unmasked output pixels equal it bit-exactly.
     """
     z = np.stack([traj[cfg.edit_start] for traj in trajs])
     # a full-size boolean mask: np.where runs twice as fast without broadcasting
     inside = np.broadcast_to(np.stack(masks).astype(bool)[..., None], z.shape).copy()
+    starts = [b for b in range(len(conds)) if b == 0 or conds[b] != conds[b - 1]]
+    runs = [(slice(a, b), conds[a]) for a, b in zip(starts, starts[1:] + [len(conds)])]
+    eps_cond = np.empty_like(z)
     for t in range(cfg.edit_start, 0, -1):
-        guided = cfg_combine(*pred.evaluate_stack(z, t, conds), cfg.w)
+        for rows, cond in runs:
+            eps_cond[rows] = pred.evaluate(z[rows], t, cond)
+        guided = cfg_combine(pred.evaluate(z, t, NULL_CONDITION), eps_cond, cfg.w)
         denoised = ddim_sample_step(z, guided, t, sched)
         z = np.where(inside, denoised, np.stack([traj[t - 1] for traj in trajs]))
     return z
@@ -171,21 +186,19 @@ def swap_pairs(
 ) -> list[list[SwapResult]]:
     """Swap every (body, head) pair under every mask variant, denoised in lockstep.
 
-    Each body is inverted once and its trajectory is shared by the pair's
-    variants; each variant extracts its own mask.  Then one
+    Each body is inverted once and its trajectory and mask predictions are
+    shared by the pair's variants (``extract_mask``).  Then one
     ``blend_denoise`` call denoises all pairs x variants together under
     the head conditions.  Returns one list of results per pair, in the
     order of ``variants``.  An all-empty mask is reported via
     ``degenerate_mask``, not an error: that output equals the body image
     bit-exactly.
     """
-    configs = [cfg.swap_config(variant) for variant in variants]
     trajs, masks, maps, conds = [], [], [], []
     for body, head in pairs:
         traj = invert_body(body, cfg, sched, pred)
         cond_head = compose_head_condition(head, body)
-        for variant_cfg in configs:
-            edit_map, mask = extract_mask(traj, body, head, variant_cfg, sched, pred)
+        for edit_map, mask in extract_mask(traj, body, head, cfg, variants, sched, pred):
             trajs.append(traj)
             masks.append(mask)
             maps.append(edit_map)
@@ -195,7 +208,7 @@ def swap_pairs(
         SwapResult(output, mask, edit_map, traj, degenerate_mask=not mask.any())
         for output, mask, edit_map, traj in zip(outputs, masks, maps, trajs)
     ]
-    return [results[i : i + len(configs)] for i in range(0, len(results), len(configs))]
+    return [results[i : i + len(variants)] for i in range(0, len(results), len(variants))]
 
 
 def run_headswap(

@@ -53,6 +53,45 @@ def orthogonal_component(eps_h: np.ndarray, eps_b: np.ndarray) -> np.ndarray:
     return eps_h - coef * eps_b
 
 
+def io_predictions(
+    traj: np.ndarray,
+    t,
+    cond_head: Condition,
+    cond_body: Condition,
+    w: float,
+    sched: NoiseSchedule,
+    pred: EmpiricalNoisePredictor,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The predictions every variant compares, at the stored latent traj[t].
+
+    Returns the body-conditioned, the null and the CFG-guided
+    head-conditioned prediction, each evaluated once.
+    """
+    step = _check_step(t, 1, sched.T, sched)
+    z_t = traj[step]
+    eps_body = pred.evaluate(z_t, step, cond_body)
+    eps_null = pred.evaluate(z_t, step, NULL_CONDITION)
+    eps_head = cfg_combine(eps_null, pred.evaluate(z_t, step, cond_head), w)
+    return eps_body, eps_null, eps_head
+
+
+def variant_map(predictions, variant: str, w: float) -> np.ndarray:
+    """One variant's edit map from ``io_predictions``, (H, W).
+
+    It is the channel-mean absolute value of the variant's difference field.
+    """
+    eps_body, eps_null, eps_head = predictions
+    if variant == "full":
+        diff = orthogonal_component(eps_head, eps_body)
+    elif variant == "no_orth":
+        diff = eps_head - eps_body
+    elif variant == "naive":  # difference of two guided predictions
+        diff = eps_head - cfg_combine(eps_null, eps_body, w)
+    else:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return np.abs(diff).mean(axis=2)
+
+
 def io_map(
     traj: np.ndarray,
     t,
@@ -62,27 +101,9 @@ def io_map(
     sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> np.ndarray:
-    """Per-pixel edit evidence at inversion step t, one of three variants.
-
-    Evaluates the body-conditioned prediction and the CFG-guided
-    head-conditioned prediction at the stored latent traj[t], forms the
-    variant's difference field, and returns the channel-mean of its
-    absolute value as an (H, W) map.
-    """
-    step = _check_step(t, 1, sched.T, sched)
-    z_t = traj[step]
-    eps_body = pred.evaluate(z_t, step, cond_body)
-    eps_null = pred.evaluate(z_t, step, NULL_CONDITION)
-    eps_head = cfg_combine(eps_null, pred.evaluate(z_t, step, cond_head), cfg.w)
-    if cfg.variant == "full":
-        diff = orthogonal_component(eps_head, eps_body)
-    elif cfg.variant == "no_orth":
-        diff = eps_head - eps_body
-    elif cfg.variant == "naive":  # difference of two guided predictions
-        diff = eps_head - cfg_combine(eps_null, eps_body, cfg.w)
-    else:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
-    return np.abs(diff).mean(axis=2)
+    """Per-pixel edit evidence at inversion step t for the variant of ``cfg``."""
+    predictions = io_predictions(traj, t, cond_head, cond_body, cfg.w, sched, pred)
+    return variant_map(predictions, cfg.variant, cfg.w)
 
 
 def build_iomask(edit_map: np.ndarray, cfg: IOMaskConfig) -> np.ndarray:

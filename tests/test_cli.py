@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headswap.cli import UsageError, cli_main, parse_attrs, read_config_file
+from headswap.experiment import RECORD_FIELDS
 from headswap.imaging import read_gray, read_image
 from helpers import files_identical
 
@@ -96,8 +103,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     @pytest.mark.parametrize(
         "key,value",
-        [("T", "1"), ("tau", "2"), ("sigma", "0"), ("w", "-1"), ("w", "nan"), ("w", "inf"),
-         ("edit_fraction", "0.001")],
+        [("T", "1"), ("T", "1001"), ("tau", "2"), ("sigma", "0"), ("sigma", "101"), ("w", "-1"),
+         ("w", "nan"), ("w", "inf"), ("edit_fraction", "0.001")],
     )
     def test_bad_setting_exit_one(self, tmp_path, capsys, key, value, via_config):
         if via_config:
@@ -118,8 +125,14 @@ class TestExitCodes:
             json.dumps({k: v for k, v in GOOD_ROW.items() if k != "variant"}),
             json.dumps({**GOOD_ROW, "attr_probe": {"matched": 0, "total": 0}}),
             '{"pair_id": "pair001", ',
+            json.dumps(GOOD_ROW).replace('"iou": 0.5', '"iou": 1' + "0" * 400),
+            json.dumps({**GOOD_ROW, "iou": float("nan")}),
+            json.dumps({**GOOD_ROW, "iou": 1.5}),
+            json.dumps({**GOOD_ROW, "mse_head": -0.01}),
+            json.dumps({**GOOD_ROW, "mse_outside": float("inf")}),
         ],
-        ids=["missing_variant", "zero_probe_total", "not_json"],
+        ids=["missing_variant", "zero_probe_total", "not_json", "huge_iou", "nan_iou",
+             "iou_above_one", "negative_mse", "infinite_mse"],
     )
     def test_eval_malformed_metrics_exit_two(self, tmp_path, capsys, bad_line):
         path = tmp_path / "metrics.jsonl"
@@ -222,3 +235,55 @@ class TestAblateAndEval:
         assert cli_main(["eval", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "full" in printed and "naive" in printed and "no_orth" in printed
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """Exit code and stderr of an in-process CLI run; stdout is discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, err.getvalue()
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+SETTING_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["1e9", "1001", "-0", "nan", "-inf", " 7 ", "1_000", "0x10", ""]),
+)
+
+
+class TestCliProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(field=st.sampled_from(RECORD_FIELDS + ("runtime_ms",)), value=JSON_VALUES)
+    def test_eval_any_field_value_exits_zero_or_two(self, field, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            row = {**GOOD_ROW, field: value}
+            Path(tmp, "metrics.jsonl").write_text(json.dumps(row) + "\n", encoding="ascii")
+            code, err = run_cli(["eval", "--out", tmp])
+        assert code in (0, 2)
+        assert "Traceback" not in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        flag=st.sampled_from(["--T", "--w", "--tau", "--sigma", "--edit-fraction", "--seed"]),
+        value=SETTING_TEXT,
+    )
+    def test_mask_any_setting_text_exits_zero_one_or_two(self, flag, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["mask", "--body", "0,2,0,1,0", "--head", "2,0,1,3,-1", "--out", tmp]
+            code, err = run_cli(argv + [f"{flag}={value}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err

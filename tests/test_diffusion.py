@@ -161,7 +161,7 @@ class TestEmpiricalEps:
 
 
 class TestStackedPredictor:
-    """The lockstep predictor against the single-latent subset path."""
+    """A stack of latents under one condition against the single-latent path."""
 
     @pytest.fixture(scope="class")
     def stack(self, dataset):
@@ -169,50 +169,65 @@ class TestStackedPredictor:
         gen = np.random.default_rng(11)
         bodies = [specs[int(k)] for k in gen.choice(324, size=3, replace=False)]
         heads = [specs[int(k)] for k in gen.choice(324, size=3, replace=False)]
-        heads_of = [compose_head_condition(h, b) for b, h in zip(bodies, heads)]
-        # runs of one condition, a repeat that is not adjacent, null and one-image rows
-        conds = [heads_of[0], heads_of[0], heads_of[1], NULL_CONDITION, heads_of[0],
-                 body_condition(bodies[2]), heads_of[2], heads_of[2]]
-        images = [dataset[int(k)].image for k in gen.choice(324, size=len(conds))]
+        # head conditions (four images), null and a one-image body condition
+        conds = [compose_head_condition(h, b) for b, h in zip(bodies, heads)]
+        conds += [NULL_CONDITION, body_condition(bodies[2])]
+        images = [dataset[int(k)].image for k in gen.choice(324, size=8)]
         z = np.stack([0.3 * image + 0.2 * gen.normal(size=image.shape) for image in images])
         return z, conds
 
     @pytest.mark.parametrize("t", [1, 10, 25, 40, 50])
     def test_masked_softmax_matches_subset_weights(self, stack, predictor, t):
+        # a condition restricts the corpus: its weights are the softmax of
+        # the full-corpus logits masked to the condition's columns
         z, conds = stack
-        null_weights, runs = predictor.posterior_weights_stack(z, t, conds)
-        covered = []
-        for rows, cond, weights in runs:
-            covered += range(len(conds))[rows]
-            assert all(conds[row] == cond for row in range(len(conds))[rows])
-            for row, row_weights in zip(range(len(conds))[rows], weights):
-                _, expected = predictor.posterior_weights(z[row], t, cond)
-                np.testing.assert_allclose(row_weights, expected, rtol=0, atol=1e-12)
-        assert covered == list(range(len(conds)))
-        for row in range(len(conds)):
-            _, expected = predictor.posterior_weights(z[row], t, NULL_CONDITION)
-            np.testing.assert_allclose(null_weights[row], expected, rtol=0, atol=1e-12)
+        ab = float(predictor.schedule.alpha_bar[t])
+        flat = predictor.images.reshape(len(predictor), -1)
+        corpus_logits = (
+            2.0 * math.sqrt(ab) * (z.reshape(len(z), -1) @ flat.T) - ab * (flat * flat).sum(axis=1)
+        ) / (2.0 * (1.0 - ab))
+        for cond in conds:
+            indices, weights = predictor.posterior_weights(z, t, cond)
+            assert weights.shape == (len(z), indices.size)
+            masked = corpus_logits[:, indices]
+            masked = np.exp(masked - masked.max(axis=1, keepdims=True))
+            expected = masked / masked.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-12)
+            for row in range(len(z)):
+                _, row_weights = predictor.posterior_weights(z[row], t, cond)
+                np.testing.assert_allclose(weights[row], row_weights, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_predictions_match_single_latent_evaluate(self, stack, predictor, t):
         z, conds = stack
-        eps_null, eps_cond = predictor.evaluate_stack(z, t, conds)
         # the noise divides by sqrt(1 - ab_t), so compare at the posterior-mean scale
         tolerance = 1e-12 / math.sqrt(1.0 - predictor.schedule.alpha_bar[t])
-        for row, cond in enumerate(conds):
-            np.testing.assert_allclose(
-                eps_null[row], predictor.evaluate(z[row], t, NULL_CONDITION), rtol=0, atol=tolerance
-            )
-            np.testing.assert_allclose(
-                eps_cond[row], predictor.evaluate(z[row], t, cond), rtol=0, atol=tolerance
-            )
+        for cond in conds:
+            eps = predictor.evaluate(z, t, cond)
+            assert eps.shape == z.shape
+            for row in range(len(z)):
+                np.testing.assert_allclose(
+                    eps[row], predictor.evaluate(z[row], t, cond), rtol=0, atol=tolerance
+                )
+
+    @pytest.mark.parametrize("t", [1, 25, 50])
+    def test_stack_of_one_bit_equals_single_latent(self, stack, predictor, t):
+        z, conds = stack
+        for cond in conds:
+            for row in range(len(z)):
+                one = z[row : row + 1]
+                _, weights = predictor.posterior_weights(z[row], t, cond)
+                assert np.array_equal(predictor.posterior_weights(one, t, cond)[1], weights[None])
+                eps = predictor.evaluate(z[row], t, cond)
+                assert np.array_equal(predictor.evaluate(one, t, cond), eps[None])
 
     def test_stack_shape_checked(self, stack, predictor):
         z, conds = stack
+        for bad in (z[:, :-1], z[None], z.reshape(len(z), -1)):
+            with pytest.raises(ValueError):
+                predictor.evaluate(bad, 30, conds[0])
         with pytest.raises(ValueError):
-            predictor.evaluate_stack(z, 30, conds[:-1])
-        with pytest.raises(ValueError):
-            predictor.evaluate_stack(z, 0, conds)
+            predictor.evaluate(z, 0, conds[0])
 
 
 class TestCfgCombine:
