@@ -72,6 +72,38 @@ def _check_step(t, lo: int, hi: int, sched: NoiseSchedule) -> int:
     return step
 
 
+@dataclass(frozen=True)
+class ColumnClasses:
+    """The corpus's pixel-channel positions grouped by their value columns.
+
+    Positions whose N corpus values are byte-identical form one class, so
+    image i is, bit for bit, the gather ``table[:, i][inv]``.  Classes are
+    numbered in the order of their first position, which fixes every
+    reduction over them.
+    """
+
+    table: np.ndarray  # (G, N): one value column per class
+    inv: np.ndarray  # (D,): each position's class
+    order: np.ndarray  # (D,): positions sorted by class, in position order
+    starts: np.ndarray  # (G,): where each class begins in ``order``
+    counts: np.ndarray  # (G,): positions per class
+
+    @classmethod
+    def of(cls, flat: np.ndarray) -> "ColumnClasses":
+        """Group the columns of a (N, D) corpus by their exact bytes."""
+        groups: dict[bytes, int] = {}
+        inv = np.array([groups.setdefault(col.tobytes(), len(groups)) for col in flat.T])
+        first = np.unique(inv, return_index=True)[1]
+        counts = np.bincount(inv)
+        return cls(
+            table=np.ascontiguousarray(flat[:, first].T),
+            inv=inv,
+            order=np.argsort(inv, kind="stable"),
+            starts=np.cumsum(counts) - counts,
+            counts=counts,
+        )
+
+
 class EmpiricalNoisePredictor:
     """Exact conditional noise predictor over an immutable image set.
 
@@ -81,6 +113,12 @@ class EmpiricalNoisePredictor:
     takes the posterior mean x0 = sum w_i x_i, and returns the implied
     noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).  A stack of latents under
     one condition is evaluated the same way, with one GEMM per product.
+
+    A subset of several images works on the corpus's ``ColumnClasses``
+    rather than on pixels: z_t . x_i sums z_t over each class before the
+    GEMM, and the posterior mean is formed per class and gathered back to
+    pixels, which is exact because the classes are.  A one-image subset
+    stays in pixel space.
     """
 
     def __init__(
@@ -89,7 +127,7 @@ class EmpiricalNoisePredictor:
         attrs: Sequence[AttributeSpec],
         schedule: NoiseSchedule,
     ):
-        images = np.asarray(images, dtype=np.float64)
+        images = np.ascontiguousarray(images, dtype=np.float64)
         if images.ndim != 4 or images.shape[0] == 0:
             raise ValueError(f"images must be (N, H, W, C) with N >= 1, got {images.shape}")
         if images.shape[0] != len(attrs):
@@ -97,9 +135,9 @@ class EmpiricalNoisePredictor:
         self.images = images
         self.schedule = schedule
         self.grid_shape = images.shape[1:]
-        self._flat = np.ascontiguousarray(images.reshape(images.shape[0], -1))
         self._attr_matrix = np.array([a.to_ints() for a in attrs], dtype=np.int64)
-        self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._classes: ColumnClasses | None = None
+        self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
     @classmethod
     def from_renders(cls, renders, schedule: NoiseSchedule) -> "EmpiricalNoisePredictor":
@@ -109,7 +147,17 @@ class EmpiricalNoisePredictor:
     def __len__(self) -> int:
         return self.images.shape[0]
 
+    @property
+    def column_classes(self) -> ColumnClasses:
+        """The corpus's column classes, grouped on first use: one-image
+        conditions never need them."""
+        if self._classes is None:
+            self._classes = ColumnClasses.of(self.images.reshape(len(self), -1))
+        return self._classes
+
     def _subset(self, cond: Condition):
+        """The matching indices, then the image (H, W, C) and None when one
+        image matches, else the class columns (G, S) and the squared norms (S,)."""
         cached = self._subsets.get(cond.constraints)
         if cached is not None:
             return cached
@@ -119,17 +167,13 @@ class EmpiricalNoisePredictor:
         indices = np.flatnonzero(keep)
         if indices.size == 0:
             raise NoMatchingConditionError(cond)
-        # Evenly spaced indices (every image, one image, or a condition that
-        # leaves only later attributes free) select a strided view of the
-        # corpus; only other subsets are copied.
-        step = int(indices[1] - indices[0]) if indices.size > 1 else 1
-        if (np.diff(indices) == step).all():
-            flat = self._flat[indices[0] : indices[-1] + 1 : step]
+        if indices.size == 1:
+            subset = (indices, self.images[indices[0]], None)
         else:
-            flat = np.ascontiguousarray(self._flat[indices])
-        row_sq = np.einsum("ij,ij->i", flat, flat)
-        self._subsets[cond.constraints] = (indices, flat, row_sq)
-        return indices, flat, row_sq
+            columns = self.column_classes.table[:, indices]
+            subset = (indices, columns, self.column_classes.counts @ (columns * columns))
+        self._subsets[cond.constraints] = subset
+        return subset
 
     def posterior_weights(self, z_t: np.ndarray, t, cond: Condition):
         """Dataset indices and posterior weights of the conditional subset.
@@ -149,33 +193,43 @@ class EmpiricalNoisePredictor:
         ``z_t`` is one latent or a stack of latents sharing ``cond``, as in
         ``posterior_weights``; the result has its shape.
         """
-        z_t, _, flat, weights = self._posterior(z_t, t, cond)
-        if weights is None:  # weight 1: the posterior mean is that image, bit for bit
-            x0 = flat[0].reshape(self.grid_shape)
-        else:
-            x0 = (weights @ flat).reshape(z_t.shape)
+        z_t, _, columns, weights = self._posterior(z_t, t, cond)
         alpha_bar = float(self.schedule.alpha_bar[int(t)])
-        return (z_t - math.sqrt(alpha_bar) * x0) / math.sqrt(1.0 - alpha_bar)
+        # (z_t - sqrt(ab) x0) / sqrt(1 - ab): adding the negated product rounds
+        # as subtracting it does, and a stack's result is built in one buffer
+        # because every stack-sized temporary costs fresh page faults
+        scale = -math.sqrt(alpha_bar)
+        if weights is None:  # weight 1: x0 is that image (``columns``), bit for bit
+            eps = z_t + columns * scale
+        else:  # each class's mean is scaled once, then gathered to its pixels
+            x0 = weights @ columns.T
+            eps = np.take(x0 * scale, self.column_classes.inv, axis=-1).reshape(z_t.shape)
+            eps += z_t
+        eps /= math.sqrt(1.0 - alpha_bar)
+        return eps
 
     def _posterior(self, z_t, t, cond: Condition):
-        """The checked latent(s), the subset's indices and images, and the
-        weights, which are None when one image matches."""
+        """The checked latent(s), the subset (``_subset``) and the weights,
+        which are None when one image matches."""
         step = _check_step(t, 1, self.schedule.T, self.schedule)
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.shape != self.grid_shape and z_t.shape[1:] != self.grid_shape:
             raise ValueError(f"latent shape {z_t.shape} is not {self.grid_shape} or a stack of it")
-        indices, flat, row_sq = self._subset(cond)
-        if indices.size == 1:
-            return z_t, indices, flat, None
+        indices, columns, row_sq = self._subset(cond)
+        if row_sq is None:
+            return z_t, indices, columns, None
         # -|z - sqrt(ab) x_i|^2 / (2 (1 - ab)) up to the shared |z|^2 term,
-        # which cancels in the softmax
+        # which cancels in the softmax; z . x_i sums z over each class first
+        classes = self.column_classes
         ab = float(self.schedule.alpha_bar[step])
-        dots = z_t.reshape(z_t.shape[:-3] + (-1,)) @ flat.T
+        z_flat = z_t.reshape(z_t.shape[:-3] + (-1,))
+        by_class = np.take(z_flat, classes.order, axis=-1)
+        dots = np.add.reduceat(by_class, classes.starts, axis=-1) @ columns
         logits = (2.0 * math.sqrt(ab) * dots - ab * row_sq) / (2.0 * (1.0 - ab))
         logits -= logits.max(axis=-1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=-1, keepdims=True)
-        return z_t, indices, flat, logits
+        return z_t, indices, columns, logits
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:

@@ -140,7 +140,8 @@ def read_metrics(path) -> list[dict]:
                     continue
                 row = json.loads(line)
                 _check_row(row)
-            except (ValueError, OverflowError) as exc:  # so is json.JSONDecodeError
+            # json.JSONDecodeError is a ValueError; deep nesting raises RecursionError
+            except (ValueError, OverflowError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             rows.append({key: row[key] for key in RECORD_FIELDS})
     if not rows:

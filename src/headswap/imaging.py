@@ -47,7 +47,9 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
         raise ValueError(f"sigma must be positive, got {sigma}")
     radius = math.ceil(3.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    # below sigma ~ 1e-154 the square overflows to inf, whose weight is exactly 0
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
     return kernel / kernel.sum()
 
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's computational paths: the blur
 reference is a direct dense 2-D convolution over an explicitly padded
-array, the denoiser reference evaluates naive (unshifted) exponentials in
-50-digit arithmetic, and the blended-denoise reference steps one latent
-at a time with the single-latent predictor.  ``files_identical`` compares
+array, the denoiser references evaluate naive (unshifted) exponentials in
+50-digit arithmetic or the full pixel-space distances one latent at a
+time, and the blended-denoise reference steps one latent at a time with
+the single-latent predictor.  ``files_identical`` compares
 written artifacts byte for byte.
 """
 
@@ -54,6 +55,21 @@ def mp_posterior_eps(images: np.ndarray, z_t: np.ndarray, alpha_bar: float) -> n
             x0 += float(w) * x
         eps = (z - float(scale) * x0) / float(mpmath.sqrt(variance))
     return eps.reshape(z_t.shape)
+
+
+def pixel_posterior_eps(images: np.ndarray, z_t: np.ndarray, alpha_bar: float) -> np.ndarray:
+    """Posterior-mean noise estimate for a stack of latents from full pixel distances."""
+    flat = images.reshape(len(images), -1)
+    scale = math.sqrt(alpha_bar)
+    variance = 1.0 - alpha_bar
+    rows = []
+    for z in z_t.reshape(len(z_t), -1):
+        logits = -((z - scale * flat) ** 2).sum(axis=1) / (2.0 * variance)
+        weights = np.exp(logits - logits.max())
+        weights /= weights.sum()
+        x0 = (weights[:, None] * flat).sum(axis=0)
+        rows.append((z - scale * x0) / math.sqrt(variance))
+    return np.stack(rows).reshape(z_t.shape)
 
 
 def per_latent_blend_denoise(traj, mask, cond_head, cfg, sched, pred) -> np.ndarray:

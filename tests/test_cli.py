@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,10 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headswap.cli import UsageError, cli_main, parse_attrs, read_config_file
+from headswap.cli import ABLATE_KEYS, UsageError, cli_main, parse_attrs, read_config_file
 from headswap.experiment import RECORD_FIELDS
 from headswap.imaging import read_gray, read_image
 from helpers import files_identical
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOOD_ROW = {
     "pair_id": "pair000",
@@ -130,9 +135,10 @@ class TestExitCodes:
             json.dumps({**GOOD_ROW, "iou": 1.5}),
             json.dumps({**GOOD_ROW, "mse_head": -0.01}),
             json.dumps({**GOOD_ROW, "mse_outside": float("inf")}),
+            "[" * 100_000,
         ],
         ids=["missing_variant", "zero_probe_total", "not_json", "huge_iou", "nan_iou",
-             "iou_above_one", "negative_mse", "infinite_mse"],
+             "iou_above_one", "negative_mse", "infinite_mse", "deep_nesting"],
     )
     def test_eval_malformed_metrics_exit_two(self, tmp_path, capsys, bad_line):
         path = tmp_path / "metrics.jsonl"
@@ -237,6 +243,28 @@ class TestAblateAndEval:
         assert "full" in printed and "naive" in printed and "no_orth" in printed
 
 
+class TestThreadDeterminism:
+    def test_ablate_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+            )
+            argv = ["ablate", "--pairs", "8", "--seed", "7", "--out", str(out)]
+            done = subprocess.run(
+                [sys.executable, "-m", "headswap.cli"] + argv,
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            outs.append(out)
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert len(names) == 1 + 8 * (3 + 3 * 3)  # metrics, 3 renders + 3 per variant
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        assert [name for name in names if not files_identical(outs[0] / name, outs[1] / name)] == []
+
+
 def run_cli(argv) -> tuple[int, str]:
     """Exit code and stderr of an in-process CLI run; stdout is discarded."""
     err = io.StringIO()
@@ -257,11 +285,20 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 
+SWAP_ARGV = ["swap", "--body", "0,2,0,1,0", "--head", "2,0,1,3,-1"]
+ABLATE_ARGV = ["ablate", "--pairs", "1"]
+
 SETTING_TEXT = st.one_of(
     st.text(max_size=12),
     st.integers().map(str),
     st.floats().map(repr),
     st.sampled_from(["1e9", "1001", "-0", "nan", "-inf", " 7 ", "1_000", "0x10", ""]),
+)
+# values near the accepted ranges, so that some runs go through the pipeline
+PLAUSIBLE_TEXT = st.one_of(
+    st.integers(-1, 60).map(str),
+    st.floats(-0.5, 8.0).map(repr),
+    st.sampled_from(["full", "naive", "no_orth"]),
 )
 
 
@@ -285,5 +322,31 @@ class TestCliProperties:
         with tempfile.TemporaryDirectory() as tmp:
             argv = ["mask", "--body", "0,2,0,1,0", "--head", "2,0,1,3,-1", "--out", tmp]
             code, err = run_cli(argv + [f"{flag}={value}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        argv=st.sampled_from([SWAP_ARGV, ABLATE_ARGV]),
+        flag=st.sampled_from(["--T", "--w", "--tau", "--sigma", "--edit-fraction", "--seed"]),
+        value=SETTING_TEXT | PLAUSIBLE_TEXT,
+    )
+    def test_swap_and_ablate_any_setting_text_exit_zero_one_or_two(self, argv, flag, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = run_cli(argv + ["--out", tmp, f"{flag}={value}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        argv=st.sampled_from([SWAP_ARGV, ABLATE_ARGV]),
+        key=st.sampled_from(ABLATE_KEYS + ("variant",)),
+        value=SETTING_TEXT | PLAUSIBLE_TEXT,
+    )
+    def test_swap_and_ablate_any_config_value_exit_zero_one_or_two(self, argv, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp, "run.cfg")
+            config.write_text(f"{key} = {value}\n", encoding="utf-8")
+            code, err = run_cli(argv + ["--out", str(Path(tmp, "out")), "--config", str(config)])
         assert code in (0, 1, 2)
         assert "Traceback" not in err

@@ -20,7 +20,7 @@ from headswap.diffusion import (
 )
 from headswap.hid import body_condition, compose_head_condition
 from headswap.synthgen import AttributeSpec, Condition, NULL_CONDITION, all_attribute_specs
-from helpers import mp_posterior_eps
+from helpers import mp_posterior_eps, pixel_posterior_eps
 
 SHAPE = (4, 4, 3)
 
@@ -228,6 +228,57 @@ class TestStackedPredictor:
                 predictor.evaluate(bad, 30, conds[0])
         with pytest.raises(ValueError):
             predictor.evaluate(z, 0, conds[0])
+
+
+class TestColumnClasses:
+    """The exact column-class corpus behind every multi-image subset."""
+
+    def test_rendered_corpus_has_121_classes_that_rebuild_every_image(self, predictor):
+        # a structural fact of the renderer: the 3,072 pixel-channel
+        # positions carry 121 distinct columns of 324 values
+        classes = predictor.column_classes
+        flat = predictor.images.reshape(len(predictor), -1)
+        assert classes.table.shape == (121, len(predictor))
+        for i in range(len(predictor)):
+            assert classes.table[:, i][classes.inv].tobytes() == flat[i].tobytes()
+
+    def test_class_layout(self, predictor):
+        classes = predictor.column_classes
+        groups = len(classes.table)
+        # numbered by first position; ``order`` lists each class's positions in turn
+        first = [int(np.flatnonzero(classes.inv == g)[0]) for g in range(groups)]
+        assert first == sorted(first)
+        assert np.array_equal(classes.counts, np.bincount(classes.inv))
+        assert np.array_equal(classes.inv[classes.order], np.repeat(np.arange(groups), classes.counts))
+        assert np.array_equal(classes.starts, np.cumsum(classes.counts) - classes.counts)
+        for g in (0, groups // 2, groups - 1):
+            run = classes.order[classes.starts[g] : classes.starts[g] + classes.counts[g]]
+            assert np.array_equal(run, np.flatnonzero(classes.inv == g))
+
+    def test_one_hot_null_posterior_returns_each_image_exactly(self, predictor):
+        # at t = 1 every corpus image's own posterior is one-hot, so the
+        # posterior mean must be the image bit for bit, which a lossy
+        # corpus basis would break
+        ab = float(predictor.schedule.alpha_bar[1])
+        z = math.sqrt(ab) * predictor.images
+        assert not predictor.evaluate(z, 1, NULL_CONDITION).any()
+
+    @pytest.mark.parametrize("t", [1, 10, 25, 50])
+    def test_random_corpus_matches_pixel_reference(self, rng, t):
+        # random images: every column is its own class
+        sched = make_schedule(50)
+        images = rng.uniform(0, 1, (12,) + SHAPE)
+        pred = toy_predictor(images, sched)
+        assert pred.column_classes.table.shape == (np.prod(SHAPE), len(images))
+        ab = float(sched.alpha_bar[t])
+        mixtures = rng.dirichlet(np.ones(len(images)), size=6)
+        z = math.sqrt(ab) * np.tensordot(mixtures, images, axes=1)
+        z += math.sqrt(1.0 - ab) * rng.normal(size=z.shape)
+        for cond in (NULL_CONDITION, Condition.of(clothing_color=1)):
+            indices, _ = pred.posterior_weights(z, t, cond)
+            assert indices.size > 1
+            want = pixel_posterior_eps(images[indices], z, ab)
+            np.testing.assert_allclose(pred.evaluate(z, t, cond), want, rtol=0, atol=1e-12)
 
 
 class TestCfgCombine:

@@ -79,6 +79,11 @@ class TestGaussianFilter:
         for sigma in (0.4, 1.0, 3.3):
             assert gaussian_kernel_1d(sigma).sum() == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_sigma_is_identity_without_warning(self):
+        for sigma in (1e-300, 5e-324):
+            assert gaussian_kernel_1d(sigma).tolist() == [0.0, 1.0, 0.0]
+
     def test_rejects_non_finite(self):
         field = np.zeros((4, 4))
         field[1, 1] = np.nan
