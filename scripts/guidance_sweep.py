@@ -13,9 +13,8 @@ import argparse
 
 import numpy as np
 
-from headswap import EmpiricalNoisePredictor, enumerate_dataset, make_schedule, swap_pairs
-from headswap.experiment import CHUNK_PAIRS, RunConfig, evaluate_swap, sample_pairs
-from headswap.metrics import swap_reference
+from headswap import EmpiricalNoisePredictor, enumerate_dataset, make_schedule
+from headswap.experiment import RunConfig, evaluate_swap, swap_chunks
 
 
 def main() -> None:
@@ -27,25 +26,20 @@ def main() -> None:
 
     sched = make_schedule(50)
     predictor = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), sched)
-    pairs = sample_pairs(args.seed, args.pairs)
 
     print(f"{args.pairs} pairs, seed {args.seed}, full variant")
     print(f"{'w':>5s} {'improved':>9s} {'probe>=2/3':>11s} {'mse_head':>10s}")
     for w in args.scales:
         cfg = RunConfig(seed=args.seed, pairs=args.pairs, w=w)
         improved, probed, errors = 0, 0, []
-        for first in range(0, len(pairs), CHUNK_PAIRS):
-            chunk = pairs[first : first + CHUNK_PAIRS]
-            results = swap_pairs(chunk, cfg, ("full",), sched, predictor)
-            for (body, head), [result] in zip(chunk, results):
-                ref = swap_reference(body, head)
-                record = evaluate_swap("sweep", ref, "full", result, 0.0)
-                oracle = ref.oracle.image
-                improved += np.mean((result.output - oracle) ** 2) < np.mean(
-                    (ref.body_image - oracle) ** 2
-                )
-                probed += record["attr_probe"]["matched"] >= 2
-                errors.append(record["mse_head"])
+        for _, ref, [result], _ in swap_chunks(cfg, ("full",), sched, predictor):
+            record = evaluate_swap("sweep", ref, "full", result, 0.0)
+            oracle = ref.oracle.image
+            improved += np.mean((result.output - oracle) ** 2) < np.mean(
+                (ref.body_image - oracle) ** 2
+            )
+            probed += record["attr_probe"]["matched"] >= 2
+            errors.append(record["mse_head"])
         print(
             f"{w:5.1f} {improved / args.pairs:9.0%} {probed / args.pairs:11.0%} "
             f"{np.mean(errors):10.6f}"

@@ -1,12 +1,12 @@
 """Head swapping on a procedural avatar corpus, with exact evaluation.
 
-The pipeline runs deterministic DDIM inversion of a body image, extracts
-an edit mask from the orthogonal disagreement between head- and
-body-conditioned noise predictions, then denoises under the head
-condition while blending unmasked pixels back to the stored inversion
-latents.  A closed-form dataset-posterior denoiser stands in for a
-trained network, so every stage is exactly checkable against rendered
-ground truth.
+The pipeline inverts a body image by deterministic DDIM (under its own
+condition, a scaling by one number per step), extracts an edit mask from
+the orthogonal disagreement between head- and body-conditioned noise
+predictions, then denoises under the head condition while blending
+unmasked pixels back to the inversion latents.  A closed-form
+dataset-posterior denoiser stands in for a trained network, so every
+stage is exactly checkable against rendered ground truth.
 """
 
 from .diffusion import (
@@ -26,7 +26,6 @@ from .hid import (
     body_condition,
     compose_head_condition,
     extract_mask,
-    invert_body,
     run_headswap,
     swap_pairs,
 )

@@ -24,7 +24,7 @@ from .experiment import (
     summarize,
     write_metrics,
 )
-from .hid import extract_mask, invert_body, run_headswap
+from .hid import body_inversion, extract_mask, run_headswap
 from .imaging import minmax_normalize, overlay_heatmap, write_gray, write_image, write_mask
 from .iomask import VARIANTS
 from .metrics import swap_reference
@@ -172,12 +172,12 @@ def _swap_setup(args):
     return body, head, cfg, sched, pred, out_dir
 
 
-def _write_mask_files(out_dir: Path, traj, edit_map, mask) -> None:
+def _write_mask_files(out_dir: Path, body_image, edit_map, mask) -> None:
     """iomap.pgm, mask.pgm and overlay.ppm (the normalized map over the body image)."""
     normalized = minmax_normalize(edit_map)
     write_gray(normalized, out_dir / "iomap.pgm")
     write_mask(mask, out_dir / "mask.pgm")
-    write_image(overlay_heatmap(traj[0], normalized), out_dir / "overlay.ppm")
+    write_image(overlay_heatmap(body_image, normalized), out_dir / "overlay.ppm")
 
 
 def _cmd_swap(args) -> int:
@@ -191,7 +191,7 @@ def _cmd_swap(args) -> int:
     write_image(render_avatar(head).image, out_dir / "head.ppm")
     write_image(ref.oracle.image, out_dir / "oracle.ppm")
     write_image(result.output, out_dir / "output.ppm")
-    _write_mask_files(out_dir, result.trajectory, result.io_map, result.mask)
+    _write_mask_files(out_dir, ref.body_image, result.io_map, result.mask)
 
     record = evaluate_swap("pair000", ref, cfg.variant, result, elapsed_ms)
     write_metrics([record], out_dir / METRICS_FILENAME)
@@ -203,9 +203,10 @@ def _cmd_swap(args) -> int:
 
 def _cmd_mask(args) -> int:
     body, head, cfg, sched, pred, out_dir = _swap_setup(args)
-    traj = invert_body(body, cfg, sched, pred)
-    [(edit_map, mask)] = extract_mask(traj, body, head, cfg, (cfg.variant,), sched, pred)
-    _write_mask_files(out_dir, traj, edit_map, mask)
+    image = render_avatar(body).image
+    z_edit = body_inversion(cfg, sched, pred)[cfg.edit_start] * image
+    [(edit_map, mask)] = extract_mask(z_edit, body, head, cfg, (cfg.variant,), pred)
+    _write_mask_files(out_dir, image, edit_map, mask)
     print(f"mask covers {int(mask.sum())} pixels at t={cfg.edit_start}")
     return 0
 

@@ -309,6 +309,20 @@ def invert_trajectory(
     return latents
 
 
+def inversion_coefficients(sched: NoiseSchedule) -> np.ndarray:
+    """c[0..T] with ``invert_trajectory(x, cond, ...)[t] = c[t] x`` whenever ``cond``
+    keeps one image x: the posterior mean is then x, so at z = c x the noise
+    estimate is (c - sqrt(ab_t)) / sqrt(1 - ab_t) x.  c runs the same inversion
+    steps on the scalar 1, so c[0] is exactly 1."""
+    ab = sched.alpha_bar
+    c = np.ones(sched.T + 1)
+    for t in range(sched.T):
+        step = max(t, 1)  # as in invert_trajectory
+        eps = (c[t] - math.sqrt(ab[step])) / math.sqrt(1.0 - ab[step])
+        c[t + 1] = ddim_invert_step(c[t], eps, t, sched)
+    return c
+
+
 def ddim_sample_loop(
     z_start: np.ndarray,
     cond: Condition,

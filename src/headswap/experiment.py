@@ -26,9 +26,9 @@ from .synthgen import AttributeSpec, all_attribute_specs, enumerate_dataset, ren
 
 METRICS_FILENAME = "metrics.jsonl"
 
-# Pairs denoised in lockstep by run_experiment (times its variants: the stack
-# height).  Larger chunks amortize the corpus GEMMs further but hold one more
-# inversion trajectory per pair; see CHANGES.md for the measurement.
+# Pairs denoised in lockstep by swap_chunks (times its variants: the stack
+# height).  Larger chunks amortize the corpus GEMMs further, but the pair
+# count is unbounded and every stack-sized temporary grows with the rows.
 CHUNK_PAIRS = 4
 
 # metrics.jsonl carries exactly these keys, in this order
@@ -182,37 +182,35 @@ def format_summary(summary: dict[str, dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def _write_pair_images(out_dir: Path, pair_id: str, ref: SwapReference) -> None:
+def _write_pair_images(out_dir: Path, pair_id: str, ref: SwapReference, variants, results) -> None:
+    """The pair's body, head and oracle, and each variant's output, mask and map overlay."""
     write_image(ref.body_image, out_dir / f"{pair_id}_body.ppm")
     write_image(render_avatar(ref.head).image, out_dir / f"{pair_id}_head.ppm")
     write_image(ref.oracle.image, out_dir / f"{pair_id}_oracle.ppm")
+    for variant, result in zip(variants, results):
+        stem = f"{pair_id}_{variant}"
+        write_image(result.output, out_dir / f"{stem}_output.ppm")
+        write_mask(result.mask, out_dir / f"{stem}_mask.pgm")
+        overlay = overlay_heatmap(ref.body_image, minmax_normalize(result.io_map))
+        write_image(overlay, out_dir / f"{stem}_overlay.ppm")
 
 
-def _write_variant_images(out_dir: Path, pair_id: str, variant: str, result: SwapResult):
-    stem = f"{pair_id}_{variant}"
-    write_image(result.output, out_dir / f"{stem}_output.ppm")
-    write_mask(result.mask, out_dir / f"{stem}_mask.pgm")
-    overlay = overlay_heatmap(result.trajectory[0], minmax_normalize(result.io_map))
-    write_image(overlay, out_dir / f"{stem}_overlay.ppm")
+def swap_chunks(
+    cfg: RunConfig, variants: Sequence[str], sched: NoiseSchedule, pred: EmpiricalNoisePredictor
+):
+    """Swap the seeded pairs of ``cfg`` through ``swap_pairs``, CHUNK_PAIRS at a time.
 
-
-def _run_chunk(pairs, first: int, cfg: RunConfig, variants, sched, pred, out_dir) -> list[dict]:
-    """Swap, score and write pairs[first : first + CHUNK_PAIRS]."""
-    chunk = pairs[first : first + CHUNK_PAIRS]
-    started = time.perf_counter()
-    results = swap_pairs(chunk, cfg, variants, sched, pred)
-    runtime_ms = (time.perf_counter() - started) * 1e3 / (len(chunk) * len(variants))
-    rows = []
-    for index, (body, head), pair_results in zip(range(first, len(pairs)), chunk, results):
-        pair_id = f"pair{index:03d}"
-        ref = swap_reference(body, head)
-        if out_dir is not None:
-            _write_pair_images(out_dir, pair_id, ref)
-        for variant, result in zip(variants, pair_results):
-            rows.append(evaluate_swap(pair_id, ref, variant, result, runtime_ms))
-            if out_dir is not None:
-                _write_variant_images(out_dir, pair_id, variant, result)
-    return rows
+    Yields (pair_id, swap_reference, results per variant, runtime_ms) in
+    pair order; runtime_ms is the chunk's swap time split evenly among its swaps.
+    """
+    pairs = sample_pairs(cfg.seed, cfg.pairs)
+    for first in range(0, len(pairs), CHUNK_PAIRS):
+        chunk = pairs[first : first + CHUNK_PAIRS]
+        started = time.perf_counter()
+        results = swap_pairs(chunk, cfg, variants, sched, pred)
+        runtime_ms = (time.perf_counter() - started) * 1e3 / (len(chunk) * len(variants))
+        for index, (body, head), pair_results in zip(range(first, len(pairs)), chunk, results):
+            yield f"pair{index:03d}", swap_reference(body, head), pair_results, runtime_ms
 
 
 def run_experiment(
@@ -223,12 +221,10 @@ def run_experiment(
 ) -> list[dict]:
     """Run seeded swap pairs for each requested variant and collect metric rows.
 
-    The pairs go through ``swap_pairs`` in chunks of CHUNK_PAIRS, in pair
-    order, so every pair x variant of a chunk is denoised in lockstep; a
-    row's ``runtime_ms`` is its chunk's swap time divided evenly among the
-    chunk's swaps.  Writes per-pair images plus metrics.jsonl when
-    cfg.out_dir is set.  A shared schedule and predictor may be injected
-    to amortize dataset setup across calls.
+    The pairs go through ``swap_chunks``, so every pair x variant of a
+    chunk is denoised in lockstep.  Writes per-pair images plus
+    metrics.jsonl when cfg.out_dir is set.  A shared schedule and
+    predictor may be injected to amortize dataset setup across calls.
     """
     variants = tuple(variants or (cfg.variant,))
     for variant in variants:
@@ -243,11 +239,11 @@ def run_experiment(
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    pairs = sample_pairs(cfg.seed, cfg.pairs)
     rows: list[dict] = []
-    for first in range(0, len(pairs), CHUNK_PAIRS):
-        # a function call per chunk, so one chunk's trajectories are freed before the next
-        rows += _run_chunk(pairs, first, cfg, variants, sched, pred, out_dir)
+    for pair_id, ref, results, runtime_ms in swap_chunks(cfg, variants, sched, pred):
+        rows += [evaluate_swap(pair_id, ref, v, r, runtime_ms) for v, r in zip(variants, results)]
+        if out_dir is not None:
+            _write_pair_images(out_dir, pair_id, ref, variants, results)
 
     if out_dir is not None:
         write_metrics(rows, out_dir / METRICS_FILENAME)

@@ -1,12 +1,12 @@
 """End-to-end head swapping: invert, extract the edit mask, blend-denoise.
 
-The pipeline inverts the body image under its own fully constrained
-condition, computes the edit mask once at the edit-window start, then
-denoises under the head condition while re-imposing the stored inversion
-latent outside the mask at every step.  Because the final blend mixes
-with the stored clean image itself, unmasked pixels of the output equal
-the body image exactly.  Swaps are denoised as a stack in lockstep
-(``swap_pairs``); a single swap is a stack of one.
+Inverted under its own one-image condition, the body image x has the
+latents c[t] * x (``diffusion.inversion_coefficients``).  The pipeline
+computes the edit mask once at c[t_edit] * x, then denoises under the
+head condition while re-imposing c[t - 1] * x outside the mask at every
+step.  c[0] is exactly 1, so unmasked output pixels equal the body image
+exactly.  Swaps are denoised as a stack in lockstep (``swap_pairs``); a
+single swap is a stack of one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .diffusion import (
     NoiseSchedule,
     cfg_combine,
     ddim_sample_step,
-    invert_trajectory,
+    inversion_coefficients,
+    _check_predictor,
 )
 from .iomask import VARIANTS, IOMaskConfig, build_iomask, io_predictions, variant_map
 from .synthgen import NULL_CONDITION, AttributeSpec, Condition, composite_spec, render_avatar
@@ -47,8 +48,8 @@ class RunConfig:
     out_dir: Path | None = None
 
     def __post_init__(self):
-        # upper bounds on memory: an inversion keeps all T + 1 latents
-        # (24.6 KB each), and the mask blur pads the map by 3 sigma per side
+        # upper bounds on work: the denoise loop runs up to T steps per swap,
+        # and the mask blur pads the map by 3 sigma per side
         if not 2 <= self.T <= 1000:
             raise ValueError(f"T must lie in [2, 1000], got {self.T}")
         if not (math.isfinite(self.w) and self.w >= 0):
@@ -85,12 +86,11 @@ class RunConfig:
 
 @dataclass(eq=False)
 class SwapResult:
-    """Everything a swap produces: output image, mask, map, trajectory."""
+    """Everything a swap produces: output image, mask, map."""
 
     output: np.ndarray
     mask: np.ndarray
     io_map: np.ndarray
-    trajectory: np.ndarray
     degenerate_mask: bool
 
 
@@ -111,58 +111,54 @@ def compose_head_condition(head: AttributeSpec, body: AttributeSpec) -> Conditio
     return Condition.from_mapping(attrs)
 
 
-def invert_body(
-    body: AttributeSpec, cfg: RunConfig, sched: NoiseSchedule, pred: EmpiricalNoisePredictor
-) -> np.ndarray:
-    """DDIM inversion of the body image under its own condition at guidance 1.
-
-    Returns every latent, (T+1, H, W, C); traj[0] is the body image.
-    """
+def body_inversion(cfg: RunConfig, sched: NoiseSchedule, pred: EmpiricalNoisePredictor):
+    """The body's inversion coefficients c, after checking that cfg, sched and pred agree."""
     if cfg.T != sched.T:
         raise ValueError(f"config T={cfg.T} does not match schedule T={sched.T}")
-    return invert_trajectory(render_avatar(body).image, body_condition(body), sched, pred)
+    _check_predictor(sched, pred)
+    return inversion_coefficients(sched)
 
 
 def extract_mask(
-    traj: np.ndarray,
+    z_edit: np.ndarray,
     body: AttributeSpec,
     head: AttributeSpec,
     cfg: RunConfig,
     variants: Sequence[str],
-    sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each variant's edit map at t_edit = cfg.edit_start and the binary mask built from it.
+    """Each variant's edit map at the body's latent z_edit of step cfg.edit_start, and its mask.
 
     The pair's three predictions are evaluated once and shared by the variants.
     """
     cond_head = compose_head_condition(head, body)
     predictions = io_predictions(
-        traj, cfg.edit_start, cond_head, body_condition(body), cfg.w, sched, pred
+        z_edit, cfg.edit_start, cond_head, body_condition(body), cfg.w, pred
     )
     maps = [variant_map(predictions, variant, cfg.w) for variant in variants]
     return [(edit_map, build_iomask(edit_map, cfg.mask)) for edit_map in maps]
 
 
 def blend_denoise(
-    trajs: Sequence[np.ndarray],
+    bodies: Sequence[np.ndarray],
     masks: Sequence[np.ndarray],
     conds: Sequence[Condition],
+    coefficients: np.ndarray,
     cfg: RunConfig,
     sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> np.ndarray:
     """Denoise a stack of swaps in lockstep from t_edit to 0: (B, H, W, C).
 
-    Row b starts from trajs[b][t_edit] and is guided towards conds[b].
+    Row b starts from c[t_edit] * bodies[b] and is guided towards conds[b].
     Each step evaluates the null condition on the whole stack at once (one
-    corpus GEMM for the logits, one for the means) and each head
-    condition on its run of adjacent rows, then applies CFG and the DDIM
-    step to the stack and re-imposes each row's stored inversion latent
-    outside its mask.  The last blend takes traj[0], the body image
-    itself, so unmasked output pixels equal it bit-exactly.
+    corpus GEMM for the logits, one for the means) and each head condition
+    on its run of adjacent rows, then applies CFG and the DDIM step to the
+    stack and re-imposes each row's latent c[t - 1] * bodies[b] outside its
+    mask.  c[0] is 1, so unmasked output pixels equal the body bit-exactly.
     """
-    z = np.stack([traj[cfg.edit_start] for traj in trajs])
+    x = np.stack(bodies)
+    z = coefficients[cfg.edit_start] * x
     # a full-size boolean mask: np.where runs twice as fast without broadcasting
     inside = np.broadcast_to(np.stack(masks).astype(bool)[..., None], z.shape).copy()
     starts = [b for b in range(len(conds)) if b == 0 or conds[b] != conds[b - 1]]
@@ -173,7 +169,7 @@ def blend_denoise(
             eps_cond[rows] = pred.evaluate(z[rows], t, cond)
         guided = cfg_combine(pred.evaluate(z, t, NULL_CONDITION), eps_cond, cfg.w)
         denoised = ddim_sample_step(z, guided, t, sched)
-        z = np.where(inside, denoised, np.stack([traj[t - 1] for traj in trajs]))
+        z = np.where(inside, denoised, coefficients[t - 1] * x)
     return z
 
 
@@ -186,27 +182,29 @@ def swap_pairs(
 ) -> list[list[SwapResult]]:
     """Swap every (body, head) pair under every mask variant, denoised in lockstep.
 
-    Each body is inverted once and its trajectory and mask predictions are
-    shared by the pair's variants (``extract_mask``).  Then one
-    ``blend_denoise`` call denoises all pairs x variants together under
-    the head conditions.  Returns one list of results per pair, in the
-    order of ``variants``.  An all-empty mask is reported via
-    ``degenerate_mask``, not an error: that output equals the body image
-    bit-exactly.
+    The inversion coefficients are computed once (``body_inversion``), and
+    each pair's mask predictions once, shared by its variants
+    (``extract_mask``).  Then one ``blend_denoise`` call denoises all pairs
+    x variants together under the head conditions.  Returns one list of
+    results per pair, in the order of ``variants``.  An all-empty mask is
+    reported via ``degenerate_mask``, not an error: that output equals the
+    body image bit-exactly.
     """
-    trajs, masks, maps, conds = [], [], [], []
+    coefficients = body_inversion(cfg, sched, pred)
+    bodies, masks, maps, conds = [], [], [], []
     for body, head in pairs:
-        traj = invert_body(body, cfg, sched, pred)
+        image = render_avatar(body).image
+        z_edit = coefficients[cfg.edit_start] * image
         cond_head = compose_head_condition(head, body)
-        for edit_map, mask in extract_mask(traj, body, head, cfg, variants, sched, pred):
-            trajs.append(traj)
+        for edit_map, mask in extract_mask(z_edit, body, head, cfg, variants, pred):
+            bodies.append(image)
             masks.append(mask)
             maps.append(edit_map)
             conds.append(cond_head)
-    outputs = blend_denoise(trajs, masks, conds, cfg, sched, pred)
+    outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, sched, pred)
     results = [
-        SwapResult(output, mask, edit_map, traj, degenerate_mask=not mask.any())
-        for output, mask, edit_map, traj in zip(outputs, masks, maps, trajs)
+        SwapResult(output, mask, edit_map, degenerate_mask=not mask.any())
+        for output, mask, edit_map in zip(outputs, masks, maps)
     ]
     return [results[i : i + len(variants)] for i in range(0, len(results), len(variants))]
 

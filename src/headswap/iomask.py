@@ -1,7 +1,7 @@
 """Edit-region extraction from disagreeing noise predictions.
 
 The edit map compares the head-conditioned guided prediction against the
-body-conditioned prediction at a stored inversion latent.  The full
+body-conditioned prediction at the body's inversion latent.  The full
 variant keeps only the component of the guided prediction orthogonal to
 the body prediction (one global projection over the flattened grids);
 the ablation variants use plain differences.  The binary mask is then
@@ -54,24 +54,21 @@ def orthogonal_component(eps_h: np.ndarray, eps_b: np.ndarray) -> np.ndarray:
 
 
 def io_predictions(
-    traj: np.ndarray,
+    z_t: np.ndarray,
     t,
     cond_head: Condition,
     cond_body: Condition,
     w: float,
-    sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The predictions every variant compares, at the stored latent traj[t].
+    """The predictions every variant compares, at the latent z_t of step t.
 
     Returns the body-conditioned, the null and the CFG-guided
     head-conditioned prediction, each evaluated once.
     """
-    step = _check_step(t, 1, sched.T, sched)
-    z_t = traj[step]
-    eps_body = pred.evaluate(z_t, step, cond_body)
-    eps_null = pred.evaluate(z_t, step, NULL_CONDITION)
-    eps_head = cfg_combine(eps_null, pred.evaluate(z_t, step, cond_head), w)
+    eps_body = pred.evaluate(z_t, t, cond_body)
+    eps_null = pred.evaluate(z_t, t, NULL_CONDITION)
+    eps_head = cfg_combine(eps_null, pred.evaluate(z_t, t, cond_head), w)
     return eps_body, eps_null, eps_head
 
 
@@ -101,8 +98,9 @@ def io_map(
     sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> np.ndarray:
-    """Per-pixel edit evidence at inversion step t for the variant of ``cfg``."""
-    predictions = io_predictions(traj, t, cond_head, cond_body, cfg.w, sched, pred)
+    """Per-pixel edit evidence at the latent traj[t] for the variant of ``cfg``."""
+    step = _check_step(t, 1, sched.T, sched)
+    predictions = io_predictions(traj[step], step, cond_head, cond_body, cfg.w, pred)
     return variant_map(predictions, cfg.variant, cfg.w)
 
 

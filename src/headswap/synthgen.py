@@ -172,17 +172,10 @@ class AvatarRender:
     attrs: AttributeSpec
 
 
-def _torso_dots() -> np.ndarray:
-    inside = (
-        (_YY >= TORSO_TOP)
-        & (_YY <= TORSO_BOTTOM)
-        & (_XX >= TORSO_LEFT)
-        & (_XX <= TORSO_RIGHT)
-    )
-    return inside & ((_YY + _XX) % 2 == 0)
-
-
-_TORSO_DOTS = _torso_dots()
+# the clothing checkerboard: every other pixel of the torso rectangle
+_TORSO_DOTS = (
+    (TORSO_TOP <= _YY) & (_YY <= TORSO_BOTTOM) & (TORSO_LEFT <= _XX) & (_XX <= TORSO_RIGHT)
+) & ((_YY + _XX) % 2 == 0)
 
 
 def render_avatar(attrs: AttributeSpec) -> AvatarRender:

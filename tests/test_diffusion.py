@@ -15,6 +15,7 @@ from headswap.diffusion import (
     ddim_invert_step,
     ddim_sample_loop,
     ddim_sample_step,
+    inversion_coefficients,
     invert_trajectory,
     make_schedule,
 )
@@ -376,16 +377,19 @@ class TestTrajectories:
         # Only the body itself matches its body condition, so the posterior
         # mean is the body image x at every step and every latent stays a
         # multiple of x: traj[t] = c_t x, c_t = sqrt(ab_t) + k sqrt(1 - ab_t),
-        # k = (1 - sqrt(ab_1)) / sqrt(1 - ab_1).
+        # k = (1 - sqrt(ab_1)) / sqrt(1 - ab_1), while ab_0 = 1.
         ab = sched50.alpha_bar
         k = (1.0 - np.sqrt(ab[1])) / np.sqrt(1.0 - ab[1])
-        coefficients = np.sqrt(ab) + k * np.sqrt(1.0 - ab)
-        for render in dataset[::81]:
-            traj = invert_trajectory(
-                render.image, body_condition(render.attrs), sched50, predictor
-            )
-            expected = coefficients[:, None, None, None] * render.image
-            assert np.abs(traj - expected).max() <= 1e-12
+        formula = np.sqrt(ab) + k * np.sqrt(1.0 - ab)
+        for T in (2, 50, 1000):
+            sched = sched50 if T == 50 else make_schedule(T)
+            pred = predictor if T == 50 else EmpiricalNoisePredictor.from_renders(dataset, sched)
+            coefficients = inversion_coefficients(sched)
+            assert coefficients.shape == (T + 1,) and coefficients[0] == 1.0
+            for render in dataset[::81]:
+                traj = invert_trajectory(render.image, body_condition(render.attrs), sched, pred)
+                for c in [coefficients] + [formula] * (T == 50):
+                    assert np.abs(traj - c[:, None, None, None] * render.image).max() <= 1e-12
 
     def test_single_point_round_trip(self, dataset):
         sched = make_schedule(50)

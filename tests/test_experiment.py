@@ -1,9 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from headswap import experiment, hid
+from headswap import experiment
+from headswap.diffusion import invert_trajectory
 from headswap.experiment import (
     CHUNK_PAIRS,
     METRICS_FILENAME,
@@ -15,8 +17,9 @@ from headswap.experiment import (
     summarize,
     write_metrics,
 )
-from headswap.hid import compose_head_condition, run_headswap, swap_pairs
+from headswap.hid import body_condition, compose_head_condition, run_headswap, swap_pairs
 from headswap.iomask import VARIANTS
+from headswap.synthgen import render_avatar
 from helpers import per_latent_blend_denoise
 
 
@@ -100,6 +103,10 @@ class TestLockstep:
         rows = run_experiment(cfg, variants=VARIANTS, sched=sched50, pred=predictor)
         assert len(seen) == len(rows) == cfg.pairs * len(VARIANTS)
         for index, (body, head) in enumerate(sample_pairs(cfg.seed, cfg.pairs)):
+            # the stepped inversion: the reference for the closed-form latents
+            traj = invert_trajectory(
+                render_avatar(body).image, body_condition(body), sched50, predictor
+            )
             for variant in VARIANTS:
                 alone = run_headswap(body, head, cfg.swap_config(variant), sched50, predictor)
                 batched = seen[f"pair{index:03d}", variant]
@@ -107,22 +114,30 @@ class TestLockstep:
                 assert np.array_equal(batched.io_map, alone.io_map)
                 assert np.abs(batched.output - alone.output).max() <= 1e-12
                 reference = per_latent_blend_denoise(
-                    batched.trajectory, batched.mask, compose_head_condition(head, body),
+                    traj, batched.mask, compose_head_condition(head, body),
                     cfg, sched50, predictor,
                 )
                 assert np.abs(batched.output - reference).max() <= 1e-12
 
-    def test_inverts_each_body_once(self, sched50, predictor, monkeypatch):
-        calls = []
-        invert = hid.invert_trajectory
+    def test_body_evaluated_once_per_pair_without_stepped_inversion(
+        self, sched50, predictor, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("swap_pairs stepped an inversion")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("headswap") and hasattr(module, "invert_trajectory"):
+                monkeypatch.setattr(module, "invert_trajectory", refuse)
+        conds = []
+        evaluate = predictor.evaluate
         monkeypatch.setattr(
-            hid, "invert_trajectory", lambda *args: calls.append(args) or invert(*args)
+            predictor, "evaluate", lambda z, t, cond: conds.append(cond) or evaluate(z, t, cond)
         )
-        results = swap_pairs(sample_pairs(2, 2), RunConfig(), VARIANTS, sched50, predictor)
-        assert len(calls) == 2
+        pairs = sample_pairs(2, 2)
+        results = swap_pairs(pairs, RunConfig(), VARIANTS, sched50, predictor)
         assert [len(per_pair) for per_pair in results] == [3, 3]
-        for per_pair in results:
-            assert all(r.trajectory is per_pair[0].trajectory for r in per_pair)
+        for body, _ in pairs:
+            assert conds.count(body_condition(body)) == 1
 
 
 class TestSummaries:

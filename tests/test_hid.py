@@ -1,6 +1,10 @@
+import types
+
 import numpy as np
 import pytest
 
+from headswap import cli
+from headswap.diffusion import EmpiricalNoisePredictor, NoiseSchedule, make_schedule
 from headswap.hid import RunConfig, body_condition, compose_head_condition, run_headswap
 from headswap.metrics import region_mse
 from headswap.synthgen import (
@@ -76,6 +80,36 @@ class TestSwapConfig:
             run_headswap(BODY, HEAD, cfg, sched50, predictor)
 
 
+class TestScheduleChecks:
+    """Swaps and the mask command refuse a config T or a predictor that
+    does not match the schedule, though the body inversion no longer
+    steps through the predictor."""
+
+    @pytest.fixture(scope="class")
+    def other_predictor(self, dataset, sched50):
+        # another valid 50-step schedule
+        other = NoiseSchedule(T=50, alpha_bar=sched50.alpha_bar ** 1.1)
+        return EmpiricalNoisePredictor.from_renders(dataset, other)
+
+    def test_swap_rejects_predictor_of_other_schedule(self, sched50, other_predictor):
+        with pytest.raises(ValueError, match="different noise schedule"):
+            run_headswap(BODY, HEAD, RunConfig(), sched50, other_predictor)
+
+    def test_mask_command_rejects_mismatches(self, tmp_path, capsys, monkeypatch, other_predictor):
+        argv = ["mask", "--body", "0,2,0,1,0", "--head", "2,0,1,3,-1", "--out", str(tmp_path)]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                cli, "EmpiricalNoisePredictor",
+                types.SimpleNamespace(from_renders=lambda renders, sched: other_predictor),
+            )
+            assert cli.cli_main(argv) == 2
+        assert "different noise schedule" in capsys.readouterr().err
+        # a 40-step schedule and its predictor, under the default T = 50
+        monkeypatch.setattr(cli, "make_schedule", lambda T: make_schedule(40))
+        assert cli.cli_main(argv) == 2
+        assert "does not match schedule T=40" in capsys.readouterr().err
+
+
 class TestIdentitySwap:
     def test_identity_is_bit_exact_with_empty_mask(self, sched50, predictor, rng):
         specs = all_attribute_specs()
@@ -98,6 +132,17 @@ class TestSwapPipeline:
         outside = ~swap_result.mask.astype(bool)
         assert np.abs(swap_result.output - body_image)[outside].max() == 0.0
 
+    def test_outside_mask_exact_when_alpha_bar_zero_is_below_one(self, dataset, sched50):
+        # every valid schedule, not only those with alpha_bar[0] == 1
+        alpha_bar = sched50.alpha_bar.copy()
+        alpha_bar[0] = 0.9995
+        sched = NoiseSchedule(T=50, alpha_bar=alpha_bar)
+        pred = EmpiricalNoisePredictor.from_renders(dataset, sched)
+        result = run_headswap(BODY, HEAD, RunConfig(), sched, pred)
+        outside = ~result.mask.astype(bool)
+        assert outside.any() and result.mask.any()
+        assert np.array_equal(result.output[outside], render_avatar(BODY).image[outside])
+
     def test_changed_pixels_inside_mask(self, swap_result):
         body_image = render_avatar(BODY).image
         changed = np.abs(swap_result.output - body_image).max(axis=2) > 0
@@ -107,7 +152,6 @@ class TestSwapPipeline:
         assert swap_result.output.shape == (32, 32, 3)
         assert swap_result.mask.shape == (32, 32)
         assert swap_result.io_map.shape == (32, 32)
-        assert swap_result.trajectory.shape == (51, 32, 32, 3)
 
     def test_deterministic(self, sched50, predictor, swap_result):
         again = run_headswap(BODY, HEAD, RunConfig(), sched50, predictor)
