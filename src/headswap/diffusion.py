@@ -84,6 +84,7 @@ class ColumnClasses:
 
     table: np.ndarray  # (G, N): one value column per class
     inv: np.ndarray  # (D,): each position's class
+    first: np.ndarray  # (G,): each class's first position
     order: np.ndarray  # (D,): positions sorted by class, in position order
     starts: np.ndarray  # (G,): where each class begins in ``order``
     counts: np.ndarray  # (G,): positions per class
@@ -98,10 +99,15 @@ class ColumnClasses:
         return cls(
             table=np.ascontiguousarray(flat[:, first].T),
             inv=inv,
+            first=first,
             order=np.argsort(inv, kind="stable"),
             starts=np.cumsum(counts) - counts,
             counts=counts,
         )
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum (..., D) position values over each class, in position order: (..., G)."""
+        return np.add.reduceat(np.take(values, self.order, axis=-1), self.starts, axis=-1)
 
 
 class EmpiricalNoisePredictor:
@@ -118,7 +124,8 @@ class EmpiricalNoisePredictor:
     rather than on pixels: z_t . x_i sums z_t over each class before the
     GEMM, and the posterior mean is formed per class and gathered back to
     pixels, which is exact because the classes are.  A one-image subset
-    stays in pixel space.
+    stays in pixel space.  ``class_posterior_mean`` is the same class-space
+    core without the pixels on either side.
     """
 
     def __init__(
@@ -208,6 +215,26 @@ class EmpiricalNoisePredictor:
         eps /= math.sqrt(1.0 - alpha_bar)
         return eps
 
+    def class_posterior_mean(self, sums: np.ndarray, t, cond: Condition) -> np.ndarray:
+        """The posterior mean x0 on each column class, from a latent's class sums.
+
+        ``sums`` is (G,), or a stack (B, G) whose rows share ``cond``: the
+        latent's values summed over each class (``ColumnClasses.sums``),
+        which is all the logits depend on.  The result has its shape.
+        ``evaluate`` is this mean gathered back to pixels, and
+        ``hid.blend_denoise`` calls it without building its latents in pixels.
+        """
+        step = _check_step(t, 1, self.schedule.T, self.schedule)
+        classes = self.column_classes
+        groups = len(classes.counts)
+        sums = np.asarray(sums, dtype=np.float64)
+        if sums.ndim not in (1, 2) or sums.shape[-1] != groups:
+            raise ValueError(f"class sums {sums.shape} are not ({groups},) or a stack of it")
+        indices, columns, row_sq = self._subset(cond)
+        if row_sq is None:  # weight 1: x0 is that image's class values
+            return np.broadcast_to(classes.table[:, indices[0]], sums.shape).copy()
+        return self._softmax(sums, step, columns, row_sq) @ columns.T
+
     def _posterior(self, z_t, t, cond: Condition):
         """The checked latent(s), the subset (``_subset``) and the weights,
         which are None when one image matches."""
@@ -218,18 +245,19 @@ class EmpiricalNoisePredictor:
         indices, columns, row_sq = self._subset(cond)
         if row_sq is None:
             return z_t, indices, columns, None
+        sums = self.column_classes.sums(z_t.reshape(z_t.shape[:-3] + (-1,)))
+        return z_t, indices, columns, self._softmax(sums, step, columns, row_sq)
+
+    def _softmax(self, sums, step: int, columns, row_sq) -> np.ndarray:
+        """Posterior weights of the subset's class ``columns`` from class sums."""
         # -|z - sqrt(ab) x_i|^2 / (2 (1 - ab)) up to the shared |z|^2 term,
-        # which cancels in the softmax; z . x_i sums z over each class first
-        classes = self.column_classes
+        # which cancels in the softmax; z . x_i is sums . (column of x_i)
         ab = float(self.schedule.alpha_bar[step])
-        z_flat = z_t.reshape(z_t.shape[:-3] + (-1,))
-        by_class = np.take(z_flat, classes.order, axis=-1)
-        dots = np.add.reduceat(by_class, classes.starts, axis=-1) @ columns
-        logits = (2.0 * math.sqrt(ab) * dots - ab * row_sq) / (2.0 * (1.0 - ab))
+        logits = (2.0 * math.sqrt(ab) * (sums @ columns) - ab * row_sq) / (2.0 * (1.0 - ab))
         logits -= logits.max(axis=-1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=-1, keepdims=True)
-        return z_t, indices, columns, logits
+        return logits
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:

@@ -5,8 +5,9 @@ latents c[t] * x (``diffusion.inversion_coefficients``).  The pipeline
 computes the edit mask once at c[t_edit] * x, then denoises under the
 head condition while re-imposing c[t - 1] * x outside the mask at every
 step.  c[0] is exactly 1, so unmasked output pixels equal the body image
-exactly.  Swaps are denoised as a stack in lockstep (``swap_pairs``); a
-single swap is a stack of one.
+exactly.  Swaps are denoised as a stack in lockstep (``swap_pairs``),
+carried as one value per (swap, corpus column class) rather than per
+pixel (``blend_denoise``); a single swap is a stack of one.
 """
 
 from __future__ import annotations
@@ -150,27 +151,43 @@ def blend_denoise(
 ) -> np.ndarray:
     """Denoise a stack of swaps in lockstep from t_edit to 0: (B, H, W, C).
 
-    Row b starts from c[t_edit] * bodies[b] and is guided towards conds[b].
-    Each step evaluates the null condition on the whole stack at once (one
-    corpus GEMM for the logits, one for the means) and each head condition
-    on its run of adjacent rows, then applies CFG and the DDIM step to the
-    stack and re-imposes each row's latent c[t - 1] * bodies[b] outside its
-    mask.  c[0] is 1, so unmasked output pixels equal the body bit-exactly.
+    Row b starts from c[t_edit] * bodies[b], is guided towards conds[b],
+    and has its latent c[t - 1] * bodies[b] re-imposed outside its mask
+    after every step.  The stack is carried on the corpus's column classes
+    (``ColumnClasses``): a body is constant on each class, so every masked
+    position of a class starts from the same value and receives the same
+    posterior mean at every step, and stays one value per (row, class).
+    Each step forms the rows' class sums from those values and the
+    closed-form outside values, takes the null condition's posterior mean
+    for the whole stack and each head condition's for its run of adjacent
+    rows (``class_posterior_mean``), and applies CFG and the DDIM step to
+    the (B, G) values.  The pixels are gathered once at the end, and the
+    unmasked ones are the bodies themselves, bit for bit (c[0] is 1).
+    Raises ValueError for a body that is not constant on the classes.
     """
+    classes = pred.column_classes
     x = np.stack(bodies)
-    z = coefficients[cfg.edit_start] * x
-    # a full-size boolean mask: np.where runs twice as fast without broadcasting
-    inside = np.broadcast_to(np.stack(masks).astype(bool)[..., None], z.shape).copy()
+    x_flat = x.reshape(len(x), -1)
+    x_g = x_flat[:, classes.first]
+    if not np.array_equal(x_g[:, classes.inv], x_flat):
+        raise ValueError("every body must be constant on the corpus's column classes")
+    inside = np.broadcast_to(np.stack(masks).astype(bool)[..., None], x.shape).reshape(len(x), -1)
+    n_in = classes.sums(inside.astype(np.int64))
+    n_out = classes.counts - n_in
+    z = coefficients[cfg.edit_start] * x_g
     starts = [b for b in range(len(conds)) if b == 0 or conds[b] != conds[b - 1]]
     runs = [(slice(a, b), conds[a]) for a, b in zip(starts, starts[1:] + [len(conds)])]
-    eps_cond = np.empty_like(z)
+    x0_cond = np.empty_like(z)
     for t in range(cfg.edit_start, 0, -1):
+        sums = n_in * z + n_out * (coefficients[t] * x_g)
         for rows, cond in runs:
-            eps_cond[rows] = pred.evaluate(z[rows], t, cond)
-        guided = cfg_combine(pred.evaluate(z, t, NULL_CONDITION), eps_cond, cfg.w)
-        denoised = ddim_sample_step(z, guided, t, sched)
-        z = np.where(inside, denoised, coefficients[t - 1] * x)
-    return z
+            x0_cond[rows] = pred.class_posterior_mean(sums[rows], t, cond)
+        x0_null = pred.class_posterior_mean(sums, t, NULL_CONDITION)
+        # the noise of each masked value, rounded as ``evaluate`` rounds it
+        scale, spread = -math.sqrt(sched.alpha_bar[t]), math.sqrt(1.0 - sched.alpha_bar[t])
+        guided = cfg_combine((x0_null * scale + z) / spread, (x0_cond * scale + z) / spread, cfg.w)
+        z = ddim_sample_step(z, guided, t, sched)
+    return np.where(inside, z[:, classes.inv], x_flat).reshape(x.shape)
 
 
 def swap_pairs(

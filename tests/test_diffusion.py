@@ -222,6 +222,27 @@ class TestStackedPredictor:
                 eps = predictor.evaluate(z[row], t, cond)
                 assert np.array_equal(predictor.evaluate(one, t, cond), eps[None])
 
+    @pytest.mark.parametrize("t", [1, 25, 50])
+    def test_evaluate_is_class_posterior_mean_scattered(self, stack, predictor, t):
+        # the one predictor path: pixels -> class sums -> class-space mean -> pixels
+        z, conds = stack
+        classes = predictor.column_classes
+        ab = float(predictor.schedule.alpha_bar[t])
+        sums = classes.sums(z.reshape(len(z), -1))
+        for cond, size in ((NULL_CONDITION, 324), (conds[0], 4)):
+            assert predictor.posterior_weights(z, t, cond)[0].size == size
+            x0 = predictor.class_posterior_mean(sums, t, cond)
+            scattered = np.take(x0 * -math.sqrt(ab), classes.inv, axis=-1).reshape(z.shape)
+            want = (scattered + z) / math.sqrt(1.0 - ab)
+            assert np.array_equal(predictor.evaluate(z, t, cond), want)
+        # one matching image: its class values, bit for bit
+        (index,), _ = predictor.posterior_weights(z, t, conds[4])
+        x0 = predictor.class_posterior_mean(sums, t, conds[4])
+        assert x0.shape == sums.shape and (x0 == classes.table[:, index]).all()
+        for bad in (sums[:, :-1], sums[None], z):
+            with pytest.raises(ValueError):
+                predictor.class_posterior_mean(bad, t, NULL_CONDITION)
+
     def test_stack_shape_checked(self, stack, predictor):
         z, conds = stack
         for bad in (z[:, :-1], z[None], z.reshape(len(z), -1)):
@@ -248,7 +269,7 @@ class TestColumnClasses:
         groups = len(classes.table)
         # numbered by first position; ``order`` lists each class's positions in turn
         first = [int(np.flatnonzero(classes.inv == g)[0]) for g in range(groups)]
-        assert first == sorted(first)
+        assert first == sorted(first) == classes.first.tolist()
         assert np.array_equal(classes.counts, np.bincount(classes.inv))
         assert np.array_equal(classes.inv[classes.order], np.repeat(np.arange(groups), classes.counts))
         assert np.array_equal(classes.starts, np.cumsum(classes.counts) - classes.counts)

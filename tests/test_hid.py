@@ -4,19 +4,33 @@ import numpy as np
 import pytest
 
 from headswap import cli
-from headswap.diffusion import EmpiricalNoisePredictor, NoiseSchedule, make_schedule
-from headswap.hid import RunConfig, body_condition, compose_head_condition, run_headswap
+from headswap.diffusion import (
+    EmpiricalNoisePredictor,
+    NoiseSchedule,
+    inversion_coefficients,
+    make_schedule,
+)
+from headswap.hid import (
+    RunConfig,
+    blend_denoise,
+    body_condition,
+    compose_head_condition,
+    run_headswap,
+)
 from headswap.metrics import region_mse
 from headswap.synthgen import (
     AttributeSpec,
     BALD,
     LONG,
+    NULL_CONDITION,
     SHORT,
+    Condition,
     all_attribute_specs,
     condition_match,
     oracle_swap,
     render_avatar,
 )
+from helpers import per_latent_blend_denoise
 
 BODY = AttributeSpec(0, LONG, 0, 1, 0)
 HEAD = AttributeSpec(2, BALD, 1, 3, -1)
@@ -177,3 +191,52 @@ class TestSwapPipeline:
         outside = ~result.mask.astype(bool)
         body_image = render_avatar(BODY).image
         assert np.abs(result.output - body_image)[outside].max() == 0.0
+
+
+class TestClassSpaceBlend:
+    """``blend_denoise`` carries the stack on the corpus's column classes."""
+
+    def test_body_not_constant_on_classes_rejected(self, sched50, predictor, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("blend_denoise took a step")
+
+        monkeypatch.setattr(predictor, "class_posterior_mean", refuse)
+        body = render_avatar(BODY).image
+        mask = np.ones((32, 32), dtype=np.uint8)
+        coefficients = inversion_coefficients(sched50)
+        for bodies in ([body + 1e-3 * rng.normal(size=body.shape)], [body, body[::-1]]):
+            with pytest.raises(ValueError, match="constant on the corpus's column classes"):
+                rows = len(bodies)
+                conds = [compose_head_condition(HEAD, BODY)] * rows
+                blend_denoise(
+                    bodies, [mask] * rows, conds, coefficients, RunConfig(), sched50, predictor
+                )
+
+    @pytest.mark.parametrize(
+        "sched",
+        # at T = 50 the last steps snap onto corpus images; the short schedule
+        # keeps the posterior mixed to the end, so every step's sums matter
+        [make_schedule(50), NoiseSchedule(T=4, alpha_bar=np.array([1.0, 0.3, 0.2, 0.1, 0.04]))],
+        ids=["T50", "mixed"],
+    )
+    def test_random_corpus_matches_per_latent_reference(self, sched):
+        # random images: every position is its own class (G = D)
+        gen = np.random.default_rng(1234)
+        images = gen.uniform(0, 1, (12, 4, 4, 3))
+        attrs = [AttributeSpec.from_ints((0, 0, 0, i % 4, -1)) for i in range(12)]
+        pred = EmpiricalNoisePredictor(images, attrs, sched)
+        assert len(pred.column_classes.table) == images[0].size
+        cfg = RunConfig(T=sched.T)
+        coefficients = inversion_coefficients(sched)
+        bodies = [images[k] for k in (0, 5, 5, 7, 9)]
+        masks = [gen.random((4, 4)) < 0.5 for _ in bodies]
+        masks[1][:] = False
+        masks[2][:] = True
+        conds = [Condition.of(clothing_color=1)] * 3 + [NULL_CONDITION] * 2
+        outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, sched, pred)
+        assert np.array_equal(outputs[1], bodies[1])  # an all-empty mask keeps the body
+        for body, mask, cond, output in zip(bodies, masks, conds, outputs):
+            trajectory = coefficients[:, None, None, None] * body
+            reference = per_latent_blend_denoise(trajectory, mask, cond, cfg, sched, pred)
+            assert np.abs(output - reference).max() <= 1e-12
+            assert np.array_equal(output[~mask], body[~mask])
