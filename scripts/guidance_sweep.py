@@ -24,7 +24,7 @@ def main() -> None:
     parser.add_argument("--scales", type=float, nargs="+", default=[1.0, 3.0, 7.5])
     args = parser.parse_args()
 
-    sched = make_schedule(50)
+    sched = make_schedule(RunConfig().T)
     predictor = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), sched)
 
     print(f"{args.pairs} pairs, seed {args.seed}, full variant")
@@ -32,7 +32,7 @@ def main() -> None:
     for w in args.scales:
         cfg = RunConfig(seed=args.seed, pairs=args.pairs, w=w)
         improved, probed, errors = 0, 0, []
-        for _, ref, [result], _ in swap_chunks(cfg, ("full",), sched, predictor):
+        for _, ref, [result], _ in swap_chunks(cfg, ("full",), predictor):
             record = evaluate_swap("sweep", ref, "full", result, 0.0)
             oracle = ref.oracle.image
             improved += np.mean((result.output - oracle) ** 2) < np.mean(

@@ -165,11 +165,10 @@ def _swap_setup(args):
     body = parse_attrs(args.body, "--body")
     head = parse_attrs(args.head, "--head")
     cfg = _merge_run_config(args)
-    sched = make_schedule(cfg.T)
-    pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), sched)
+    pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(cfg.T))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return body, head, cfg, sched, pred, out_dir
+    return body, head, cfg, pred, out_dir
 
 
 def _write_mask_files(out_dir: Path, body_image, edit_map, mask) -> None:
@@ -181,9 +180,9 @@ def _write_mask_files(out_dir: Path, body_image, edit_map, mask) -> None:
 
 
 def _cmd_swap(args) -> int:
-    body, head, cfg, sched, pred, out_dir = _swap_setup(args)
+    body, head, cfg, pred, out_dir = _swap_setup(args)
     started = time.perf_counter()
-    result = run_headswap(body, head, cfg, sched, pred)
+    result = run_headswap(body, head, cfg, pred)
     elapsed_ms = (time.perf_counter() - started) * 1e3
 
     ref = swap_reference(body, head)
@@ -202,9 +201,9 @@ def _cmd_swap(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    body, head, cfg, sched, pred, out_dir = _swap_setup(args)
+    body, head, cfg, pred, out_dir = _swap_setup(args)
     image = render_avatar(body).image
-    z_edit = body_inversion(cfg, sched, pred)[cfg.edit_start] * image
+    z_edit = body_inversion(cfg, pred)[cfg.edit_start] * image
     [(edit_map, mask)] = extract_mask(z_edit, body, head, cfg, (cfg.variant,), pred)
     _write_mask_files(out_dir, image, edit_map, mask)
     print(f"mask covers {int(mask.sum())} pixels at t={cfg.edit_start}")

@@ -120,12 +120,12 @@ class EmpiricalNoisePredictor:
     noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).  A stack of latents under
     one condition is evaluated the same way, with one GEMM per product.
 
-    A subset of several images works on the corpus's ``ColumnClasses``
-    rather than on pixels: z_t . x_i sums z_t over each class before the
-    GEMM, and the posterior mean is formed per class and gathered back to
-    pixels, which is exact because the classes are.  A one-image subset
-    stays in pixel space.  ``class_posterior_mean`` is the same class-space
-    core without the pixels on either side.
+    The posterior is computed in one place, ``class_posterior_mean``, on
+    the corpus's ``ColumnClasses``: z_t . x_i needs only z_t summed over
+    each class, and the mean is formed per class.  ``evaluate`` sums the
+    pixels over the classes, calls it and gathers the mean back to pixels,
+    which is exact because the classes are; when one image matches, its
+    weight is 1 and ``evaluate`` uses that image directly.
     """
 
     def __init__(
@@ -144,7 +144,7 @@ class EmpiricalNoisePredictor:
         self.grid_shape = images.shape[1:]
         self._attr_matrix = np.array([a.to_ints() for a in attrs], dtype=np.int64)
         self._classes: ColumnClasses | None = None
-        self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
+        self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_renders(cls, renders, schedule: NoiseSchedule) -> "EmpiricalNoisePredictor":
@@ -156,15 +156,13 @@ class EmpiricalNoisePredictor:
 
     @property
     def column_classes(self) -> ColumnClasses:
-        """The corpus's column classes, grouped on first use: one-image
-        conditions never need them."""
+        """The corpus's column classes, grouped on first use."""
         if self._classes is None:
             self._classes = ColumnClasses.of(self.images.reshape(len(self), -1))
         return self._classes
 
     def _subset(self, cond: Condition):
-        """The matching indices, then the image (H, W, C) and None when one
-        image matches, else the class columns (G, S) and the squared norms (S,)."""
+        """The matching indices, their class columns (G, S) and squared norms (S,)."""
         cached = self._subsets.get(cond.constraints)
         if cached is not None:
             return cached
@@ -174,43 +172,35 @@ class EmpiricalNoisePredictor:
         indices = np.flatnonzero(keep)
         if indices.size == 0:
             raise NoMatchingConditionError(cond)
-        if indices.size == 1:
-            subset = (indices, self.images[indices[0]], None)
-        else:
-            columns = self.column_classes.table[:, indices]
-            subset = (indices, columns, self.column_classes.counts @ (columns * columns))
+        classes = self.column_classes
+        columns = classes.table[:, indices]
+        subset = (indices, columns, classes.counts @ (columns * columns))
         self._subsets[cond.constraints] = subset
         return subset
-
-    def posterior_weights(self, z_t: np.ndarray, t, cond: Condition):
-        """Dataset indices and posterior weights of the conditional subset.
-
-        ``z_t`` is one latent (H, W, C), with weights of shape (S,), or a
-        stack (B, H, W, C) whose rows all share ``cond``, with weights of
-        shape (B, S): one GEMM of the rows against the subset gives every
-        logit, and each row takes its own max-subtracted softmax.
-        """
-        z_t, indices, _, weights = self._posterior(z_t, t, cond)
-        # one matching image: the softmax of a single logit is exactly 1
-        return indices, np.ones(z_t.shape[:-3] + (1,)) if weights is None else weights
 
     def evaluate(self, z_t: np.ndarray, t, cond: Condition) -> np.ndarray:
         """Conditional noise prediction at step t (t = 0 is undefined).
 
-        ``z_t`` is one latent or a stack of latents sharing ``cond``, as in
-        ``posterior_weights``; the result has its shape.
+        ``z_t`` is one latent (H, W, C) or a stack (B, H, W, C) whose rows
+        all share ``cond``; the result has its shape.
         """
-        z_t, _, columns, weights = self._posterior(z_t, t, cond)
-        alpha_bar = float(self.schedule.alpha_bar[int(t)])
+        step = _check_step(t, 1, self.schedule.T, self.schedule)
+        z_t = np.asarray(z_t, dtype=np.float64)
+        if z_t.shape != self.grid_shape and z_t.shape[1:] != self.grid_shape:
+            raise ValueError(f"latent shape {z_t.shape} is not {self.grid_shape} or a stack of it")
+        indices = self._subset(cond)[0]
+        alpha_bar = float(self.schedule.alpha_bar[step])
         # (z_t - sqrt(ab) x0) / sqrt(1 - ab): adding the negated product rounds
         # as subtracting it does, and a stack's result is built in one buffer
         # because every stack-sized temporary costs fresh page faults
         scale = -math.sqrt(alpha_bar)
-        if weights is None:  # weight 1: x0 is that image (``columns``), bit for bit
-            eps = z_t + columns * scale
+        if indices.size == 1:  # weight 1: x0 is that image, bit for bit, and no class sums
+            eps = z_t + self.images[indices[0]] * scale
         else:  # each class's mean is scaled once, then gathered to its pixels
-            x0 = weights @ columns.T
-            eps = np.take(x0 * scale, self.column_classes.inv, axis=-1).reshape(z_t.shape)
+            classes = self.column_classes
+            sums = classes.sums(z_t.reshape(z_t.shape[:-3] + (-1,)))
+            x0 = self.class_posterior_mean(sums, step, cond)
+            eps = np.take(x0 * scale, classes.inv, axis=-1).reshape(z_t.shape)
             eps += z_t
         eps /= math.sqrt(1.0 - alpha_bar)
         return eps
@@ -220,36 +210,19 @@ class EmpiricalNoisePredictor:
 
         ``sums`` is (G,), or a stack (B, G) whose rows share ``cond``: the
         latent's values summed over each class (``ColumnClasses.sums``),
-        which is all the logits depend on.  The result has its shape.
-        ``evaluate`` is this mean gathered back to pixels, and
+        which is all the logits depend on.  The result has its shape.  One
+        GEMM of the rows against the subset gives every logit, and each row
+        takes its own max-subtracted softmax; a single logit's softmax is
+        exactly 1, so a one-image subset returns that image's class values
+        bit for bit.  ``evaluate`` is this mean gathered back to pixels, and
         ``hid.blend_denoise`` calls it without building its latents in pixels.
         """
         step = _check_step(t, 1, self.schedule.T, self.schedule)
-        classes = self.column_classes
-        groups = len(classes.counts)
+        groups = len(self.column_classes.counts)
         sums = np.asarray(sums, dtype=np.float64)
         if sums.ndim not in (1, 2) or sums.shape[-1] != groups:
             raise ValueError(f"class sums {sums.shape} are not ({groups},) or a stack of it")
-        indices, columns, row_sq = self._subset(cond)
-        if row_sq is None:  # weight 1: x0 is that image's class values
-            return np.broadcast_to(classes.table[:, indices[0]], sums.shape).copy()
-        return self._softmax(sums, step, columns, row_sq) @ columns.T
-
-    def _posterior(self, z_t, t, cond: Condition):
-        """The checked latent(s), the subset (``_subset``) and the weights,
-        which are None when one image matches."""
-        step = _check_step(t, 1, self.schedule.T, self.schedule)
-        z_t = np.asarray(z_t, dtype=np.float64)
-        if z_t.shape != self.grid_shape and z_t.shape[1:] != self.grid_shape:
-            raise ValueError(f"latent shape {z_t.shape} is not {self.grid_shape} or a stack of it")
-        indices, columns, row_sq = self._subset(cond)
-        if row_sq is None:
-            return z_t, indices, columns, None
-        sums = self.column_classes.sums(z_t.reshape(z_t.shape[:-3] + (-1,)))
-        return z_t, indices, columns, self._softmax(sums, step, columns, row_sq)
-
-    def _softmax(self, sums, step: int, columns, row_sq) -> np.ndarray:
-        """Posterior weights of the subset's class ``columns`` from class sums."""
+        _, columns, row_sq = self._subset(cond)
         # -|z - sqrt(ab) x_i|^2 / (2 (1 - ab)) up to the shared |z|^2 term,
         # which cancels in the softmax; z . x_i is sums . (column of x_i)
         ab = float(self.schedule.alpha_bar[step])
@@ -257,7 +230,7 @@ class EmpiricalNoisePredictor:
         logits -= logits.max(axis=-1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=-1, keepdims=True)
-        return logits
+        return logits @ columns.T
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffusion import EmpiricalNoisePredictor, NoiseSchedule, make_schedule
+from .diffusion import EmpiricalNoisePredictor, make_schedule
 from .hid import RunConfig, SwapResult, swap_pairs
 from .imaging import minmax_normalize, overlay_heatmap, write_image, write_mask
 from .metrics import SwapReference, attribute_probe, mask_iou, region_mse, swap_reference
@@ -198,9 +198,7 @@ def _write_pair_images(out_dir: Path, pair_id: str, ref: SwapReference, variants
         write_image(overlay, out_dir / f"{stem}_overlay.ppm")
 
 
-def swap_chunks(
-    cfg: RunConfig, variants: Sequence[str], sched: NoiseSchedule, pred: EmpiricalNoisePredictor
-):
+def swap_chunks(cfg: RunConfig, variants: Sequence[str], pred: EmpiricalNoisePredictor):
     """Swap the seeded pairs of ``cfg`` through ``swap_pairs``, CHUNK_PAIRS at a time.
 
     Yields (pair_id, swap_reference, results per variant, runtime_ms) in
@@ -210,7 +208,7 @@ def swap_chunks(
     for first in range(0, len(pairs), CHUNK_PAIRS):
         chunk = pairs[first : first + CHUNK_PAIRS]
         started = time.perf_counter()
-        results = swap_pairs(chunk, cfg, variants, sched, pred)
+        results = swap_pairs(chunk, cfg, variants, pred)
         runtime_ms = (time.perf_counter() - started) * 1e3 / (len(chunk) * len(variants))
         for index, (body, head), pair_results in zip(range(first, len(pairs)), chunk, results):
             yield f"pair{index:03d}", swap_reference(body, head), pair_results, runtime_ms
@@ -219,23 +217,21 @@ def swap_chunks(
 def run_experiment(
     cfg: RunConfig,
     variants: Sequence[str] | None = None,
-    sched: NoiseSchedule | None = None,
     pred: EmpiricalNoisePredictor | None = None,
 ) -> list[dict]:
     """Run seeded swap pairs for each requested variant and collect metric rows.
 
     The pairs go through ``swap_chunks``, so every pair x variant of a
     chunk is denoised in lockstep.  Writes per-pair images plus
-    metrics.jsonl when cfg.out_dir is set.  A shared schedule and
-    predictor may be injected to amortize dataset setup across calls.
+    metrics.jsonl when cfg.out_dir is set.  A shared predictor, whose
+    schedule must have cfg.T steps, may be injected to amortize dataset
+    setup across calls.
     """
     variants = tuple(variants or (cfg.variant,))
     for variant in variants:
         cfg.swap_config(variant)  # rejects an unknown variant before any work
-    if sched is None:
-        sched = make_schedule(cfg.T)
     if pred is None:
-        pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), sched)
+        pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(cfg.T))
 
     out_dir = None
     if cfg.out_dir is not None:
@@ -243,7 +239,7 @@ def run_experiment(
         out_dir.mkdir(parents=True, exist_ok=True)
 
     rows: list[dict] = []
-    for pair_id, ref, results, runtime_ms in swap_chunks(cfg, variants, sched, pred):
+    for pair_id, ref, results, runtime_ms in swap_chunks(cfg, variants, pred):
         rows += [evaluate_swap(pair_id, ref, v, r, runtime_ms) for v, r in zip(variants, results)]
         if out_dir is not None:
             _write_pair_images(out_dir, pair_id, ref, variants, results)

@@ -7,7 +7,9 @@ head condition while re-imposing c[t - 1] * x outside the mask at every
 step.  c[0] is exactly 1, so unmasked output pixels equal the body image
 exactly.  Swaps are denoised as a stack in lockstep (``swap_pairs``),
 carried as one value per (swap, corpus column class) rather than per
-pixel (``blend_denoise``); a single swap is a stack of one.
+pixel (``blend_denoise``); a single swap is a stack of one.  No stage
+takes a schedule: each reads the predictor's, and ``body_inversion``
+checks that the config's T is its T.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ import numpy as np
 
 from .diffusion import (
     EmpiricalNoisePredictor,
-    NoiseSchedule,
     cfg_combine,
     ddim_sample_step,
     inversion_coefficients,
-    _check_predictor,
 )
 from .iomask import VARIANTS, IOMaskConfig, build_iomask, io_predictions, variant_map
 from .synthgen import NULL_CONDITION, AttributeSpec, Condition, composite_spec, render_avatar
@@ -112,12 +112,11 @@ def compose_head_condition(head: AttributeSpec, body: AttributeSpec) -> Conditio
     return Condition.from_mapping(attrs)
 
 
-def body_inversion(cfg: RunConfig, sched: NoiseSchedule, pred: EmpiricalNoisePredictor):
-    """The body's inversion coefficients c, after checking that cfg, sched and pred agree."""
-    if cfg.T != sched.T:
-        raise ValueError(f"config T={cfg.T} does not match schedule T={sched.T}")
-    _check_predictor(sched, pred)
-    return inversion_coefficients(sched)
+def body_inversion(cfg: RunConfig, pred: EmpiricalNoisePredictor):
+    """Inversion coefficients c under the predictor's schedule, whose T cfg must share."""
+    if cfg.T != pred.schedule.T:
+        raise ValueError(f"config T={cfg.T} does not match schedule T={pred.schedule.T}")
+    return inversion_coefficients(pred.schedule)
 
 
 def extract_mask(
@@ -146,7 +145,6 @@ def blend_denoise(
     conds: Sequence[Condition],
     coefficients: np.ndarray,
     cfg: RunConfig,
-    sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> np.ndarray:
     """Denoise a stack of swaps in lockstep from t_edit to 0: (B, H, W, C).
@@ -165,7 +163,7 @@ def blend_denoise(
     unmasked ones are the bodies themselves, bit for bit (c[0] is 1).
     Raises ValueError for a body that is not constant on the classes.
     """
-    classes = pred.column_classes
+    sched, classes = pred.schedule, pred.column_classes
     x = np.stack(bodies)
     x_flat = x.reshape(len(x), -1)
     x_g = x_flat[:, classes.first]
@@ -194,7 +192,6 @@ def swap_pairs(
     pairs: Sequence[tuple[AttributeSpec, AttributeSpec]],
     cfg: RunConfig,
     variants: Sequence[str],
-    sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> list[list[SwapResult]]:
     """Swap every (body, head) pair under every mask variant, denoised in lockstep.
@@ -207,7 +204,7 @@ def swap_pairs(
     reported via ``degenerate_mask``, not an error: that output equals the
     body image bit-exactly.
     """
-    coefficients = body_inversion(cfg, sched, pred)
+    coefficients = body_inversion(cfg, pred)
     bodies, masks, maps, conds = [], [], [], []
     for body, head in pairs:
         image = render_avatar(body).image
@@ -218,7 +215,7 @@ def swap_pairs(
             masks.append(mask)
             maps.append(edit_map)
             conds.append(cond_head)
-    outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, sched, pred)
+    outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, pred)
     results = [
         SwapResult(output, mask, edit_map, degenerate_mask=not mask.any())
         for output, mask, edit_map in zip(outputs, masks, maps)
@@ -230,8 +227,7 @@ def run_headswap(
     body: AttributeSpec,
     head: AttributeSpec,
     cfg: RunConfig,
-    sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> SwapResult:
     """Swap the head of the body avatar for the head avatar's: a batch of one."""
-    return swap_pairs([(body, head)], cfg, (cfg.variant,), sched, pred)[0][0]
+    return swap_pairs([(body, head)], cfg, (cfg.variant,), pred)[0][0]

@@ -4,9 +4,9 @@ These deliberately avoid the library's computational paths: the blur
 reference is a direct dense 2-D convolution over an explicitly padded
 array, the denoiser references evaluate naive (unshifted) exponentials in
 50-digit arithmetic or the full pixel-space distances one latent at a
-time, and the blended-denoise reference steps one latent at a time with
-the single-latent predictor.  ``files_identical`` compares
-written artifacts byte for byte.
+time (``pixel_posterior_weights``), and the blended-denoise reference
+steps one latent at a time with the single-latent predictor.
+``files_identical`` compares written artifacts byte for byte.
 """
 
 import math
@@ -57,18 +57,23 @@ def mp_posterior_eps(images: np.ndarray, z_t: np.ndarray, alpha_bar: float) -> n
     return eps.reshape(z_t.shape)
 
 
+def pixel_posterior_weights(images: np.ndarray, z: np.ndarray, alpha_bar: float) -> np.ndarray:
+    """Posterior weights of one latent over the images, from full pixel distances."""
+    flat = images.reshape(len(images), -1)
+    distances = ((z.ravel() - math.sqrt(alpha_bar) * flat) ** 2).sum(axis=1)
+    logits = -distances / (2.0 * (1.0 - alpha_bar))
+    weights = np.exp(logits - logits.max())
+    weights /= weights.sum()
+    return weights
+
+
 def pixel_posterior_eps(images: np.ndarray, z_t: np.ndarray, alpha_bar: float) -> np.ndarray:
     """Posterior-mean noise estimate for a stack of latents from full pixel distances."""
     flat = images.reshape(len(images), -1)
-    scale = math.sqrt(alpha_bar)
-    variance = 1.0 - alpha_bar
     rows = []
     for z in z_t.reshape(len(z_t), -1):
-        logits = -((z - scale * flat) ** 2).sum(axis=1) / (2.0 * variance)
-        weights = np.exp(logits - logits.max())
-        weights /= weights.sum()
-        x0 = (weights[:, None] * flat).sum(axis=0)
-        rows.append((z - scale * x0) / math.sqrt(variance))
+        x0 = (pixel_posterior_weights(images, z, alpha_bar)[:, None] * flat).sum(axis=0)
+        rows.append((z - math.sqrt(alpha_bar) * x0) / math.sqrt(1.0 - alpha_bar))
     return np.stack(rows).reshape(z_t.shape)
 
 

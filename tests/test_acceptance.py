@@ -33,7 +33,7 @@ def report(criterion: int, ok: bool, elapsed: float, budget: float, detail: str)
 
 
 @pytest.fixture(scope="module")
-def ablation_run(sched50, predictor):
+def ablation_run(predictor):
     """Seeded 50-pair batch at defaults, full and naive variants."""
     started = time.perf_counter()
     pairs = sample_pairs(7, 50)
@@ -42,7 +42,7 @@ def ablation_run(sched50, predictor):
     for index, (body, head) in enumerate(pairs):
         ref = swap_reference(body, head)
         for variant in ("full", "naive"):
-            result = hs.run_headswap(body, head, cfg.swap_config(variant), sched50, predictor)
+            result = hs.run_headswap(body, head, cfg.swap_config(variant), predictor)
             record = evaluate_swap(f"pair{index:03d}", ref, variant, result, 0.0)
             out[variant].append((body, head, result, record))
     out["elapsed"] = time.perf_counter() - started
@@ -113,7 +113,7 @@ def test_criterion_4_round_trip(dataset):
            f"{errors[200].max():.1e} at T=50/100/200, non-increasing")
 
 
-def test_criterion_5_identity_swap(sched50, predictor):
+def test_criterion_5_identity_swap(predictor):
     started = time.perf_counter()
     specs = hs.all_attribute_specs()
     rng = np.random.default_rng(11)
@@ -121,19 +121,19 @@ def test_criterion_5_identity_swap(sched50, predictor):
     empty, exact = 0, 0
     for k in rng.choice(len(specs), size=10, replace=False):
         spec = specs[int(k)]
-        result = hs.run_headswap(spec, spec, cfg, sched50, predictor)
+        result = hs.run_headswap(spec, spec, cfg, predictor)
         empty += result.mask.sum() == 0
         exact += np.array_equal(result.output, render_avatar(spec).image)
     report(5, empty == 10 and exact == 10, time.perf_counter() - started, 10.0,
            f"identity swaps: empty mask {empty}/10, bit-equal output {exact}/10")
 
 
-def test_criterion_6_outside_mask_exactness(sched50, predictor):
+def test_criterion_6_outside_mask_exactness(predictor):
     started = time.perf_counter()
     cfg = hs.RunConfig(seed=23, pairs=25)
     clean, contained = 0, 0
     for body, head in sample_pairs(23, 25):
-        result = hs.run_headswap(body, head, cfg, sched50, predictor)
+        result = hs.run_headswap(body, head, cfg, predictor)
         body_image = render_avatar(body).image
         outside = ~result.mask.astype(bool)
         diff = np.abs(result.output - body_image)
@@ -156,7 +156,7 @@ def test_criterion_7_ablation(ablation_run):
            f"full wins {wins:.0%} of 50 pairs")
 
 
-def test_criterion_8_end_to_end(ablation_run, sched50, predictor):
+def test_criterion_8_end_to_end(ablation_run, predictor):
     started = time.perf_counter() - ablation_run["elapsed"]
     improved = 0
     for body, head, result, _ in ablation_run["full"]:
@@ -175,7 +175,7 @@ def test_criterion_8_end_to_end(ablation_run, sched50, predictor):
             cfg = hs.RunConfig(seed=7, pairs=50, w=w)
             hits = 0
             for body, head in ablation_run["pairs"]:
-                result = hs.run_headswap(body, head, cfg.swap_config("full"), sched50, predictor)
+                result = hs.run_headswap(body, head, cfg.swap_config("full"), predictor)
                 record = evaluate_swap("sweep", swap_reference(body, head), "full", result, 0.0)
                 hits += record["attr_probe"]["matched"] >= 2
             probe_rates[w] = hits / 50

@@ -20,18 +20,31 @@ from headswap.diffusion import (
     make_schedule,
 )
 from headswap.hid import body_condition, compose_head_condition
-from headswap.synthgen import AttributeSpec, Condition, NULL_CONDITION, all_attribute_specs
-from helpers import mp_posterior_eps, pixel_posterior_eps
+from headswap.synthgen import (
+    AttributeSpec,
+    Condition,
+    NULL_CONDITION,
+    all_attribute_specs,
+    condition_match,
+)
+from helpers import mp_posterior_eps, pixel_posterior_eps, pixel_posterior_weights
 
 SHAPE = (4, 4, 3)
 
 
-def toy_predictor(images, sched, attrs=None):
+def toy_attrs(count):
+    """Image i has clothing_color i % 4, which a condition can select on."""
+    return [AttributeSpec.from_ints((0, 0, 0, i % 4, -1)) for i in range(count)]
+
+
+def toy_predictor(images, sched):
     images = np.asarray(images, dtype=np.float64)
-    if attrs is None:
-        ints = [(0, 0, 0, i % 4, -1) for i in range(len(images))]
-        attrs = [AttributeSpec.from_ints(v) for v in ints]
-    return EmpiricalNoisePredictor(images, attrs, sched)
+    return EmpiricalNoisePredictor(images, toy_attrs(len(images)), sched)
+
+
+def matching(specs, cond) -> np.ndarray:
+    """The indices of the attribute specs that ``cond`` keeps."""
+    return np.flatnonzero([condition_match(cond, spec) for spec in specs])
 
 
 class TestSchedule:
@@ -118,16 +131,16 @@ class TestEmpiricalEps:
                 pred.evaluate(np.zeros(SHAPE), t, NULL_CONDITION)
 
     def test_weights_form_convex_combination(self, rng):
+        # the posterior mean is a convex combination: it lies in the images' hull
         sched = make_schedule(50)
         images = rng.uniform(0, 1, (5,) + SHAPE)
         pred = toy_predictor(images, sched)
-        z = rng.normal(size=SHAPE)
-        indices, weights = pred.posterior_weights(z, 35, NULL_CONDITION)
-        assert (weights >= 0).all()
-        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
-        x0 = np.tensordot(weights, images[indices], axes=1)
-        assert (x0 >= images.min(axis=0) - 1e-12).all()
-        assert (x0 <= images.max(axis=0) + 1e-12).all()
+        classes = pred.column_classes
+        flat = images.reshape(len(images), -1)
+        for z in rng.normal(size=(4,) + SHAPE):
+            x0 = pred.class_posterior_mean(classes.sums(z.ravel()), 35, NULL_CONDITION)
+            assert (x0[classes.inv] >= flat.min(axis=0) - 1e-12).all()
+            assert (x0[classes.inv] <= flat.max(axis=0) + 1e-12).all()
 
     def test_softmax_stable_for_large_latents(self, rng):
         sched = make_schedule(50)
@@ -145,10 +158,11 @@ class TestEmpiricalEps:
         pred = toy_predictor(images, sched)  # clothing_color i selects image i alone
         cond = Condition.of(clothing_color=2)
         x = images[2].ravel()
+        classes = pred.column_classes
         for t in (1, 20, 50):
             z = rng.normal(size=SHAPE)
-            indices, weights = pred.posterior_weights(z, t, cond)
-            assert indices.tolist() == [2] and weights.tolist() == [1.0]
+            x0 = pred.class_posterior_mean(classes.sums(z.ravel()), t, cond)
+            assert x0[classes.inv].tobytes() == x.tobytes()
             # the general path: a softmax over the one logit, then the weighted mean
             ab = float(sched.alpha_bar[t])
             logit = (2.0 * math.sqrt(ab) * (x @ z.ravel()) - ab * (x @ x)) / (2.0 * (1.0 - ab))
@@ -179,24 +193,26 @@ class TestStackedPredictor:
 
     @pytest.mark.parametrize("t", [1, 10, 25, 40, 50])
     def test_masked_softmax_matches_subset_weights(self, stack, predictor, t):
-        # a condition restricts the corpus: its weights are the softmax of
-        # the full-corpus logits masked to the condition's columns
+        # a condition restricts the corpus: its posterior mean weighs the
+        # images by the softmax of the full-corpus logits masked to its columns
         z, conds = stack
         ab = float(predictor.schedule.alpha_bar[t])
         flat = predictor.images.reshape(len(predictor), -1)
         corpus_logits = (
             2.0 * math.sqrt(ab) * (z.reshape(len(z), -1) @ flat.T) - ab * (flat * flat).sum(axis=1)
         ) / (2.0 * (1.0 - ab))
+        classes = predictor.column_classes
+        sums = classes.sums(z.reshape(len(z), -1))
         for cond in conds:
-            indices, weights = predictor.posterior_weights(z, t, cond)
-            assert weights.shape == (len(z), indices.size)
+            indices = matching(all_attribute_specs(), cond)
             masked = corpus_logits[:, indices]
             masked = np.exp(masked - masked.max(axis=1, keepdims=True))
-            expected = masked / masked.sum(axis=1, keepdims=True)
-            np.testing.assert_allclose(weights, expected, rtol=0, atol=1e-12)
+            expected = (masked / masked.sum(axis=1, keepdims=True)) @ flat[indices]
+            x0 = predictor.class_posterior_mean(sums, t, cond)
+            np.testing.assert_allclose(x0[:, classes.inv], expected, rtol=0, atol=1e-12)
             for row in range(len(z)):
-                _, row_weights = predictor.posterior_weights(z[row], t, cond)
-                np.testing.assert_allclose(weights[row], row_weights, rtol=0, atol=1e-12)
+                row_x0 = predictor.class_posterior_mean(sums[row], t, cond)
+                np.testing.assert_allclose(x0[row], row_x0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_predictions_match_single_latent_evaluate(self, stack, predictor, t):
@@ -214,11 +230,13 @@ class TestStackedPredictor:
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_stack_of_one_bit_equals_single_latent(self, stack, predictor, t):
         z, conds = stack
+        sums = predictor.column_classes.sums(z.reshape(len(z), -1))
         for cond in conds:
             for row in range(len(z)):
                 one = z[row : row + 1]
-                _, weights = predictor.posterior_weights(z[row], t, cond)
-                assert np.array_equal(predictor.posterior_weights(one, t, cond)[1], weights[None])
+                x0 = predictor.class_posterior_mean(sums[row], t, cond)
+                stacked = predictor.class_posterior_mean(sums[row : row + 1], t, cond)
+                assert np.array_equal(stacked, x0[None])
                 eps = predictor.evaluate(z[row], t, cond)
                 assert np.array_equal(predictor.evaluate(one, t, cond), eps[None])
 
@@ -230,18 +248,39 @@ class TestStackedPredictor:
         ab = float(predictor.schedule.alpha_bar[t])
         sums = classes.sums(z.reshape(len(z), -1))
         for cond, size in ((NULL_CONDITION, 324), (conds[0], 4)):
-            assert predictor.posterior_weights(z, t, cond)[0].size == size
+            assert matching(all_attribute_specs(), cond).size == size
             x0 = predictor.class_posterior_mean(sums, t, cond)
             scattered = np.take(x0 * -math.sqrt(ab), classes.inv, axis=-1).reshape(z.shape)
             want = (scattered + z) / math.sqrt(1.0 - ab)
             assert np.array_equal(predictor.evaluate(z, t, cond), want)
-        # one matching image: its class values, bit for bit
-        (index,), _ = predictor.posterior_weights(z, t, conds[4])
-        x0 = predictor.class_posterior_mean(sums, t, conds[4])
-        assert x0.shape == sums.shape and (x0 == classes.table[:, index]).all()
         for bad in (sums[:, :-1], sums[None], z):
             with pytest.raises(ValueError):
                 predictor.class_posterior_mean(bad, t, NULL_CONDITION)
+
+    @pytest.mark.parametrize("t", [1, 25, 50])
+    def test_one_image_posterior_mean_is_its_column(self, stack, predictor, t):
+        # a single logit's softmax is exactly 1, so the general path returns
+        # the one image's class values bit for bit, even far from the corpus
+        z, conds = stack
+        far = z[0] * (1e3 / np.linalg.norm(z[0]))
+        latents = np.concatenate([z, far[None]])
+        classes = predictor.column_classes
+        (index,) = matching(all_attribute_specs(), conds[4])
+        sums = classes.sums(latents.reshape(len(latents), -1))
+        x0 = predictor.class_posterior_mean(sums, t, conds[4])
+        assert x0.shape == sums.shape
+        assert x0.tobytes() == np.tile(classes.table[:, index], (len(latents), 1)).tobytes()
+
+    def test_one_image_evaluate_takes_no_class_sums(self, stack, predictor, monkeypatch):
+        # one-image body evaluates run 50 times per inversion: they stay in pixels
+        z, conds = stack
+
+        def refuse(*args):
+            raise AssertionError("a one-image evaluate went through class_posterior_mean")
+
+        monkeypatch.setattr(predictor, "class_posterior_mean", refuse)
+        for latent in (z, z[0]):
+            assert predictor.evaluate(latent, 30, conds[4]).shape == latent.shape
 
     def test_stack_shape_checked(self, stack, predictor):
         z, conds = stack
@@ -297,7 +336,7 @@ class TestColumnClasses:
         z = math.sqrt(ab) * np.tensordot(mixtures, images, axes=1)
         z += math.sqrt(1.0 - ab) * rng.normal(size=z.shape)
         for cond in (NULL_CONDITION, Condition.of(clothing_color=1)):
-            indices, _ = pred.posterior_weights(z, t, cond)
+            indices = matching(toy_attrs(len(images)), cond)
             assert indices.size > 1
             want = pixel_posterior_eps(images[indices], z, ab)
             np.testing.assert_allclose(pred.evaluate(z, t, cond), want, rtol=0, atol=1e-12)
@@ -451,7 +490,8 @@ class TestTrajectories:
         sched = make_schedule(50)
         pred = EmpiricalNoisePredictor.from_renders(subset, sched)
         traj = invert_trajectory(subset[3].image, NULL_CONDITION, sched, pred)
-        _, weights = pred.posterior_weights(traj[50], 50, NULL_CONDITION)
+        images = np.stack([render.image for render in subset])
+        weights = pixel_posterior_weights(images, traj[50], float(sched.alpha_bar[50]))
         assert weights.max() < 0.99
 
     def test_predictor_schedule_mismatch_rejected(self, rng):

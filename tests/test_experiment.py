@@ -35,12 +35,10 @@ class TestSamplePairs:
 
 
 @pytest.fixture(scope="module")
-def small_run(tmp_path_factory, sched50, predictor):
+def small_run(tmp_path_factory, predictor):
     out_dir = tmp_path_factory.mktemp("exp")
     cfg = RunConfig(seed=5, pairs=2, out_dir=out_dir)
-    records = run_experiment(
-        cfg, variants=("naive", "full"), sched=sched50, pred=predictor
-    )
+    records = run_experiment(cfg, variants=("naive", "full"), pred=predictor)
     return cfg, out_dir, records
 
 
@@ -74,18 +72,18 @@ class TestRunExperiment:
         assert "pair000_full_output.ppm" in names
         assert "pair001_naive_mask.pgm" in names
 
-    def test_metrics_file_deterministic(self, tmp_path, sched50, predictor):
+    def test_metrics_file_deterministic(self, tmp_path, predictor):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
             cfg = RunConfig(seed=5, pairs=2, out_dir=d)
-            run_experiment(cfg, variants=("full",), sched=sched50, pred=predictor)
+            run_experiment(cfg, variants=("full",), pred=predictor)
         assert (dirs[0] / METRICS_FILENAME).read_bytes() == (
             dirs[1] / METRICS_FILENAME
         ).read_bytes()
 
-    def test_unknown_variant_rejected(self, sched50, predictor):
+    def test_unknown_variant_rejected(self, predictor):
         with pytest.raises(ValueError):
-            run_experiment(RunConfig(pairs=1), variants=("bogus",), sched=sched50, pred=predictor)
+            run_experiment(RunConfig(pairs=1), variants=("bogus",), pred=predictor)
 
 
 class TestLockstep:
@@ -100,7 +98,7 @@ class TestLockstep:
             return score(pair_id, ref, variant, result, runtime_ms)
 
         monkeypatch.setattr(experiment, "evaluate_swap", capture)
-        rows = run_experiment(cfg, variants=VARIANTS, sched=sched50, pred=predictor)
+        rows = run_experiment(cfg, variants=VARIANTS, pred=predictor)
         assert len(seen) == len(rows) == cfg.pairs * len(VARIANTS)
         for index, (body, head) in enumerate(sample_pairs(cfg.seed, cfg.pairs)):
             # the stepped inversion: the reference for the closed-form latents
@@ -108,7 +106,7 @@ class TestLockstep:
                 render_avatar(body).image, body_condition(body), sched50, predictor
             )
             for variant in VARIANTS:
-                alone = run_headswap(body, head, cfg.swap_config(variant), sched50, predictor)
+                alone = run_headswap(body, head, cfg.swap_config(variant), predictor)
                 batched = seen[f"pair{index:03d}", variant]
                 assert np.array_equal(batched.mask, alone.mask)
                 assert np.array_equal(batched.io_map, alone.io_map)
@@ -119,9 +117,7 @@ class TestLockstep:
                 )
                 assert np.abs(batched.output - reference).max() <= 1e-12
 
-    def test_body_evaluated_once_per_pair_without_stepped_inversion(
-        self, sched50, predictor, monkeypatch
-    ):
+    def test_body_evaluated_once_per_pair_without_stepped_inversion(self, predictor, monkeypatch):
         def refuse(*args):
             raise AssertionError("swap_pairs stepped an inversion")
 
@@ -134,7 +130,7 @@ class TestLockstep:
             predictor, "evaluate", lambda z, t, cond: conds.append(cond) or evaluate(z, t, cond)
         )
         pairs = sample_pairs(2, 2)
-        results = swap_pairs(pairs, RunConfig(), VARIANTS, sched50, predictor)
+        results = swap_pairs(pairs, RunConfig(), VARIANTS, predictor)
         assert [len(per_pair) for per_pair in results] == [3, 3]
         for body, _ in pairs:
             assert conds.count(body_condition(body)) == 1
