@@ -33,8 +33,6 @@ from .imaging import (
     gaussian_filter,
     minmax_normalize,
     overlay_heatmap,
-    read_gray,
-    read_image,
     threshold,
     write_gray,
     write_image,

@@ -216,7 +216,7 @@ def swap_chunks(cfg: RunConfig, variants: Sequence[str], pred: EmpiricalNoisePre
 
 def run_experiment(
     cfg: RunConfig,
-    variants: Sequence[str] | None = None,
+    variants: Sequence[str],
     pred: EmpiricalNoisePredictor | None = None,
 ) -> list[dict]:
     """Run seeded swap pairs for each requested variant and collect metric rows.
@@ -227,7 +227,6 @@ def run_experiment(
     schedule must have cfg.T steps, may be injected to amortize dataset
     setup across calls.
     """
-    variants = tuple(variants or (cfg.variant,))
     for variant in variants:
         cfg.swap_config(variant)  # rejects an unknown variant before any work
     if pred is None:

@@ -1,4 +1,4 @@
-"""Dense 2-D grids and bit-exact image file plumbing.
+"""Dense 2-D grids and bit-exact image file writers.
 
 Conventions used across the package:
 
@@ -8,8 +8,7 @@ Conventions used across the package:
 
 Color files are binary PPM (P6), grayscale files binary PGM (P5), always
 with maxval 255 and quantization byte = floor(clip(v, 0, 1) * 255 + 0.5),
-so written bytes are reproducible across platforms and read/write
-round-trips quantized values exactly.
+so written bytes are reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -21,15 +20,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 HEAT_ALPHA = 0.6
 _HEAT_RED = np.array([1.0, 0.0, 0.0])
-
-
-class PnmFormatError(ValueError):
-    """Malformed or truncated PPM/PGM content, located by byte offset."""
-
-    def __init__(self, path, offset: int, message: str):
-        super().__init__(f"{path}: byte {offset}: {message}")
-        self.path = str(path)
-        self.offset = offset
 
 
 def _as_finite_2d(field, name: str = "field") -> np.ndarray:
@@ -119,86 +109,6 @@ def write_mask(mask, path) -> None:
     if not np.isin(arr, (0, 1)).all():
         raise ValueError("mask values must all be 0 or 1")
     write_gray(arr.astype(np.float64), path)
-
-
-class _PnmParser:
-    """Minimal P5/P6 parser that reports failures by byte offset."""
-
-    def __init__(self, path, data: bytes):
-        self.path = path
-        self.data = data
-        self.pos = 0
-
-    def fail(self, message: str):
-        raise PnmFormatError(self.path, self.pos, message)
-
-    def _skip_space(self) -> None:
-        while self.pos < len(self.data):
-            byte = self.data[self.pos : self.pos + 1]
-            if byte.isspace():
-                self.pos += 1
-            elif byte == b"#":
-                nl = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if nl < 0 else nl + 1
-            else:
-                return
-
-    def magic(self) -> bytes:
-        token = self.data[:2]
-        self.pos = 2
-        return token
-
-    def integer(self, name: str) -> int:
-        self._skip_space()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.fail(f"expected {name}")
-        return int(self.data[start : self.pos])
-
-    def raster(self, count: int) -> np.ndarray:
-        if self.pos >= len(self.data) or not self.data[self.pos : self.pos + 1].isspace():
-            self.fail("expected single whitespace before raster data")
-        self.pos += 1
-        raster = self.data[self.pos : self.pos + count]
-        if len(raster) < count:
-            self.pos = len(self.data)
-            self.fail(f"raster truncated: need {count} bytes, have {len(raster)}")
-        return np.frombuffer(raster, dtype=np.uint8)
-
-
-def _read_pnm(path, expect_magic: bytes, channels: int) -> np.ndarray:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise PnmFormatError(path, 0, f"cannot read: {exc.strerror or exc}") from exc
-    parser = _PnmParser(path, data)
-    magic = parser.magic()
-    if magic != expect_magic:
-        parser.pos = 0
-        parser.fail(f"expected magic {expect_magic.decode()}, found {magic!r}")
-    width = parser.integer("width")
-    height = parser.integer("height")
-    maxval = parser.integer("maxval")
-    if width <= 0 or height <= 0:
-        parser.fail(f"invalid dimensions {width}x{height}")
-    if maxval != 255:
-        parser.fail(f"maxval must be 255, got {maxval}")
-    raster = parser.raster(height * width * channels)
-    shape = (height, width, channels) if channels > 1 else (height, width)
-    return raster.reshape(shape).astype(np.float64) / 255.0
-
-
-def read_image(path) -> np.ndarray:
-    """Read a P6 PPM back into an (H, W, 3) grid with values k/255."""
-    return _read_pnm(path, b"P6", 3)
-
-
-def read_gray(path) -> np.ndarray:
-    """Read a P5 PGM back into an (H, W) field with values k/255."""
-    return _read_pnm(path, b"P5", 1)
 
 
 def overlay_heatmap(base, field) -> np.ndarray:

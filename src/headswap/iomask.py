@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import EmpiricalNoisePredictor, NoiseSchedule, cfg_combine, _check_step
+from .diffusion import EmpiricalNoisePredictor, NoiseSchedule, cfg_combine
+from .diffusion import _check_predictor, _check_step
 from .imaging import gaussian_filter, minmax_normalize, threshold
 from .synthgen import Condition, NULL_CONDITION
 
@@ -99,6 +100,7 @@ def io_map(
     pred: EmpiricalNoisePredictor,
 ) -> np.ndarray:
     """Per-pixel edit evidence at the latent traj[t] for the variant of ``cfg``."""
+    _check_predictor(sched, pred)
     step = _check_step(t, 1, sched.T, sched)
     predictions = io_predictions(traj[step], step, cond_head, cond_body, cfg.w, pred)
     return variant_map(predictions, cfg.variant, cfg.w)

@@ -6,7 +6,8 @@ array, the denoiser references evaluate naive (unshifted) exponentials in
 50-digit arithmetic or the full pixel-space distances one latent at a
 time (``pixel_posterior_weights``), and the blended-denoise reference
 steps one latent at a time with the single-latent predictor.
-``files_identical`` compares written artifacts byte for byte.
+``files_identical`` compares written artifacts byte for byte, and
+``read_pnm`` reads a written P5/P6 file's raster bytes back.
 """
 
 import math
@@ -87,6 +88,17 @@ def per_latent_blend_denoise(traj, mask, cond_head, cfg, sched, pred) -> np.ndar
         )
         z = np.where(inside, ddim_sample_step(z, guided, t, sched), traj[t - 1])
     return z
+
+
+def read_pnm(path) -> np.ndarray:
+    """The uint8 raster of a P5 (H, W) or P6 (H, W, 3) file in the writers' header layout."""
+    data = Path(path).read_bytes()
+    magic, width, height = data.split(maxsplit=3)[:3]
+    channels = {b"P5": (), b"P6": (3,)}[magic]
+    header = b"%s\n%s %s\n255\n" % (magic, width, height)
+    assert data.startswith(header), data[:20]
+    raster = np.frombuffer(data, dtype=np.uint8, offset=len(header))
+    return raster.reshape((int(height), int(width)) + channels)
 
 
 def files_identical(path_a, path_b) -> bool:

@@ -13,8 +13,10 @@ from headswap.hid import (
     blend_denoise,
     body_condition,
     compose_head_condition,
+    extract_mask,
     run_headswap,
 )
+from headswap.iomask import VARIANTS, build_iomask, io_predictions, variant_map
 from headswap.metrics import region_mse
 from headswap.synthgen import (
     AttributeSpec,
@@ -85,6 +87,7 @@ class TestSwapConfig:
     def test_edit_start_rounding(self):
         assert RunConfig(T=50, edit_fraction=0.8).edit_start == 40
         assert RunConfig(T=50, edit_fraction=1.0).edit_start == 50
+        assert RunConfig(T=50, edit_fraction=0.798).edit_start == 40  # 39.9 rounds up
 
     def test_schedule_mismatch_rejected(self, predictor):
         cfg = RunConfig(T=40)
@@ -114,6 +117,28 @@ class TestIdentitySwap:
             assert result.mask.sum() == 0
             assert result.degenerate_mask
             assert np.array_equal(result.output, render_avatar(spec).image)
+
+
+class TestExtractMask:
+    def test_maps_are_taken_at_the_edit_step(self, predictor):
+        cfg = RunConfig()
+        coefficients = inversion_coefficients(predictor.schedule)
+        z_edit = coefficients[cfg.edit_start] * render_avatar(BODY).image
+        cond_head = compose_head_condition(HEAD, BODY)
+
+        def maps_at(step):
+            predictions = io_predictions(
+                z_edit, step, cond_head, body_condition(BODY), cfg.w, predictor
+            )
+            return [variant_map(predictions, variant, cfg.w) for variant in VARIANTS]
+
+        expected = maps_at(cfg.edit_start)
+        # the step matters: one step earlier gives different maps
+        assert not any(np.array_equal(a, b) for a, b in zip(expected, maps_at(cfg.edit_start - 1)))
+        extracted = extract_mask(z_edit, BODY, HEAD, cfg, VARIANTS, predictor)
+        for want, (edit_map, mask) in zip(expected, extracted):
+            assert np.array_equal(edit_map, want)
+            assert np.array_equal(mask, build_iomask(want, cfg.mask))
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from headswap.diffusion import invert_trajectory
+from headswap.diffusion import NoiseSchedule, cfg_combine, invert_trajectory, make_schedule
 from headswap.hid import RunConfig, body_condition, compose_head_condition
 from headswap.imaging import gaussian_filter, minmax_normalize
 from headswap.iomask import (
@@ -10,6 +10,7 @@ from headswap.iomask import (
     build_iomask,
     io_map,
     orthogonal_component,
+    variant_map,
 )
 from headswap.metrics import mask_iou
 from headswap.synthgen import AttributeSpec, BALD, LONG, ground_truth_edit_mask, render_avatar
@@ -74,6 +75,21 @@ def body_traj(sched50, predictor):
     image = render_avatar(body).image
     traj = invert_trajectory(image, body_condition(body), sched50, predictor)
     return body, traj
+
+
+class TestVariantMap:
+    def test_naive_differences_two_guided_predictions(self, rng):
+        predictions = eps_body, eps_null, eps_head = rng.normal(size=(3, 6, 5, 3))
+        naive = variant_map(predictions, "naive", 3.0)
+        expected = np.abs(eps_head - cfg_combine(eps_null, eps_body, 3.0)).mean(axis=2)
+        np.testing.assert_array_equal(naive, expected)
+        assert not np.array_equal(naive, variant_map(predictions, "no_orth", 3.0))
+
+    def test_map_is_the_channel_mean(self):
+        eps_head = np.zeros((2, 2, 3))
+        eps_head[..., 0] = 1.0
+        zeros = np.zeros_like(eps_head)
+        np.testing.assert_array_equal(variant_map((zeros, zeros, eps_head), "no_orth", 3.0), 1 / 3)
 
 
 class TestIoMap:
@@ -146,6 +162,17 @@ class TestIoMap:
         cond = body_condition(body)
         with pytest.raises(ValueError):
             io_map(traj, 0, cond, cond, RunConfig().mask, sched50, predictor)
+
+    @pytest.mark.parametrize(
+        "sched",
+        [NoiseSchedule(T=50, alpha_bar=np.linspace(1.0, 0.01, 51)), make_schedule(100)],
+        ids=["same_T", "T100"],
+    )
+    def test_foreign_schedule_rejected(self, body_traj, sched, predictor):
+        body, traj = body_traj
+        cond = body_condition(body)
+        with pytest.raises(ValueError, match="different noise schedule"):
+            io_map(traj, 40, cond, cond, RunConfig().mask, sched, predictor)
 
     def test_unknown_variant_rejected(self, body_traj, sched50, predictor):
         body, traj = body_traj

@@ -1,8 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from headswap.metrics import attribute_probe, mask_iou, region_mse, swap_reference
-from headswap.synthgen import AttributeSpec, BALD, LONG, SHORT, oracle_swap, render_avatar
+from headswap.synthgen import (
+    HAIR_PALETTE,
+    AttributeSpec,
+    BALD,
+    LONG,
+    SHORT,
+    oracle_swap,
+    render_avatar,
+)
 
 
 class TestMaskIou:
@@ -86,3 +96,17 @@ class TestAttributeProbe:
         matched, total = attribute_probe(render_avatar(body).image, swap_reference(body, head))
         assert total == 3
         assert 1 <= matched <= 2
+
+    def test_quarter_hairlike_long_region_counts_as_long(self):
+        body = AttributeSpec(1, SHORT, 2, 0, 1)
+        head = AttributeSpec(0, LONG, 0, 2, 0)
+        ref = swap_reference(body, head)
+        region = np.zeros_like(ref.long_hair)
+        region[31, :4] = True  # four pixels away from the disc and hair regions
+        assert not (region & (ref.oracle.head_mask | ref.oracle.hair_mask).astype(bool)).any()
+        image = ref.oracle.image.copy()
+        image[31, :4] = 0.0  # black is far from every hair color
+        probe_ref = replace(ref, long_hair=region)
+        assert attribute_probe(image, probe_ref) == (2, 3)
+        image[31, 0] = HAIR_PALETTE[0]  # exactly 25% of the region looks like hair
+        assert attribute_probe(image, probe_ref) == (3, 3)

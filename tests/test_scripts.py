@@ -12,11 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script,rows",
-    [
-        ("run_ablation.py", ["naive", "no_orth", "full"]),
-        ("guidance_sweep.py", ["1.0", "3.0", "7.5"]),
-    ],
-    ids=["run_ablation", "guidance_sweep"],
+    [("guidance_sweep.py", ["1.0", "3.0", "7.5"])],
+    ids=["guidance_sweep"],
 )
 def test_script_runs_on_two_pairs(script, rows):
     env = dict(os.environ)
