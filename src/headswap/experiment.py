@@ -4,7 +4,9 @@ One JSON object per line in metrics.jsonl keeps records independently
 parseable.  Wall-clock runtimes are kept on the in-memory rows (key
 ``runtime_ms``) and in the printed summary but never written to
 metrics.jsonl, so repeated runs with the same seed produce byte-identical
-files.
+files.  A run's image files are created on one background thread, one
+chunk behind the denoise, and metrics.jsonl only after every image is
+written.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import math
 import os
 import time
+from collections import deque
 from pathlib import Path
 from typing import Sequence
 
@@ -20,18 +23,19 @@ import numpy as np
 
 from .diffusion import EmpiricalNoisePredictor, make_schedule
 from .hid import RunConfig, SwapResult, swap_pairs
-from .imaging import minmax_normalize, overlay_heatmap, write_image, write_mask
+from .imaging import encode_image, encode_mask, minmax_normalize, overlay_heatmap
 from .metrics import SwapReference, attribute_probe, mask_iou, region_mse, swap_reference
 from .synthgen import AttributeSpec, all_attribute_specs, enumerate_dataset, render_avatar
 
 METRICS_FILENAME = "metrics.jsonl"
 
 # Pairs denoised in lockstep by swap_chunks (times its variants: the stack
-# height).  The denoise holds one value per (row, column class), so stack
-# temporaries no longer bound the chunk, but larger chunks buy no measured
-# speed: on a 2-core machine the benchmark's ablate workload ran at 203,
-# 193 and 202 ops/s with chunks of 4, 8 and 30 pairs, and 30 raised its
-# peak RSS from 62 to 67 MB.  The pair count is unbounded, so it stays small.
+# height), and the most pairs run_experiment lets wait for the image
+# writer.  The denoise holds one value per (row, column class), so stack
+# temporaries do not bound the chunk, but larger chunks bought no measured
+# speed on a 2-core machine, and 30 pairs raised the benchmark's ablate
+# peak RSS from 62 to 67 MB.  The pair count is unbounded, so both the
+# chunk and the write backlog stay this small.
 CHUNK_PAIRS = 4
 
 # metrics.jsonl carries exactly these keys, in this order
@@ -185,17 +189,31 @@ def format_summary(summary: dict[str, dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def _write_pair_images(out_dir: Path, pair_id: str, ref: SwapReference, variants, results) -> None:
-    """The pair's body, head and oracle, and each variant's output, mask and map overlay."""
-    write_image(ref.body_image, out_dir / f"{pair_id}_body.ppm")
-    write_image(render_avatar(ref.head).image, out_dir / f"{pair_id}_head.ppm")
-    write_image(ref.oracle.image, out_dir / f"{pair_id}_oracle.ppm")
+def _encode_pair_images(
+    pair_id: str, ref: SwapReference, variants, results
+) -> list[tuple[str, bytes]]:
+    """File names and bytes of the pair's body, head and oracle, and of each
+    variant's output, mask and map overlay."""
+    files = [
+        (f"{pair_id}_body.ppm", encode_image(ref.body_image)),
+        (f"{pair_id}_head.ppm", encode_image(render_avatar(ref.head).image)),
+        (f"{pair_id}_oracle.ppm", encode_image(ref.oracle.image)),
+    ]
     for variant, result in zip(variants, results):
         stem = f"{pair_id}_{variant}"
-        write_image(result.output, out_dir / f"{stem}_output.ppm")
-        write_mask(result.mask, out_dir / f"{stem}_mask.pgm")
         overlay = overlay_heatmap(ref.body_image, minmax_normalize(result.io_map))
-        write_image(overlay, out_dir / f"{stem}_overlay.ppm")
+        files += [
+            (f"{stem}_output.ppm", encode_image(result.output)),
+            (f"{stem}_mask.pgm", encode_mask(result.mask)),
+            (f"{stem}_overlay.ppm", encode_image(overlay)),
+        ]
+    return files
+
+
+def _write_pair_images(out_dir: Path, files: Sequence[tuple[str, bytes]]) -> None:
+    """Write one pair's encoded images into out_dir, in order."""
+    for name, data in files:
+        (out_dir / name).write_bytes(data)
 
 
 def swap_chunks(cfg: RunConfig, variants: Sequence[str], pred: EmpiricalNoisePredictor):
@@ -222,10 +240,16 @@ def run_experiment(
     """Run seeded swap pairs for each requested variant and collect metric rows.
 
     The pairs go through ``swap_chunks``, so every pair x variant of a
-    chunk is denoised in lockstep.  Writes per-pair images plus
-    metrics.jsonl when cfg.out_dir is set.  A shared predictor, whose
-    schedule must have cfg.T steps, may be injected to amortize dataset
-    setup across calls.
+    chunk is denoised in lockstep.  A shared predictor, whose schedule must
+    have cfg.T steps, may be injected to amortize dataset setup across calls.
+
+    When cfg.out_dir is set, each pair's images are encoded here once its
+    rows are scored, and one background writer thread creates their files,
+    in pair order, while this thread denoises the next chunk; at most
+    CHUNK_PAIRS pairs wait to be written.  metrics.jsonl is written last,
+    and only after every image write has succeeded.  A failed image write
+    re-raises its error here.  However this returns or raises, pending
+    writes are cancelled and the writer thread is joined first.
     """
     for variant in variants:
         cfg.swap_config(variant)  # rejects an unknown variant before any work
@@ -237,11 +261,27 @@ def run_experiment(
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    # imported here, because a cold swap would pay ~5 ms for a module it never uses
+    from concurrent.futures import ThreadPoolExecutor
+
     rows: list[dict] = []
-    for pair_id, ref, results, runtime_ms in swap_chunks(cfg, variants, pred):
-        rows += [evaluate_swap(pair_id, ref, v, r, runtime_ms) for v, r in zip(variants, results)]
-        if out_dir is not None:
-            _write_pair_images(out_dir, pair_id, ref, variants, results)
+    writer = ThreadPoolExecutor(max_workers=1)  # starts its thread on the first submit
+    pending: deque = deque()  # the futures of pairs not yet known to be written, oldest first
+    try:
+        for pair_id, ref, results, runtime_ms in swap_chunks(cfg, variants, pred):
+            rows += [
+                evaluate_swap(pair_id, ref, v, r, runtime_ms) for v, r in zip(variants, results)
+            ]
+            if out_dir is None:
+                continue
+            files = _encode_pair_images(pair_id, ref, variants, results)
+            if len(pending) == CHUNK_PAIRS:
+                pending.popleft().result()
+            pending.append(writer.submit(_write_pair_images, out_dir, files))
+        for future in pending:
+            future.result()
+    finally:
+        writer.shutdown(cancel_futures=True)  # also waits for the write in progress
 
     if out_dir is not None:
         write_metrics(rows, out_dir / METRICS_FILENAME)

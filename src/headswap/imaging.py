@@ -14,6 +14,7 @@ so written bytes are reproducible across platforms.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,36 +80,54 @@ def threshold(field, tau: float) -> np.ndarray:
 
 def quantize_bytes(values) -> np.ndarray:
     """Clamp to [0, 1] and quantize to uint8 via floor(v * 255 + 0.5)."""
-    clipped = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
-    return np.floor(clipped * 255.0 + 0.5).astype(np.uint8)
+    buf = np.array(values, dtype=np.float64)  # a copy, worked on in place
+    np.clip(buf, 0.0, 1.0, out=buf)
+    buf *= 255.0
+    buf += 0.5
+    return np.floor(buf, out=buf).astype(np.uint8)
 
 
-def write_image(grid, path) -> None:
-    """Write an (H, W, 3) grid as a binary PPM (P6, maxval 255)."""
+def encode_image(grid) -> bytes:
+    """An (H, W, 3) grid as the bytes of a binary PPM (P6, maxval 255)."""
     arr = np.asarray(grid, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"color output requires an (H, W, 3) grid, got shape {arr.shape}")
     height, width = arr.shape[:2]
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (width, height))
-        fh.write(quantize_bytes(arr).tobytes())
+    return b"P6\n%d %d\n255\n" % (width, height) + quantize_bytes(arr).tobytes()
+
+
+def encode_gray(field) -> bytes:
+    """An (H, W) field as the bytes of a binary PGM (P5, maxval 255)."""
+    arr = _as_finite_2d(field)
+    height, width = arr.shape
+    return b"P5\n%d %d\n255\n" % (width, height) + quantize_bytes(arr).tobytes()
+
+
+def _mask_field(mask) -> np.ndarray:
+    arr = np.asarray(mask)
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("mask values must all be 0 or 1")
+    return arr.astype(np.float64)
+
+
+def encode_mask(mask) -> bytes:
+    """A {0, 1} mask as the bytes of a PGM; set pixels map to byte 255."""
+    return encode_gray(_mask_field(mask))
+
+
+def write_image(grid, path) -> None:
+    """Write an (H, W, 3) grid as a binary PPM (P6, maxval 255)."""
+    Path(path).write_bytes(encode_image(grid))
 
 
 def write_gray(field, path) -> None:
     """Write an (H, W) field as a binary PGM (P5, maxval 255)."""
-    arr = _as_finite_2d(field)
-    height, width = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (width, height))
-        fh.write(quantize_bytes(arr).tobytes())
+    Path(path).write_bytes(encode_gray(field))
 
 
 def write_mask(mask, path) -> None:
     """Write a {0, 1} mask as a PGM; set pixels map to byte 255."""
-    arr = np.asarray(mask)
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("mask values must all be 0 or 1")
-    write_gray(arr.astype(np.float64), path)
+    write_gray(_mask_field(mask), path)
 
 
 def overlay_heatmap(base, field) -> np.ndarray:

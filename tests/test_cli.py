@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,31 @@ class TestAblateAndEval:
             assert cli_main(argv) == 0
         digest = hashlib.sha256((out / "metrics.jsonl").read_bytes()).hexdigest()
         assert digest == "8970754ff19e22f483d2f67022ef0e9af9b61a946357d76945434abcd7f41613"
+
+    def test_failed_image_write_exits_two_without_metrics(self, tmp_path):
+        out = tmp_path / "ablate"
+        (out / "pair005_full_mask.pgm").mkdir(parents=True)  # a file of the second chunk
+        threads_before = threading.active_count()
+        code, err = run_cli(["ablate", "--pairs", "9", "--seed", "7", "--out", str(out)])
+        assert code == 2
+        assert "error:" in err and "pair005_full_mask.pgm" in err
+        assert not (out / "metrics.jsonl").exists()
+        assert threading.active_count() == threads_before
+
+    def test_ablate_is_clean_under_dev_mode_and_warnings_as_errors(self, tmp_path):
+        # an unclosed file or an exception lost in a thread or finalizer only
+        # prints a warning, which -X dev -W error turns into stderr output
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        argv = ["ablate", "--pairs", "5", "--seed", "7", "--out", str(tmp_path / "dev")]
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "headswap.cli"] + argv,
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
 
 class TestThreadDeterminism:

@@ -1,5 +1,7 @@
 import json
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +136,72 @@ class TestLockstep:
         assert [len(per_pair) for per_pair in results] == [3, 3]
         for body, _ in pairs:
             assert conds.count(body_condition(body)) == 1
+
+
+class TestImageWriter:
+    def test_writes_run_off_the_main_thread_in_pair_order(self, tmp_path, predictor, monkeypatch):
+        cfg = RunConfig(seed=6, pairs=2 * CHUNK_PAIRS + 1, out_dir=tmp_path)
+        write = experiment._write_pair_images
+        written: list[tuple[str, threading.Thread]] = []
+        backlogs: list[int] = []  # pairs submitted but not yet written, as each chunk starts
+        pairs_swapped = 0
+
+        def slow_write(out_dir, files):
+            time.sleep(0.02)  # slower than the denoise, so the backlog would grow unbounded
+            write(out_dir, files)
+            pair_id = files[0][0].partition("_")[0]
+            written.append((pair_id, threading.current_thread()))
+
+        def counting_swap_pairs(chunk, *args):
+            nonlocal pairs_swapped
+            backlogs.append(pairs_swapped - len(written))
+            pairs_swapped += len(chunk)
+            return swap_pairs(chunk, *args)
+
+        monkeypatch.setattr(experiment, "_write_pair_images", slow_write)
+        monkeypatch.setattr(experiment, "swap_pairs", counting_swap_pairs)
+        threads_before = threading.active_count()
+        run_experiment(cfg, variants=("full",), pred=predictor)
+        assert threading.active_count() == threads_before
+        assert [pair_id for pair_id, _ in written] == [f"pair{i:03d}" for i in range(cfg.pairs)]
+        assert all(thread is not threading.main_thread() for _, thread in written)
+        assert len(backlogs) == 3 and max(backlogs) <= CHUNK_PAIRS
+        names = {METRICS_FILENAME} | {
+            f"pair{i:03d}_{name}"
+            for i in range(cfg.pairs)
+            for name in ("body.ppm", "head.ppm", "oracle.ppm", "full_output.ppm",
+                         "full_mask.pgm", "full_overlay.ppm")
+        }
+        assert {path.name for path in tmp_path.iterdir()} == names
+
+    def test_failed_write_cancels_waiting_writes_and_joins(self, tmp_path, predictor, monkeypatch):
+        cfg = RunConfig(seed=6, pairs=2 * CHUNK_PAIRS + 1, out_dir=tmp_path)
+        write = experiment._write_pair_images
+        started: list[str] = []
+        finished: list[str] = []
+        threads: set[threading.Thread] = set()
+
+        def failing_write(out_dir, files):
+            pair_id = files[0][0].partition("_")[0]
+            started.append(pair_id)
+            threads.add(threading.current_thread())
+            if pair_id == f"pair{CHUNK_PAIRS:03d}":
+                raise OSError("disk full")
+            if pair_id > f"pair{CHUNK_PAIRS:03d}":
+                time.sleep(0.5)  # still writing when the main thread meets the failure
+            write(out_dir, files)
+            finished.append(pair_id)
+
+        monkeypatch.setattr(experiment, "_write_pair_images", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(cfg, variants=("full",), pred=predictor)
+        # the write in progress finished before the error surfaced, the writes
+        # still waiting never started, and the thread is gone
+        expected = [f"pair{i:03d}" for i in range(CHUNK_PAIRS + 2)]
+        assert started == expected
+        assert finished == expected[:CHUNK_PAIRS] + expected[-1:]
+        assert len(threads) == 1 and not threads.pop().is_alive()
+        assert not (tmp_path / METRICS_FILENAME).exists()
 
 
 class TestSummaries:
