@@ -24,15 +24,16 @@ from .experiment import (
     summarize,
     write_metrics,
 )
-from .hid import body_inversion, extract_mask, run_headswap
+from .hid import body_condition, body_inversion, compose_head_condition, extract_mask, run_headswap
 from .imaging import minmax_normalize, overlay_heatmap, write_gray, write_image, write_mask
 from .iomask import VARIANTS
 from .metrics import swap_reference
 from .synthgen import AttributeSpec, enumerate_dataset, render_avatar
 
-CONFIG_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "variant", "seed")
-# ablate runs every variant, so it takes no variant setting
-ABLATE_KEYS = tuple(key for key in CONFIG_KEYS if key != "variant")
+# swap and mask run one variant and sample nothing, so they take no seed
+CONFIG_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "variant")
+# ablate runs every variant over seeded pairs, so it takes a seed and no variant
+ABLATE_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "seed")
 # each config key parses as the type of its RunConfig default
 _CONFIG_PARSERS = {f.name: type(f.default) for f in fields(RunConfig)}
 
@@ -113,7 +114,8 @@ def _add_run_options(sub: argparse.ArgumentParser, keys: tuple[str, ...] = CONFI
     )
     if "variant" in keys:
         sub.add_argument("--variant", choices=VARIANTS, default=None, help="edit-map variant")
-    sub.add_argument("--seed", type=int, default=None, help="sampling seed")
+    if "seed" in keys:
+        sub.add_argument("--seed", type=int, default=None, help="pair sampling seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -166,9 +168,8 @@ def _swap_setup(args):
     head = parse_attrs(args.head, "--head")
     cfg = _merge_run_config(args)
     pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(cfg.T))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return body, head, cfg, pred, out_dir
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    return body, head, cfg, pred
 
 
 def _write_mask_files(out_dir: Path, body_image, edit_map, mask) -> None:
@@ -180,7 +181,8 @@ def _write_mask_files(out_dir: Path, body_image, edit_map, mask) -> None:
 
 
 def _cmd_swap(args) -> int:
-    body, head, cfg, pred, out_dir = _swap_setup(args)
+    body, head, cfg, pred = _swap_setup(args)
+    out_dir = cfg.out_dir
     started = time.perf_counter()
     result = run_headswap(body, head, cfg, pred)
     elapsed_ms = (time.perf_counter() - started) * 1e3
@@ -201,11 +203,12 @@ def _cmd_swap(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    body, head, cfg, pred, out_dir = _swap_setup(args)
+    body, head, cfg, pred = _swap_setup(args)
     image = render_avatar(body).image
     z_edit = body_inversion(cfg, pred)[cfg.edit_start] * image
-    [(edit_map, mask)] = extract_mask(z_edit, body, head, cfg, (cfg.variant,), pred)
-    _write_mask_files(out_dir, image, edit_map, mask)
+    cond_head, cond_body = compose_head_condition(head, body), body_condition(body)
+    [(edit_map, mask)] = extract_mask(z_edit, cond_head, cond_body, cfg, (cfg.variant,), pred)
+    _write_mask_files(cfg.out_dir, image, edit_map, mask)
     print(f"mask covers {int(mask.sum())} pixels at t={cfg.edit_start}")
     return 0
 

@@ -117,8 +117,7 @@ class EmpiricalNoisePredictor:
     forms posterior weights w_i = softmax(-|z_t - sqrt(ab_t) x_i|^2 /
     (2 (1 - ab_t))) over flattened images (max-subtracted exponentials),
     takes the posterior mean x0 = sum w_i x_i, and returns the implied
-    noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).  A stack of latents under
-    one condition is evaluated the same way, with one GEMM per product.
+    noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).
 
     The posterior is computed in one place, ``class_posterior_mean``, on
     the corpus's ``ColumnClasses``: z_t . x_i needs only z_t summed over
@@ -179,28 +178,22 @@ class EmpiricalNoisePredictor:
         return subset
 
     def evaluate(self, z_t: np.ndarray, t, cond: Condition) -> np.ndarray:
-        """Conditional noise prediction at step t (t = 0 is undefined).
-
-        ``z_t`` is one latent (H, W, C) or a stack (B, H, W, C) whose rows
-        all share ``cond``; the result has its shape.
-        """
+        """Conditional noise prediction for one latent (H, W, C) at step t (t = 0 is undefined)."""
         step = _check_step(t, 1, self.schedule.T, self.schedule)
         z_t = np.asarray(z_t, dtype=np.float64)
-        if z_t.shape != self.grid_shape and z_t.shape[1:] != self.grid_shape:
-            raise ValueError(f"latent shape {z_t.shape} is not {self.grid_shape} or a stack of it")
+        if z_t.shape != self.grid_shape:
+            raise ValueError(f"latent shape {z_t.shape} is not {self.grid_shape}")
         indices = self._subset(cond)[0]
         alpha_bar = float(self.schedule.alpha_bar[step])
         # (z_t - sqrt(ab) x0) / sqrt(1 - ab): adding the negated product rounds
-        # as subtracting it does, and a stack's result is built in one buffer
-        # because every stack-sized temporary costs fresh page faults
+        # as subtracting it does
         scale = -math.sqrt(alpha_bar)
         if indices.size == 1:  # weight 1: x0 is that image, bit for bit, and no class sums
             eps = z_t + self.images[indices[0]] * scale
         else:  # each class's mean is scaled once, then gathered to its pixels
             classes = self.column_classes
-            sums = classes.sums(z_t.reshape(z_t.shape[:-3] + (-1,)))
-            x0 = self.class_posterior_mean(sums, step, cond)
-            eps = np.take(x0 * scale, classes.inv, axis=-1).reshape(z_t.shape)
+            x0 = self.class_posterior_mean(classes.sums(z_t.reshape(-1)), step, cond)
+            eps = np.take(x0 * scale, classes.inv).reshape(z_t.shape)
             eps += z_t
         eps /= math.sqrt(1.0 - alpha_bar)
         return eps

@@ -121,8 +121,8 @@ def body_inversion(cfg: RunConfig, pred: EmpiricalNoisePredictor):
 
 def extract_mask(
     z_edit: np.ndarray,
-    body: AttributeSpec,
-    head: AttributeSpec,
+    cond_head: Condition,
+    cond_body: Condition,
     cfg: RunConfig,
     variants: Sequence[str],
     pred: EmpiricalNoisePredictor,
@@ -131,10 +131,7 @@ def extract_mask(
 
     The pair's three predictions are evaluated once and shared by the variants.
     """
-    cond_head = compose_head_condition(head, body)
-    predictions = io_predictions(
-        z_edit, cfg.edit_start, cond_head, body_condition(body), cfg.w, pred
-    )
+    predictions = io_predictions(z_edit, cfg.edit_start, cond_head, cond_body, cfg.w, pred)
     maps = [variant_map(predictions, variant, cfg.w) for variant in variants]
     return [(edit_map, build_iomask(edit_map, cfg.mask)) for edit_map in maps]
 
@@ -209,8 +206,8 @@ def swap_pairs(
     for body, head in pairs:
         image = render_avatar(body).image
         z_edit = coefficients[cfg.edit_start] * image
-        cond_head = compose_head_condition(head, body)
-        for edit_map, mask in extract_mask(z_edit, body, head, cfg, variants, pred):
+        cond_head, cond_body = compose_head_condition(head, body), body_condition(body)
+        for edit_map, mask in extract_mask(z_edit, cond_head, cond_body, cfg, variants, pred):
             bodies.append(image)
             masks.append(mask)
             maps.append(edit_map)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headswap.cli import ABLATE_KEYS, UsageError, cli_main, parse_attrs, read_config_file
-from headswap.experiment import RECORD_FIELDS
+from headswap.experiment import RECORD_FIELDS, sample_pairs
 from helpers import files_identical, read_pnm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,9 +53,11 @@ class TestAttributeParsing:
 class TestConfigFile:
     def test_parse_and_types(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("T = 40\nw = 2.5\nvariant = naive\nseed = 9\n")
+        path.write_text("T = 40\nw = 2.5\nvariant = naive\n")
         values = read_config_file(str(path))
-        assert values == {"T": 40, "w": 2.5, "variant": "naive", "seed": 9}
+        assert values == {"T": 40, "w": 2.5, "variant": "naive"}
+        path.write_text("tau = 0.5\nseed = 9\n")
+        assert read_config_file(str(path), ABLATE_KEYS) == {"tau": 0.5, "seed": 9}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -172,6 +174,22 @@ class TestExitCodes:
         assert "variant" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["swap", "mask"])
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_swap_and_mask_reject_seed(self, tmp_path, capsys, command, via_config):
+        # neither command samples anything, so a seed would be silently ignored
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = 3\n")
+            setting = ["--config", str(cfg)]
+        else:
+            setting = ["--seed", "3"]
+        out = tmp_path / "out"
+        argv = [command, "--body", "0,2,0,1,0", "--head", "2,0,1,3,-1", "--out", str(out)]
+        assert cli_main(argv + setting) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_exit_one(self):
         assert cli_main(["swap", "--bogus"]) == 1
 
@@ -255,6 +273,45 @@ class TestAblateAndEval:
             assert cli_main(argv) == 0
         digest = hashlib.sha256((out / "metrics.jsonl").read_bytes()).hexdigest()
         assert digest == "8970754ff19e22f483d2f67022ef0e9af9b61a946357d76945434abcd7f41613"
+
+    def test_single_swap_and_mask_digests(self, tmp_path):
+        # Pins every file of the single-swap path (run_headswap, the image
+        # writers and the mask files), which the ablate digest does not see.
+        # As above, the bytes may depend on the OpenBLAS version (0.3.31).
+        pair = ["--body", "0,2,0,1,0", "--head", "2,0,1,3,-1"]
+        mask_files = {
+            "iomap.pgm": "0f2423a555dde66d0dd391500d6872efb8f2bd707a79c61970fc4e4ea5796513",
+            "mask.pgm": "75a54bd6dbb7cf03359c43ddf272512d4c935c6f4022a355ccc7251f6b4fda2b",
+            "overlay.ppm": "4a1f0da795a79819cd6c0200f6f5fdcef643b3d2cd5d48bc1fd0901c8aecb377",
+        }
+        swap_files = {
+            **mask_files,
+            "body.ppm": "5d7ef82f10c7f8d7114236d57c53576f1703217df0d6ebb6122adf524238ebc2",
+            "head.ppm": "d9c958922aae97db19d30e9f8b8e78e8ab35848074f649c707e567c8c7d39b8f",
+            "oracle.ppm": "f1ca4622e3f50082c214700fd1e03b0a816ea66114f1a77586a7edab39a0a819",
+            "output.ppm": "ecb4802b5e487a714a09bfefc032d45614e7bef1c85ea884deda30280c30bdea",
+            "metrics.jsonl": "e901cff4c60bb64f489a91b37a2632aa773895e014f1cd703d9932c14dc0b5ec",
+        }
+        for command, want in (("swap", swap_files), ("mask", mask_files)):
+            out = tmp_path / command
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli_main([command, *pair, "--out", str(out)]) == 0
+            got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+            assert got == want, command
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_ablate_takes_seed(self, tmp_path, via_config):
+        # ablate samples its pairs from the seed; swap and mask refuse one
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = 3\n")
+            setting = ["--config", str(cfg)]
+        else:
+            setting = ["--seed", "3"]
+        out = tmp_path / "out"
+        assert run_cli(["ablate", "--pairs", "1", "--out", str(out)] + setting)[0] == 0
+        [first, *_] = (out / "metrics.jsonl").read_text().splitlines()
+        assert json.loads(first)["body_attrs"] == list(sample_pairs(3, 1)[0][0].to_ints())
 
     def test_failed_image_write_exits_two_without_metrics(self, tmp_path):
         out = tmp_path / "ablate"

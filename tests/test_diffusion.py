@@ -176,7 +176,7 @@ class TestEmpiricalEps:
 
 
 class TestStackedPredictor:
-    """A stack of latents under one condition against the single-latent path."""
+    """Class-space posterior means of a stack of latents against the single-latent path."""
 
     @pytest.fixture(scope="class")
     def stack(self, dataset):
@@ -215,30 +215,14 @@ class TestStackedPredictor:
                 np.testing.assert_allclose(x0[row], row_x0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
-    def test_predictions_match_single_latent_evaluate(self, stack, predictor, t):
-        z, conds = stack
-        # the noise divides by sqrt(1 - ab_t), so compare at the posterior-mean scale
-        tolerance = 1e-12 / math.sqrt(1.0 - predictor.schedule.alpha_bar[t])
-        for cond in conds:
-            eps = predictor.evaluate(z, t, cond)
-            assert eps.shape == z.shape
-            for row in range(len(z)):
-                np.testing.assert_allclose(
-                    eps[row], predictor.evaluate(z[row], t, cond), rtol=0, atol=tolerance
-                )
-
-    @pytest.mark.parametrize("t", [1, 25, 50])
     def test_stack_of_one_bit_equals_single_latent(self, stack, predictor, t):
         z, conds = stack
         sums = predictor.column_classes.sums(z.reshape(len(z), -1))
         for cond in conds:
             for row in range(len(z)):
-                one = z[row : row + 1]
                 x0 = predictor.class_posterior_mean(sums[row], t, cond)
                 stacked = predictor.class_posterior_mean(sums[row : row + 1], t, cond)
                 assert np.array_equal(stacked, x0[None])
-                eps = predictor.evaluate(z[row], t, cond)
-                assert np.array_equal(predictor.evaluate(one, t, cond), eps[None])
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_evaluate_is_class_posterior_mean_scattered(self, stack, predictor, t):
@@ -249,10 +233,11 @@ class TestStackedPredictor:
         sums = classes.sums(z.reshape(len(z), -1))
         for cond, size in ((NULL_CONDITION, 324), (conds[0], 4)):
             assert matching(all_attribute_specs(), cond).size == size
-            x0 = predictor.class_posterior_mean(sums, t, cond)
-            scattered = np.take(x0 * -math.sqrt(ab), classes.inv, axis=-1).reshape(z.shape)
-            want = (scattered + z) / math.sqrt(1.0 - ab)
-            assert np.array_equal(predictor.evaluate(z, t, cond), want)
+            for latent, latent_sums in zip(z, sums):
+                x0 = predictor.class_posterior_mean(latent_sums, t, cond)
+                scattered = (x0 * -math.sqrt(ab))[classes.inv].reshape(latent.shape)
+                want = (scattered + latent) / math.sqrt(1.0 - ab)
+                assert np.array_equal(predictor.evaluate(latent, t, cond), want)
         for bad in (sums[:, :-1], sums[None], z):
             with pytest.raises(ValueError):
                 predictor.class_posterior_mean(bad, t, NULL_CONDITION)
@@ -279,16 +264,18 @@ class TestStackedPredictor:
             raise AssertionError("a one-image evaluate went through class_posterior_mean")
 
         monkeypatch.setattr(predictor, "class_posterior_mean", refuse)
-        for latent in (z, z[0]):
+        for latent in z:
             assert predictor.evaluate(latent, 30, conds[4]).shape == latent.shape
 
     def test_stack_shape_checked(self, stack, predictor):
+        # ``evaluate`` takes one latent; only ``class_posterior_mean`` takes stacks
         z, conds = stack
-        for bad in (z[:, :-1], z[None], z.reshape(len(z), -1)):
-            with pytest.raises(ValueError):
-                predictor.evaluate(bad, 30, conds[0])
+        for bad in (z, z[:1], z[:, :-1], z[None], z.reshape(len(z), -1)):
+            for cond in (NULL_CONDITION, conds[0], conds[4]):
+                with pytest.raises(ValueError, match="latent shape"):
+                    predictor.evaluate(bad, 30, cond)
         with pytest.raises(ValueError):
-            predictor.evaluate(z, 0, conds[0])
+            predictor.evaluate(z[0], 0, conds[0])
 
 
 class TestColumnClasses:
@@ -321,8 +308,8 @@ class TestColumnClasses:
         # posterior mean must be the image bit for bit, which a lossy
         # corpus basis would break
         ab = float(predictor.schedule.alpha_bar[1])
-        z = math.sqrt(ab) * predictor.images
-        assert not predictor.evaluate(z, 1, NULL_CONDITION).any()
+        for image in predictor.images:
+            assert not predictor.evaluate(math.sqrt(ab) * image, 1, NULL_CONDITION).any()
 
     @pytest.mark.parametrize("t", [1, 10, 25, 50])
     def test_random_corpus_matches_pixel_reference(self, rng, t):
@@ -339,7 +326,9 @@ class TestColumnClasses:
             indices = matching(toy_attrs(len(images)), cond)
             assert indices.size > 1
             want = pixel_posterior_eps(images[indices], z, ab)
-            np.testing.assert_allclose(pred.evaluate(z, t, cond), want, rtol=0, atol=1e-12)
+            for latent, latent_want in zip(z, want):
+                got = pred.evaluate(latent, t, cond)
+                np.testing.assert_allclose(got, latent_want, rtol=0, atol=1e-12)
 
 
 class TestCfgCombine:

@@ -135,7 +135,7 @@ class TestExtractMask:
         expected = maps_at(cfg.edit_start)
         # the step matters: one step earlier gives different maps
         assert not any(np.array_equal(a, b) for a, b in zip(expected, maps_at(cfg.edit_start - 1)))
-        extracted = extract_mask(z_edit, BODY, HEAD, cfg, VARIANTS, predictor)
+        extracted = extract_mask(z_edit, cond_head, body_condition(BODY), cfg, VARIANTS, predictor)
         for want, (edit_map, mask) in zip(expected, extracted):
             assert np.array_equal(edit_map, want)
             assert np.array_equal(mask, build_iomask(want, cfg.mask))
