@@ -161,7 +161,7 @@ class EmpiricalNoisePredictor:
         return self._classes
 
     def _subset(self, cond: Condition):
-        """The matching indices, their class columns (G, S) and squared norms (S,)."""
+        """The matching indices, their class columns (G, S) and squared norms (1, S)."""
         cached = self._subsets.get(cond.constraints)
         if cached is not None:
             return cached
@@ -173,7 +173,8 @@ class EmpiricalNoisePredictor:
             raise NoMatchingConditionError(cond)
         classes = self.column_classes
         columns = classes.table[:, indices]
-        subset = (indices, columns, classes.counts @ (columns * columns))
+        # the squared norms as a row (1, S), which broadcasts over a stack's rows
+        subset = (indices, columns, (classes.counts @ (columns * columns))[None])
         self._subsets[cond.constraints] = subset
         return subset
 
@@ -192,38 +193,65 @@ class EmpiricalNoisePredictor:
             eps = z_t + self.images[indices[0]] * scale
         else:  # each class's mean is scaled once, then gathered to its pixels
             classes = self.column_classes
-            x0 = self.class_posterior_mean(classes.sums(z_t.reshape(-1)), step, cond)
+            sums = classes.sums(z_t.reshape(-1))[None, None]
+            x0 = self.class_posterior_mean(sums, step, [cond])[0, 0]
             eps = np.take(x0 * scale, classes.inv).reshape(z_t.shape)
             eps += z_t
         eps /= math.sqrt(1.0 - alpha_bar)
         return eps
 
-    def class_posterior_mean(self, sums: np.ndarray, t, cond: Condition) -> np.ndarray:
-        """The posterior mean x0 on each column class, from a latent's class sums.
+    def class_posterior_mean(
+        self, sums: np.ndarray, t, conds: Sequence[Condition]
+    ) -> np.ndarray:
+        """The posterior mean x0 on each column class, from latents' class sums.
 
-        ``sums`` is (G,), or a stack (B, G) whose rows share ``cond``: the
-        latent's values summed over each class (``ColumnClasses.sums``),
-        which is all the logits depend on.  The result has its shape.  One
-        GEMM of the rows against the subset gives every logit, and each row
-        takes its own max-subtracted softmax; a single logit's softmax is
-        exactly 1, so a one-image subset returns that image's class values
-        bit for bit.  ``evaluate`` is this mean gathered back to pixels, and
-        ``hid.blend_denoise`` calls it without building its latents in pixels.
+        ``sums`` is (R, M, G): R stacks of M latents' values summed over each
+        class (``ColumnClasses.sums``), which is all the logits depend on;
+        stack r is conditioned on ``conds[r]``.  The result has its shape.
+        Stacks whose subsets have the same size S are taken together, as
+        one (R', M, G) @ (R', G, S) matmul for the logits and one back for
+        the means; numpy makes one BLAS call per stack, of that stack's own
+        shape, so a stack's bits do not depend on the stacks beside it.
+        Each row takes its own max-subtracted softmax; a single logit's
+        softmax is exactly 1, so a one-image subset returns that image's
+        class values bit for bit.  ``evaluate`` is this mean gathered back
+        to pixels, and ``hid.blend_denoise`` calls it without building its
+        latents in pixels.
         """
         step = _check_step(t, 1, self.schedule.T, self.schedule)
         groups = len(self.column_classes.counts)
         sums = np.asarray(sums, dtype=np.float64)
-        if sums.ndim not in (1, 2) or sums.shape[-1] != groups:
-            raise ValueError(f"class sums {sums.shape} are not ({groups},) or a stack of it")
-        _, columns, row_sq = self._subset(cond)
-        # -|z - sqrt(ab) x_i|^2 / (2 (1 - ab)) up to the shared |z|^2 term,
-        # which cancels in the softmax; z . x_i is sums . (column of x_i)
+        if sums.ndim != 3 or sums.shape[-1] != groups:
+            raise ValueError(f"class sums {sums.shape} are not (R, M, {groups})")
+        if len(conds) != len(sums):
+            raise ValueError(f"{len(conds)} conditions for {len(sums)} stacks of class sums")
+        subsets = [self._subset(cond) for cond in conds]
+        sizes = [indices.size for indices, _, _ in subsets]
         ab = float(self.schedule.alpha_bar[step])
-        logits = (2.0 * math.sqrt(ab) * (sums @ columns) - ab * row_sq) / (2.0 * (1.0 - ab))
-        logits -= logits.max(axis=-1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=-1, keepdims=True)
-        return logits @ columns.T
+        x0 = np.empty_like(sums)
+        for size in set(sizes):
+            stacks = [r for r, other in enumerate(sizes) if other == size]
+            x0[stacks] = _stacked_posterior_mean(sums[stacks], [subsets[r] for r in stacks], ab)
+        return x0
+
+
+def _stacked_posterior_mean(sums: np.ndarray, subsets, ab: float) -> np.ndarray:
+    """``class_posterior_mean`` for (R, M, G) sums and R subsets of one size S."""
+    # one subset's own columns, not a copy: copying the null's (121, 324)
+    # table made a one-latent call take 42 us instead of 25 us (median of 20
+    # alternating blocks; 2 vCPUs, one BLAS thread)
+    if len(subsets) == 1:
+        columns, row_sq = subsets[0][1][None], subsets[0][2]
+    else:
+        columns = np.stack([columns for _, columns, _ in subsets])
+        row_sq = np.stack([row_sq for _, _, row_sq in subsets])
+    # -|z - sqrt(ab) x_i|^2 / (2 (1 - ab)) up to the shared |z|^2 term,
+    # which cancels in the softmax; z . x_i is sums . (column of x_i)
+    logits = (2.0 * math.sqrt(ab) * (sums @ columns) - ab * row_sq) / (2.0 * (1.0 - ab))
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits @ columns.transpose(0, 2, 1)
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -155,9 +156,11 @@ def blend_denoise(
     Each step forms the rows' class sums from those values and the
     closed-form outside values, takes the null condition's posterior mean
     for the whole stack and each head condition's for its run of adjacent
-    rows (``class_posterior_mean``), and applies CFG and the DDIM step to
-    the (B, G) values.  The pixels are gathered once at the end, and the
-    unmasked ones are the bodies themselves, bit for bit (c[0] is 1).
+    rows (``class_posterior_mean``: one call for all runs of one length,
+    so one call when every pair brings one run), and applies CFG and the
+    DDIM step to the (B, G) values.  The pixels are gathered once at the
+    end, and the unmasked ones are the bodies themselves, bit for bit
+    (c[0] is 1).
     Raises ValueError for a body that is not constant on the classes.
     """
     sched, classes = pred.schedule, pred.column_classes
@@ -170,14 +173,17 @@ def blend_denoise(
     n_in = classes.sums(inside.astype(np.int64))
     n_out = classes.counts - n_in
     z = coefficients[cfg.edit_start] * x_g
-    starts = [b for b in range(len(conds)) if b == 0 or conds[b] != conds[b - 1]]
-    runs = [(slice(a, b), conds[a]) for a, b in zip(starts, starts[1:] + [len(conds)])]
+    # runs of adjacent rows sharing a condition, grouped by length as (R, M) row indices
+    runs = [list(run) for _, run in groupby(range(len(conds)), key=conds.__getitem__)]
+    lengths = {len(run) for run in runs}
+    by_length = [np.array([run for run in runs if len(run) == m]) for m in lengths]
+    run_conds = [[conds[run[0]] for run in rows] for rows in by_length]
     x0_cond = np.empty_like(z)
     for t in range(cfg.edit_start, 0, -1):
         sums = n_in * z + n_out * (coefficients[t] * x_g)
-        for rows, cond in runs:
-            x0_cond[rows] = pred.class_posterior_mean(sums[rows], t, cond)
-        x0_null = pred.class_posterior_mean(sums, t, NULL_CONDITION)
+        for rows, row_conds in zip(by_length, run_conds):
+            x0_cond[rows] = pred.class_posterior_mean(sums[rows], t, row_conds)
+        x0_null = pred.class_posterior_mean(sums[None], t, [NULL_CONDITION])[0]
         # the noise of each masked value, rounded as ``evaluate`` rounds it
         scale, spread = -math.sqrt(sched.alpha_bar[t]), math.sqrt(1.0 - sched.alpha_bar[t])
         guided = cfg_combine((x0_null * scale + z) / spread, (x0_cond * scale + z) / spread, cfg.w)

@@ -7,7 +7,7 @@ bit-identical across runs and platforms, and per-render head/hair masks
 provide exact edit-region ground truth.  Clothing is painted as a
 half-density checkerboard rather than a solid block so that the residual
 clothing ambiguity of partially constrained conditions cannot saturate a
-smoothed, thresholded edit map (see render_avatar).
+smoothed, thresholded edit map (see render_avatars).
 """
 
 from __future__ import annotations
@@ -177,31 +177,22 @@ _TORSO_DOTS = (
     (TORSO_TOP <= _YY) & (_YY <= TORSO_BOTTOM) & (TORSO_LEFT <= _XX) & (_XX <= TORSO_RIGHT)
 ) & ((_YY + _XX) % 2 == 0)
 
+# what a pixel shows: the row of the avatar's 4-colour palette it takes
+BACKGROUND_LAYER, CLOTHING_LAYER, HAIR_LAYER, SKIN_LAYER = 0, 1, 2, 3
 
-def render_avatar(attrs: AttributeSpec) -> AvatarRender:
-    """Render one avatar deterministically.
 
-    Layout: flat light background; clothing as a checkerboard over the
-    torso rectangle; a radius-6 head disc in the skin color, shifted
-    horizontally by 4 px per tilt step; two brow pixels inside the disc in
-    the hair color (so hair color is visible even on bald avatars); a thick
-    cap arc above the disc for short hair; cap plus two side columns
-    reaching 8 rows below the disc bottom for long hair.
-    """
+def _paint_layers(style: int, tilt: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The paint-layer map, head disc and hair mask shared by every avatar
+    of one hair style and head tilt; the colours are all that differ."""
     cy = HEAD_CY
-    cx = HEAD_CX + TILT_STEP * attrs.head_tilt
-
-    image = np.empty((SIZE, SIZE, 3), dtype=np.float64)
-    image[:] = BACKGROUND
-    image[_TORSO_DOTS] = CLOTHING_PALETTE[attrs.clothing_color]
-
+    cx = HEAD_CX + TILT_STEP * tilt
     d2 = (_YY - cy) ** 2 + (_XX - cx) ** 2
     disc = d2 <= HEAD_RADIUS**2
 
     hair = np.zeros((SIZE, SIZE), dtype=bool)
-    if attrs.hair_style != BALD:
+    if style != BALD:
         hair |= (d2 > HEAD_RADIUS**2) & (d2 <= HAIR_OUTER_RADIUS**2) & (_YY <= cy)
-    if attrs.hair_style == LONG:
+    if style == LONG:
         span = np.abs(_XX - cx)
         hair |= (
             (span >= SIDE_HAIR_INNER)
@@ -209,18 +200,66 @@ def render_avatar(attrs: AttributeSpec) -> AvatarRender:
             & (_YY > cy)
             & (_YY <= SIDE_HAIR_BOTTOM)
         )
-    image[hair] = HAIR_PALETTE[attrs.hair_color]
 
-    image[disc] = SKIN_PALETTE[attrs.skin_tone]
+    layers = np.where(_TORSO_DOTS, CLOTHING_LAYER, BACKGROUND_LAYER).astype(np.uint8)
+    layers[hair] = HAIR_LAYER
+    layers[disc] = SKIN_LAYER
     for dy, dx in BROW_OFFSETS:
-        image[cy + dy, cx + dx] = HAIR_PALETTE[attrs.hair_color]
+        layers[cy + dy, cx + dx] = HAIR_LAYER
+    return layers, disc.astype(np.uint8), hair.astype(np.uint8)
 
-    return AvatarRender(
-        image=image,
-        head_mask=disc.astype(np.uint8),
-        hair_mask=hair.astype(np.uint8),
-        attrs=attrs,
-    )
+
+def _paint_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only layer, disc and hair tables, one entry per (hair_style, head_tilt)."""
+    painted = [
+        _paint_layers(style, tilt)
+        for style in ATTRIBUTE_VALUES["hair_style"]
+        for tilt in TILT_VALUES
+    ]
+    tables = tuple(np.stack(maps) for maps in zip(*painted))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+# entry hair_style * 3 + head_tilt + 1 serves that style and tilt
+_LAYERS, _DISCS, _HAIRS = _paint_tables()
+
+
+def render_avatars(specs: Iterable[AttributeSpec]) -> list[AvatarRender]:
+    """Render a batch of avatars deterministically, each one palette gather.
+
+    Layout: flat light background; clothing as a checkerboard over the
+    torso rectangle; a radius-6 head disc in the skin color, shifted
+    horizontally by 4 px per tilt step; two brow pixels inside the disc in
+    the hair color (so hair color is visible even on bald avatars); a thick
+    cap arc above the disc for short hair; cap plus two side columns
+    reaching 8 rows below the disc bottom for long hair.  That geometry
+    depends on hair style and tilt only, so it is painted once per pair of
+    them, into read-only layer maps; each avatar's image takes its
+    palette's row for every pixel's layer.  Each image is its own array;
+    each render's masks are its own rows of the batch's two mask arrays,
+    so writing into one render changes no table and no other render.
+    """
+    specs = list(specs)
+    ints = np.array([attrs.to_ints() for attrs in specs], dtype=np.intp).reshape(len(specs), 5)
+    skin, style, hair_color, clothing, tilt = ints.T
+    kinds = style * len(TILT_VALUES) + tilt - TILT_VALUES[0]
+    palettes = np.empty((len(specs), 4, 3))
+    palettes[:, BACKGROUND_LAYER] = BACKGROUND
+    palettes[:, CLOTHING_LAYER] = CLOTHING_PALETTE[clothing]
+    palettes[:, HAIR_LAYER] = HAIR_PALETTE[hair_color]
+    palettes[:, SKIN_LAYER] = SKIN_PALETTE[skin]
+    images = [palette.take(_LAYERS[k], axis=0) for palette, k in zip(palettes, kinds.tolist())]
+    return [
+        AvatarRender(image=image, head_mask=head, hair_mask=hair, attrs=attrs)
+        for image, head, hair, attrs in zip(images, _DISCS[kinds], _HAIRS[kinds], specs)
+    ]
+
+
+def render_avatar(attrs: AttributeSpec) -> AvatarRender:
+    """Render one avatar: a batch of one (``render_avatars``)."""
+    return render_avatars([attrs])[0]
 
 
 def all_attribute_specs() -> list[AttributeSpec]:
@@ -237,7 +276,7 @@ def all_attribute_specs() -> list[AttributeSpec]:
 
 def enumerate_dataset() -> list[AvatarRender]:
     """Render the full 324-avatar corpus in lexicographic attribute order."""
-    return [render_avatar(attrs) for attrs in all_attribute_specs()]
+    return render_avatars(all_attribute_specs())
 
 
 def composite_spec(body: AttributeSpec, head: AttributeSpec) -> AttributeSpec:

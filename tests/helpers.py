@@ -7,7 +7,9 @@ array, the denoiser references evaluate naive (unshifted) exponentials in
 time (``pixel_posterior_weights``), and the blended-denoise reference
 steps one latent at a time with the single-latent predictor.
 ``files_identical`` compares written artifacts byte for byte, and
-``read_pnm`` reads a written P5/P6 file's raster bytes back.
+``read_pnm`` reads a written P5/P6 file's raster bytes back.  The avatar
+reference (``paint_avatar``) paints one avatar layer by layer from its
+attributes, as the renderer did before it gathered from shared layer maps.
 """
 
 import math
@@ -17,7 +19,8 @@ import mpmath
 import numpy as np
 
 from headswap.diffusion import cfg_combine, ddim_sample_step
-from headswap.synthgen import NULL_CONDITION
+from headswap import synthgen
+from headswap.synthgen import NULL_CONDITION, AttributeSpec, AvatarRender
 
 
 def dense_gaussian_reference(field: np.ndarray, sigma: float) -> np.ndarray:
@@ -88,6 +91,47 @@ def per_latent_blend_denoise(traj, mask, cond_head, cfg, sched, pred) -> np.ndar
         )
         z = np.where(inside, ddim_sample_step(z, guided, t, sched), traj[t - 1])
     return z
+
+
+def paint_avatar(attrs: AttributeSpec) -> AvatarRender:
+    """One avatar painted in place: background, clothing dots, hair, disc, brows."""
+    g = synthgen
+    yy, xx = np.ogrid[: g.SIZE, : g.SIZE]
+    cy = g.HEAD_CY
+    cx = g.HEAD_CX + g.TILT_STEP * attrs.head_tilt
+
+    image = np.empty((g.SIZE, g.SIZE, 3), dtype=np.float64)
+    image[:] = g.BACKGROUND
+    rows = (g.TORSO_TOP <= yy) & (yy <= g.TORSO_BOTTOM)
+    cols = (g.TORSO_LEFT <= xx) & (xx <= g.TORSO_RIGHT)
+    image[rows & cols & ((yy + xx) % 2 == 0)] = g.CLOTHING_PALETTE[attrs.clothing_color]
+
+    d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+    disc = d2 <= g.HEAD_RADIUS**2
+
+    hair = np.zeros((g.SIZE, g.SIZE), dtype=bool)
+    if attrs.hair_style != g.BALD:
+        hair |= (d2 > g.HEAD_RADIUS**2) & (d2 <= g.HAIR_OUTER_RADIUS**2) & (yy <= cy)
+    if attrs.hair_style == g.LONG:
+        span = np.abs(xx - cx)
+        hair |= (
+            (span >= g.SIDE_HAIR_INNER)
+            & (span <= g.SIDE_HAIR_OUTER)
+            & (yy > cy)
+            & (yy <= g.SIDE_HAIR_BOTTOM)
+        )
+    image[hair] = g.HAIR_PALETTE[attrs.hair_color]
+
+    image[disc] = g.SKIN_PALETTE[attrs.skin_tone]
+    for dy, dx in g.BROW_OFFSETS:
+        image[cy + dy, cx + dx] = g.HAIR_PALETTE[attrs.hair_color]
+
+    return AvatarRender(
+        image=image,
+        head_mask=disc.astype(np.uint8),
+        hair_mask=hair.astype(np.uint8),
+        attrs=attrs,
+    )
 
 
 def read_pnm(path) -> np.ndarray:

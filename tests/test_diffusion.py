@@ -138,7 +138,8 @@ class TestEmpiricalEps:
         classes = pred.column_classes
         flat = images.reshape(len(images), -1)
         for z in rng.normal(size=(4,) + SHAPE):
-            x0 = pred.class_posterior_mean(classes.sums(z.ravel()), 35, NULL_CONDITION)
+            sums = classes.sums(z.reshape(1, 1, -1))
+            x0 = pred.class_posterior_mean(sums, 35, [NULL_CONDITION])[0, 0]
             assert (x0[classes.inv] >= flat.min(axis=0) - 1e-12).all()
             assert (x0[classes.inv] <= flat.max(axis=0) + 1e-12).all()
 
@@ -161,7 +162,7 @@ class TestEmpiricalEps:
         classes = pred.column_classes
         for t in (1, 20, 50):
             z = rng.normal(size=SHAPE)
-            x0 = pred.class_posterior_mean(classes.sums(z.ravel()), t, cond)
+            x0 = pred.class_posterior_mean(classes.sums(z.reshape(1, 1, -1)), t, [cond])[0, 0]
             assert x0[classes.inv].tobytes() == x.tobytes()
             # the general path: a softmax over the one logit, then the weighted mean
             ab = float(sched.alpha_bar[t])
@@ -208,21 +209,36 @@ class TestStackedPredictor:
             masked = corpus_logits[:, indices]
             masked = np.exp(masked - masked.max(axis=1, keepdims=True))
             expected = (masked / masked.sum(axis=1, keepdims=True)) @ flat[indices]
-            x0 = predictor.class_posterior_mean(sums, t, cond)
+            x0 = predictor.class_posterior_mean(sums[None], t, [cond])[0]
             np.testing.assert_allclose(x0[:, classes.inv], expected, rtol=0, atol=1e-12)
             for row in range(len(z)):
-                row_x0 = predictor.class_posterior_mean(sums[row], t, cond)
+                row_x0 = predictor.class_posterior_mean(sums[None, None, row], t, [cond])[0, 0]
                 np.testing.assert_allclose(x0[row], row_x0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_stack_of_one_bit_equals_single_latent(self, stack, predictor, t):
+        # latents stacked as stacks of one row each give each latent's own bits
+        z, conds = stack
+        sums = predictor.column_classes.sums(z.reshape(len(z), 1, -1))
+        for cond in conds:
+            stacked = predictor.class_posterior_mean(sums, t, [cond] * len(z))
+            for row in range(len(z)):
+                x0 = predictor.class_posterior_mean(sums[row : row + 1], t, [cond])
+                assert np.array_equal(stacked[row], x0[0])
+
+    @pytest.mark.parametrize("t", [1, 25, 50])
+    def test_stacks_under_mixed_conditions_bit_equal_each_stack_alone(self, stack, predictor, t):
+        # subsets of 4, 4, 4, 324 and 1 images: the equal sizes share one
+        # stacked matmul, and every stack keeps the bits of its own call
         z, conds = stack
         sums = predictor.column_classes.sums(z.reshape(len(z), -1))
-        for cond in conds:
-            for row in range(len(z)):
-                x0 = predictor.class_posterior_mean(sums[row], t, cond)
-                stacked = predictor.class_posterior_mean(sums[row : row + 1], t, cond)
-                assert np.array_equal(stacked, x0[None])
+        for rows in (slice(0, 3), slice(0, 1), slice(None)):
+            stacks = np.stack([sums[rows]] * len(conds))
+            x0 = predictor.class_posterior_mean(stacks, t, conds)
+            assert x0.shape == stacks.shape
+            for stack_sums, cond, stack_x0 in zip(stacks, conds, x0):
+                alone = predictor.class_posterior_mean(stack_sums[None], t, [cond])
+                assert np.array_equal(stack_x0, alone[0])
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_evaluate_is_class_posterior_mean_scattered(self, stack, predictor, t):
@@ -234,13 +250,16 @@ class TestStackedPredictor:
         for cond, size in ((NULL_CONDITION, 324), (conds[0], 4)):
             assert matching(all_attribute_specs(), cond).size == size
             for latent, latent_sums in zip(z, sums):
-                x0 = predictor.class_posterior_mean(latent_sums, t, cond)
+                x0 = predictor.class_posterior_mean(latent_sums[None, None], t, [cond])[0, 0]
                 scattered = (x0 * -math.sqrt(ab))[classes.inv].reshape(latent.shape)
                 want = (scattered + latent) / math.sqrt(1.0 - ab)
                 assert np.array_equal(predictor.evaluate(latent, t, cond), want)
-        for bad in (sums[:, :-1], sums[None], z):
-            with pytest.raises(ValueError):
-                predictor.class_posterior_mean(bad, t, NULL_CONDITION)
+        for bad in (sums[None, :, :-1], sums, sums[0], z):
+            with pytest.raises(ValueError, match="class sums"):
+                predictor.class_posterior_mean(bad, t, [NULL_CONDITION])
+        for bad_conds in ([], [NULL_CONDITION] * 2):
+            with pytest.raises(ValueError, match="conditions for 1 stacks"):
+                predictor.class_posterior_mean(sums[None], t, bad_conds)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_one_image_posterior_mean_is_its_column(self, stack, predictor, t):
@@ -252,7 +271,7 @@ class TestStackedPredictor:
         classes = predictor.column_classes
         (index,) = matching(all_attribute_specs(), conds[4])
         sums = classes.sums(latents.reshape(len(latents), -1))
-        x0 = predictor.class_posterior_mean(sums, t, conds[4])
+        x0 = predictor.class_posterior_mean(sums[None], t, [conds[4]])[0]
         assert x0.shape == sums.shape
         assert x0.tobytes() == np.tile(classes.table[:, index], (len(latents), 1)).tobytes()
 

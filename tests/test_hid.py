@@ -27,6 +27,7 @@ from headswap.synthgen import (
     Condition,
     all_attribute_specs,
     condition_match,
+    ground_truth_edit_mask,
     oracle_swap,
     render_avatar,
 )
@@ -246,3 +247,38 @@ class TestClassSpaceBlend:
             reference = per_latent_blend_denoise(trajectory, mask, cond, cfg, sched, pred)
             assert np.abs(output - reference).max() <= 1e-12
             assert np.array_equal(output[~mask], body[~mask])
+
+    def test_runs_of_shared_head_conditions_keep_their_own_bits(self, predictor, monkeypatch):
+        # adjacent rows sharing a head condition form one run, and the runs
+        # of one length share a posterior call per step; each run's head
+        # posterior keeps the bits of a call for that run alone
+        specs = all_attribute_specs()
+        pairs = [(specs[k], specs[j]) for k, j in ((5, 200), (17, 90), (300, 41), (120, 250))]
+        lengths = (3, 6, 3, 1)  # runs of 3, 6, 3 and 1 rows: three lengths
+        rows = [pair for pair, length in zip(pairs, lengths) for _ in range(length)]
+        bodies = [render_avatar(body).image for body, _ in rows]
+        masks = [ground_truth_edit_mask(body, head) for body, head in rows]
+        conds = [compose_head_condition(head, body) for body, head in rows]
+        cfg = RunConfig()
+        coefficients = inversion_coefficients(predictor.schedule)
+        original, calls = predictor.class_posterior_mean, []
+
+        def spy(sums, t, stack_conds):
+            x0 = original(sums, t, stack_conds)
+            calls.append((sums, t, stack_conds, x0))
+            return x0
+
+        monkeypatch.setattr(predictor, "class_posterior_mean", spy)
+        outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, predictor)
+        assert len(calls) == cfg.edit_start * (len(set(lengths)) + 1)  # + the null call
+        head_calls = [call for call in calls if call[2] != [NULL_CONDITION]]
+        assert sorted(len(call[2]) for call in head_calls[:3]) == [1, 1, 2]
+        for sums, t, stack_conds, x0 in head_calls:
+            for stack_sums, cond, stack_x0 in zip(sums, stack_conds, x0):
+                assert np.array_equal(stack_x0, original(stack_sums[None], t, [cond])[0])
+        for body, mask, cond, output in zip(bodies, masks, conds, outputs):
+            trajectory = coefficients[:, None, None, None] * body
+            reference = per_latent_blend_denoise(
+                trajectory, mask, cond, cfg, predictor.schedule, predictor
+            )
+            assert np.abs(output - reference).max() <= 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headswap import synthgen
 from headswap.synthgen import (
     ATTRIBUTE_VALUES,
     BACKGROUND,
@@ -26,9 +28,14 @@ from headswap.synthgen import (
     condition_match,
     composite_spec,
     ground_truth_edit_mask,
+    enumerate_dataset,
     oracle_swap,
     render_avatar,
+    render_avatars,
 )
+from helpers import paint_avatar
+
+RENDER_FIELDS = ("image", "head_mask", "hair_mask")
 
 
 def spec(skin=0, style=SHORT, color=0, cloth=0, tilt=0):
@@ -94,9 +101,73 @@ class TestRenderer:
             assert r.head_mask.sum() > 0
 
 
+class TestBatchRenderer:
+    """``render_avatars`` gathers from shared layer tables; ``paint_avatar`` paints."""
+
+    @pytest.mark.parametrize("batch", ["corpus", "shuffled_with_repeats", "one"])
+    def test_batches_bit_equal_the_painted_reference(self, batch):
+        specs = all_attribute_specs()
+        gen = np.random.default_rng(5)
+        batch = {
+            "corpus": specs,
+            "shuffled_with_repeats": [specs[int(k)] for k in gen.choice(324, size=40)],
+            "one": [spec(2, LONG, 1, 3, -1)],
+        }[batch]
+        renders = render_avatars(batch)
+        assert [r.attrs for r in renders] == batch
+        for attrs, render in zip(batch, renders):
+            reference = paint_avatar(attrs)
+            for field in RENDER_FIELDS:
+                got, want = getattr(render, field), getattr(reference, field)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_empty_batch(self):
+        assert render_avatars([]) == []
+
+    def test_tables_are_read_only(self):
+        for table in (synthgen._LAYERS, synthgen._DISCS, synthgen._HAIRS):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1
+
+    def test_renders_share_no_memory(self):
+        a, b = spec(1, LONG, 2, 3, 1), spec(0, BALD, 1, 0, -1)
+        renders = render_avatars([a, b, a]) + [render_avatar(a)]
+        arrays = [getattr(r, field) for r in renders for field in RENDER_FIELDS]
+        for table in (synthgen._LAYERS, synthgen._DISCS, synthgen._HAIRS):
+            assert not any(np.shares_memory(array, table) for array in arrays)
+        for first, second in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(first, second)
+
+    def test_writing_into_a_render_leaves_later_renders_unchanged(self):
+        a = spec(1, LONG, 2, 3, 1)
+        first, twin = render_avatars([a, a])
+        for field in RENDER_FIELDS:
+            getattr(first, field)[...] = 7
+        in_corpus = enumerate_dataset()[all_attribute_specs().index(a)]
+        later = [twin, render_avatar(a), *render_avatars([a]), in_corpus]
+        reference = paint_avatar(a)
+        for render in later:
+            for field in RENDER_FIELDS:
+                assert getattr(render, field).tobytes() == getattr(reference, field).tobytes()
+
+
 class TestDataset:
     def test_length(self, dataset):
         assert len(dataset) == 324
+
+    def test_corpus_digest(self):
+        # Pins the corpus bytes that every predictor is built from: images
+        # and both masks, stacked in lexicographic attribute order.
+        renders = enumerate_dataset()
+        stacks = {field: np.stack([getattr(r, field) for r in renders]) for field in RENDER_FIELDS}
+        digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in stacks.items()}
+        assert digests == {
+            "image": "9206c5f16b635127d938616f8450b93a786c123ada778e60af26889631c3be21",
+            "head_mask": "f84ebefee67b9869b83cb74745ffd0d91e57ca3df04235271927cd8fca652cce",
+            "hair_mask": "357bd211aad54295eb4c13ccc4ff6884ccdca1cb7135b9257a6c05e484331cec",
+        }
 
     def test_first_element_has_first_enum_values(self, dataset):
         assert dataset[0].attrs == AttributeSpec(0, BALD, 0, 0, -1)
