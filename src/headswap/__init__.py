@@ -25,7 +25,7 @@ from .hid import (
     blend_denoise,
     body_condition,
     compose_head_condition,
-    extract_mask,
+    extract_masks,
     run_headswap,
     swap_pairs,
 )

@@ -24,7 +24,7 @@ from .experiment import (
     summarize,
     write_metrics,
 )
-from .hid import body_condition, body_inversion, compose_head_condition, extract_mask, run_headswap
+from .hid import body_condition, body_inversion, compose_head_condition, extract_masks, run_headswap
 from .imaging import minmax_normalize, overlay_heatmap, write_gray, write_image, write_mask
 from .iomask import VARIANTS
 from .metrics import swap_reference
@@ -207,8 +207,9 @@ def _cmd_mask(args) -> int:
     image = render_avatar(body).image
     z_edit = body_inversion(cfg, pred)[cfg.edit_start] * image
     cond_head, cond_body = compose_head_condition(head, body), body_condition(body)
-    [(edit_map, mask)] = extract_mask(z_edit, cond_head, cond_body, cfg, (cfg.variant,), pred)
-    _write_mask_files(cfg.out_dir, image, edit_map, mask)
+    maps, masks = extract_masks(z_edit[None], [cond_head], [cond_body], cfg, (cfg.variant,), pred)
+    mask = masks[0, 0]
+    _write_mask_files(cfg.out_dir, image, maps[0, 0], mask)
     print(f"mask covers {int(mask.sum())} pixels at t={cfg.edit_start}")
     return 0
 

@@ -119,12 +119,13 @@ class EmpiricalNoisePredictor:
     takes the posterior mean x0 = sum w_i x_i, and returns the implied
     noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).
 
-    The posterior is computed in one place, ``class_posterior_mean``, on
-    the corpus's ``ColumnClasses``: z_t . x_i needs only z_t summed over
-    each class, and the mean is formed per class.  ``evaluate`` sums the
-    pixels over the classes, calls it and gathers the mean back to pixels,
-    which is exact because the classes are; when one image matches, its
-    weight is 1 and ``evaluate`` uses that image directly.
+    The posterior is computed in one place, the kernel behind
+    ``class_posterior_mean``, on the corpus's ``ColumnClasses``: z_t . x_i
+    needs only z_t summed over each class, and the mean is formed per
+    class.  ``evaluate_stack`` sums a stack's pixels over the classes,
+    calls it and gathers the means back to pixels, which is exact because
+    the classes are; when one image matches, its weight is 1 and the
+    prediction uses that image directly.  ``evaluate`` is a stack of one.
     """
 
     def __init__(
@@ -185,20 +186,75 @@ class EmpiricalNoisePredictor:
         if z_t.shape != self.grid_shape:
             raise ValueError(f"latent shape {z_t.shape} is not {self.grid_shape}")
         indices = self._subset(cond)[0]
+        if indices.size > 1:
+            return self.evaluate_stack(z_t[None], step, [cond])[0]
+        # weight 1: x0 is that image, bit for bit, and no class sums, which
+        # keeps a stepped inversion's one-image calls cheap
         alpha_bar = float(self.schedule.alpha_bar[step])
         # (z_t - sqrt(ab) x0) / sqrt(1 - ab): adding the negated product rounds
         # as subtracting it does
-        scale = -math.sqrt(alpha_bar)
-        if indices.size == 1:  # weight 1: x0 is that image, bit for bit, and no class sums
-            eps = z_t + self.images[indices[0]] * scale
+        eps = z_t + self.images[indices[0]] * -math.sqrt(alpha_bar)
+        eps /= math.sqrt(1.0 - alpha_bar)
+        return eps
+
+    def evaluate_stack(self, z_t: np.ndarray, t, conds: Sequence[Condition]) -> np.ndarray:
+        """``evaluate`` of each latent of a stack (P, H, W, C), latent p under
+        ``conds[p]``, bit for bit: (P, H, W, C).
+
+        When every condition keeps one image, each latent takes its image,
+        as ``evaluate`` does.  Otherwise the stack takes one
+        ``class_posterior_mean`` call as stacks of one latent, so each makes
+        a GEMV of ``evaluate``'s shape, and a one-image subset's mean is its
+        image's class values, bit for bit.
+        """
+        step = _check_step(t, 1, self.schedule.T, self.schedule)
+        z_t = np.asarray(z_t, dtype=np.float64)
+        if z_t.shape[1:] != self.grid_shape or len(conds) != len(z_t):
+            raise ValueError(f"{len(conds)} conditions for latents {z_t.shape}")
+        kept = [self._subset(cond)[0] for cond in conds]
+        alpha_bar = float(self.schedule.alpha_bar[step])
+        scale = -math.sqrt(alpha_bar)  # as in ``evaluate``
+        if all(indices.size == 1 for indices in kept):
+            eps = z_t + self.images[[indices[0] for indices in kept]] * scale
         else:  # each class's mean is scaled once, then gathered to its pixels
             classes = self.column_classes
-            sums = classes.sums(z_t.reshape(-1))[None, None]
-            x0 = self.class_posterior_mean(sums, step, [cond])[0, 0]
-            eps = np.take(x0 * scale, classes.inv).reshape(z_t.shape)
+            sums = classes.sums(z_t.reshape(len(z_t), -1))[:, None]
+            x0 = self.class_posterior_mean(sums, step, conds)[:, 0]
+            eps = np.take(x0 * scale, classes.inv, axis=-1).reshape(z_t.shape)
             eps += z_t
         eps /= math.sqrt(1.0 - alpha_bar)
         return eps
+
+    def posterior_plan(
+        self, conds: Sequence[Condition], lengths: Sequence[int]
+    ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+        """The posterior kernel's operands for stacks of latents, built once.
+
+        Stack r holds ``lengths[r]`` latents under ``conds[r]``.  Stacks of
+        one length M whose subsets have one size S form a group, returned
+        in the order of first appearance as (member stacks, columns,
+        squared norms); ``_stacked_posterior_mean(sums, columns, norms,
+        ab)`` then takes the members' (R, M, G) class sums.  The columns
+        and norms are (R, G, S) and (R, 1, S) stacks, or one subset's own
+        (G, S) and (1, S) when the members share it: copying the null's
+        (121, 324) table made a one-latent call take 42 us instead of 25 us
+        (median of 20 alternating blocks; 2 vCPUs, one BLAS thread).  Either
+        way numpy makes one BLAS call per stack, of that stack's own shape,
+        so a stack's bits do not depend on the stacks beside it.
+        """
+        subsets = [self._subset(cond) for cond in conds]
+        keys = [(length, subset[0].size) for length, subset in zip(lengths, subsets)]
+        plan = []
+        for key in dict.fromkeys(keys):
+            members = [r for r, other in enumerate(keys) if other == key]
+            group = [subsets[r] for r in members]
+            if all(subset is group[0] for subset in group):
+                columns, norms = group[0][1:]
+            else:
+                columns = np.stack([columns for _, columns, _ in group])
+                norms = np.stack([norms for _, _, norms in group])
+            plan.append((members, columns, norms))
+        return plan
 
     def class_posterior_mean(
         self, sums: np.ndarray, t, conds: Sequence[Condition]
@@ -208,15 +264,13 @@ class EmpiricalNoisePredictor:
         ``sums`` is (R, M, G): R stacks of M latents' values summed over each
         class (``ColumnClasses.sums``), which is all the logits depend on;
         stack r is conditioned on ``conds[r]``.  The result has its shape.
-        Stacks whose subsets have the same size S are taken together, as
-        one (R', M, G) @ (R', G, S) matmul for the logits and one back for
-        the means; numpy makes one BLAS call per stack, of that stack's own
-        shape, so a stack's bits do not depend on the stacks beside it.
-        Each row takes its own max-subtracted softmax; a single logit's
-        softmax is exactly 1, so a one-image subset returns that image's
-        class values bit for bit.  ``evaluate`` is this mean gathered back
-        to pixels, and ``hid.blend_denoise`` calls it without building its
-        latents in pixels.
+        Stacks whose subsets have one size are taken together
+        (``posterior_plan``), each in a BLAS call of its own shape.  Each
+        row takes its own max-subtracted softmax; a single logit's softmax
+        is exactly 1, so a one-image subset returns that image's class
+        values bit for bit.  ``evaluate_stack`` is this mean gathered back
+        to pixels, and ``hid.blend_denoise`` runs the same kernel on a plan
+        it builds once per denoise.
         """
         step = _check_step(t, 1, self.schedule.T, self.schedule)
         groups = len(self.column_classes.counts)
@@ -225,33 +279,44 @@ class EmpiricalNoisePredictor:
             raise ValueError(f"class sums {sums.shape} are not (R, M, {groups})")
         if len(conds) != len(sums):
             raise ValueError(f"{len(conds)} conditions for {len(sums)} stacks of class sums")
-        subsets = [self._subset(cond) for cond in conds]
-        sizes = [indices.size for indices, _, _ in subsets]
         ab = float(self.schedule.alpha_bar[step])
         x0 = np.empty_like(sums)
-        for size in set(sizes):
-            stacks = [r for r, other in enumerate(sizes) if other == size]
-            x0[stacks] = _stacked_posterior_mean(sums[stacks], [subsets[r] for r in stacks], ab)
+        for members, columns, norms in self.posterior_plan(conds, [sums.shape[1]] * len(sums)):
+            x0[members] = _stacked_posterior_mean(sums[members], columns, norms, ab)
         return x0
 
 
-def _stacked_posterior_mean(sums: np.ndarray, subsets, ab: float) -> np.ndarray:
-    """``class_posterior_mean`` for (R, M, G) sums and R subsets of one size S."""
-    # one subset's own columns, not a copy: copying the null's (121, 324)
-    # table made a one-latent call take 42 us instead of 25 us (median of 20
-    # alternating blocks; 2 vCPUs, one BLAS thread)
-    if len(subsets) == 1:
-        columns, row_sq = subsets[0][1][None], subsets[0][2]
-    else:
-        columns = np.stack([columns for _, columns, _ in subsets])
-        row_sq = np.stack([row_sq for _, _, row_sq in subsets])
+# exp(x) is a normal double only for x >= log(2^-1022)
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
+
+
+def _posterior_weights(sums: np.ndarray, columns: np.ndarray, norms: np.ndarray, ab: float):
+    """The softmax weights (R, M, S) of ``_stacked_posterior_mean``."""
     # -|z - sqrt(ab) x_i|^2 / (2 (1 - ab)) up to the shared |z|^2 term,
     # which cancels in the softmax; z . x_i is sums . (column of x_i)
-    logits = (2.0 * math.sqrt(ab) * (sums @ columns) - ab * row_sq) / (2.0 * (1.0 - ab))
+    logits = (2.0 * math.sqrt(ab) * (sums @ columns) - ab * norms) / (2.0 * (1.0 - ab))
     logits -= logits.max(axis=-1, keepdims=True)
+    # A weight that would be subnormal after the division by the normaliser,
+    # at most S, is cut to an exact 0: subnormals put exp on its slow path
+    # and the weights matmul on subnormal operands, each several times
+    # slower.  No bit moves.  The top weight is exactly 1, so the normaliser
+    # is at least 1, and on the avatar corpus each class mean is a convex
+    # combination of values in [0.04, 0.93]; a term under S 2^-1022 is far
+    # under half an ulp of either.  The cut logits are raised to the cut for
+    # the exp and zeroed after it, since exp(-inf) is slow too: 19 against
+    # 4 us for 3,888 values, half of them -inf (numpy 2.4, 2 vCPUs).
+    cut = _LOG_TINY + math.log(logits.shape[-1])
+    below = logits < cut
+    np.maximum(logits, cut, out=logits)
     np.exp(logits, out=logits)
+    logits[below] = 0.0
     logits /= logits.sum(axis=-1, keepdims=True)
-    return logits @ columns.transpose(0, 2, 1)
+    return logits
+
+
+def _stacked_posterior_mean(sums, columns, norms, ab: float) -> np.ndarray:
+    """The posterior means (R, M, G) of (R, M, G) class sums under a ``posterior_plan`` group."""
+    return _posterior_weights(sums, columns, norms, ab) @ columns.swapaxes(-1, -2)
 
 
 def cfg_combine(eps_uncond: np.ndarray, eps_cond: np.ndarray, w: float) -> np.ndarray:

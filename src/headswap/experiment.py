@@ -22,21 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from .diffusion import EmpiricalNoisePredictor, make_schedule
-from .hid import RunConfig, SwapResult, swap_pairs
+from .hid import CHUNK_PAIRS, RunConfig, SwapResult, swap_pairs
 from .imaging import encode_image, encode_mask, minmax_normalize, overlay_heatmap
 from .metrics import SwapReference, attribute_probe, mask_iou, region_mse, swap_reference
 from .synthgen import AttributeSpec, all_attribute_specs, enumerate_dataset, render_avatar
 
 METRICS_FILENAME = "metrics.jsonl"
-
-# Pairs denoised in lockstep by swap_chunks (times its variants: the stack
-# height), and the most pairs run_experiment lets wait for the image
-# writer.  The denoise holds one value per (row, column class), so stack
-# temporaries do not bound the chunk, but larger chunks bought no measured
-# speed on a 2-core machine, and 30 pairs raised the benchmark's ablate
-# peak RSS from 62 to 67 MB.  The pair count is unbounded, so both the
-# chunk and the write backlog stay this small.
-CHUNK_PAIRS = 4
 
 # metrics.jsonl carries exactly these keys, in this order
 RECORD_FIELDS = (

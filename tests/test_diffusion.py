@@ -275,6 +275,20 @@ class TestStackedPredictor:
         assert x0.shape == sums.shape
         assert x0.tobytes() == np.tile(classes.table[:, index], (len(latents), 1)).tobytes()
 
+    @pytest.mark.parametrize("t", [1, 25, 50])
+    def test_evaluate_stack_bit_equals_each_evaluate(self, stack, predictor, t):
+        # the mask path's stacked predictions: one-image conditions take their
+        # image, the others stacks of one latent in one posterior call
+        z, conds = stack
+        for stack_conds in (conds + conds[:3], [NULL_CONDITION] * len(z), [conds[4]] * len(z)):
+            eps = predictor.evaluate_stack(z, t, stack_conds)
+            assert eps.shape == z.shape
+            for latent, cond, latent_eps in zip(z, stack_conds, eps):
+                assert latent_eps.tobytes() == predictor.evaluate(latent, t, cond).tobytes()
+        for bad_z, bad_conds in ((z, conds), (z[:, :-1], conds + conds[:3]), (z[0], conds[:1])):
+            with pytest.raises(ValueError, match="conditions for latents"):
+                predictor.evaluate_stack(bad_z, t, bad_conds)
+
     def test_one_image_evaluate_takes_no_class_sums(self, stack, predictor, monkeypatch):
         # one-image body evaluates run 50 times per inversion: they stay in pixels
         z, conds = stack
@@ -285,9 +299,10 @@ class TestStackedPredictor:
         monkeypatch.setattr(predictor, "class_posterior_mean", refuse)
         for latent in z:
             assert predictor.evaluate(latent, 30, conds[4]).shape == latent.shape
+        assert predictor.evaluate_stack(z, 30, [conds[4]] * len(z)).shape == z.shape
 
     def test_stack_shape_checked(self, stack, predictor):
-        # ``evaluate`` takes one latent; only ``class_posterior_mean`` takes stacks
+        # ``evaluate`` takes one latent; stacks go to ``evaluate_stack``
         z, conds = stack
         for bad in (z, z[:1], z[:, :-1], z[None], z.reshape(len(z), -1)):
             for cond in (NULL_CONDITION, conds[0], conds[4]):

@@ -127,10 +127,13 @@ class TestLockstep:
             if name.startswith("headswap") and hasattr(module, "invert_trajectory"):
                 monkeypatch.setattr(module, "invert_trajectory", refuse)
         conds = []
-        evaluate = predictor.evaluate
-        monkeypatch.setattr(
-            predictor, "evaluate", lambda z, t, cond: conds.append(cond) or evaluate(z, t, cond)
-        )
+        evaluate_stack = predictor.evaluate_stack
+
+        def spy(z, t, stack_conds):
+            conds.extend(stack_conds)
+            return evaluate_stack(z, t, stack_conds)
+
+        monkeypatch.setattr(predictor, "evaluate_stack", spy)
         pairs = sample_pairs(2, 2)
         results = swap_pairs(pairs, RunConfig(), VARIANTS, predictor)
         assert [len(per_pair) for per_pair in results] == [3, 3]

@@ -1,20 +1,29 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from headswap import cli
+from headswap import cli, hid
 from headswap.diffusion import (
     EmpiricalNoisePredictor,
     NoiseSchedule,
+    _posterior_weights,
     inversion_coefficients,
     make_schedule,
 )
+from headswap.experiment import sample_pairs
 from headswap.hid import (
     RunConfig,
     blend_denoise,
     body_condition,
     compose_head_condition,
-    extract_mask,
+    extract_masks,
     run_headswap,
+    swap_pairs,
 )
 from headswap.iomask import VARIANTS, build_iomask, io_predictions, variant_map
 from headswap.metrics import region_mse
@@ -33,6 +42,7 @@ from headswap.synthgen import (
 )
 from helpers import per_latent_blend_denoise
 
+ROOT = Path(__file__).resolve().parents[1]
 BODY = AttributeSpec(0, LONG, 0, 1, 0)
 HEAD = AttributeSpec(2, BALD, 1, 3, -1)
 
@@ -124,22 +134,41 @@ class TestExtractMask:
     def test_maps_are_taken_at_the_edit_step(self, predictor):
         cfg = RunConfig()
         coefficients = inversion_coefficients(predictor.schedule)
-        z_edit = coefficients[cfg.edit_start] * render_avatar(BODY).image
-        cond_head = compose_head_condition(HEAD, BODY)
+        z_edit = coefficients[cfg.edit_start] * render_avatar(BODY).image[None]
+        conds_head, conds_body = [compose_head_condition(HEAD, BODY)], [body_condition(BODY)]
 
         def maps_at(step):
-            predictions = io_predictions(
-                z_edit, step, cond_head, body_condition(BODY), cfg.w, predictor
-            )
-            return [variant_map(predictions, variant, cfg.w) for variant in VARIANTS]
+            predictions = io_predictions(z_edit, step, conds_head, conds_body, cfg.w, predictor)
+            return [variant_map(predictions, variant, cfg.w)[0] for variant in VARIANTS]
 
         expected = maps_at(cfg.edit_start)
         # the step matters: one step earlier gives different maps
         assert not any(np.array_equal(a, b) for a, b in zip(expected, maps_at(cfg.edit_start - 1)))
-        extracted = extract_mask(z_edit, cond_head, body_condition(BODY), cfg, VARIANTS, predictor)
-        for want, (edit_map, mask) in zip(expected, extracted):
+        maps, masks = extract_masks(z_edit, conds_head, conds_body, cfg, VARIANTS, predictor)
+        assert maps.shape == masks.shape == (1, len(VARIANTS), 32, 32)
+        for want, edit_map, mask in zip(expected, maps[0], masks[0]):
             assert np.array_equal(edit_map, want)
             assert np.array_equal(mask, build_iomask(want, cfg.mask))
+
+    @pytest.mark.parametrize("variants", [("full",), ("naive", "full"), VARIANTS], ids=len)
+    def test_stacked_extraction_bit_equals_stacks_of_one(self, predictor, variants):
+        # a chunk with repeated pairs, as the one stacked pass over its
+        # pairs, against each pair extracted alone
+        specs = all_attribute_specs()
+        pairs = [(specs[k], specs[j]) for k, j in ((5, 200), (17, 90), (5, 200), (300, 41))]
+        pairs.append((BODY, HEAD))
+        cfg = RunConfig()
+        c_edit = inversion_coefficients(predictor.schedule)[cfg.edit_start]
+        z_edit = c_edit * np.stack([render_avatar(body).image for body, _ in pairs])
+        conds_head = [compose_head_condition(head, body) for body, head in pairs]
+        conds_body = [body_condition(body) for body, _ in pairs]
+        maps, masks = extract_masks(z_edit, conds_head, conds_body, cfg, variants, predictor)
+        assert maps.shape == masks.shape == (len(pairs), len(variants), 32, 32)
+        assert masks.dtype == np.uint8 and masks.any()
+        for p, (z, cond_head, cond_body) in enumerate(zip(z_edit, conds_head, conds_body)):
+            alone = extract_masks(z[None], [cond_head], [cond_body], cfg, variants, predictor)
+            assert maps[p].tobytes() == alone[0][0].tobytes()
+            assert masks[p].tobytes() == alone[1][0].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +236,7 @@ class TestClassSpaceBlend:
         def refuse(*args):
             raise AssertionError("blend_denoise took a step")
 
-        monkeypatch.setattr(predictor, "class_posterior_mean", refuse)
+        monkeypatch.setattr(hid, "_stacked_posterior_mean", refuse)
         body = render_avatar(BODY).image
         mask = np.ones((32, 32), dtype=np.uint8)
         coefficients = inversion_coefficients(sched50)
@@ -250,8 +279,9 @@ class TestClassSpaceBlend:
 
     def test_runs_of_shared_head_conditions_keep_their_own_bits(self, predictor, monkeypatch):
         # adjacent rows sharing a head condition form one run, and the runs
-        # of one length share a posterior call per step; each run's head
-        # posterior keeps the bits of a call for that run alone
+        # of one length share a kernel call per step, planned once per
+        # denoise; each run's head posterior keeps the bits of a call for
+        # that run alone
         specs = all_attribute_specs()
         pairs = [(specs[k], specs[j]) for k, j in ((5, 200), (17, 90), (300, 41), (120, 250))]
         lengths = (3, 6, 3, 1)  # runs of 3, 6, 3 and 1 rows: three lengths
@@ -261,24 +291,98 @@ class TestClassSpaceBlend:
         conds = [compose_head_condition(head, body) for body, head in rows]
         cfg = RunConfig()
         coefficients = inversion_coefficients(predictor.schedule)
-        original, calls = predictor.class_posterior_mean, []
+        plan, plans, kernel, calls = predictor.posterior_plan, [], hid._stacked_posterior_mean, []
 
-        def spy(sums, t, stack_conds):
-            x0 = original(sums, t, stack_conds)
-            calls.append((sums, t, stack_conds, x0))
+        def plan_spy(stack_conds, stack_lengths):
+            plans.append(plan(stack_conds, stack_lengths))
+            return plans[-1]
+
+        def kernel_spy(sums, columns, norms, ab):
+            x0 = kernel(sums, columns, norms, ab)
+            calls.append((sums, ab, x0))
             return x0
 
-        monkeypatch.setattr(predictor, "class_posterior_mean", spy)
+        monkeypatch.setattr(predictor, "posterior_plan", plan_spy)
+        monkeypatch.setattr(hid, "_stacked_posterior_mean", kernel_spy)
         outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, predictor)
+        heads = plans[0]
+        assert len(plans) == 2 and len(plans[1]) == 1  # the heads' plan and the null's
+        assert sorted(len(members) for members, _, _ in heads) == [1, 1, 2]
+        starts = np.cumsum((0,) + lengths)
         assert len(calls) == cfg.edit_start * (len(set(lengths)) + 1)  # + the null call
-        head_calls = [call for call in calls if call[2] != [NULL_CONDITION]]
-        assert sorted(len(call[2]) for call in head_calls[:3]) == [1, 1, 2]
-        for sums, t, stack_conds, x0 in head_calls:
-            for stack_sums, cond, stack_x0 in zip(sums, stack_conds, x0):
-                assert np.array_equal(stack_x0, original(stack_sums[None], t, [cond])[0])
+        per_step = len(heads) + 1  # the head groups in plan order, then the null
+        for k, (sums, ab, x0) in enumerate(calls):
+            t = cfg.edit_start - k // per_step
+            assert ab == predictor.schedule.alpha_bar[t]
+            if k % per_step == len(heads):
+                continue
+            members = heads[k % per_step][0]
+            assert sums.shape[:2] == (len(members), lengths[members[0]])
+            for run, run_sums, run_x0 in zip(members, sums, x0):
+                alone = predictor.class_posterior_mean(run_sums[None], t, [conds[starts[run]]])
+                assert np.array_equal(run_x0, alone[0])
         for body, mask, cond, output in zip(bodies, masks, conds, outputs):
             trajectory = coefficients[:, None, None, None] * body
             reference = per_latent_blend_denoise(
                 trajectory, mask, cond, cfg, predictor.schedule, predictor
             )
             assert np.abs(output - reference).max() <= 1e-12
+
+    def test_weight_cut_keeps_bits_and_leaves_no_subnormal_weight(self, predictor, monkeypatch):
+        # every step of a 4-pair chunk's denoise: without the cut, the late
+        # steps form subnormal weights; with it, each is an exact 0, and the
+        # means keep the bits of the uncut softmax
+        kernel, calls = hid._stacked_posterior_mean, []
+
+        def spy(sums, columns, norms, ab):
+            calls.append((sums, columns, norms, ab))
+            return kernel(sums, columns, norms, ab)
+
+        monkeypatch.setattr(hid, "_stacked_posterior_mean", spy)
+        swap_pairs(sample_pairs(1, 4), RunConfig(), VARIANTS, predictor)
+        tiny = np.finfo(np.float64).tiny
+        uncut_subnormal = set()
+        for sums, columns, norms, ab in calls:
+            weights = _posterior_weights(sums, columns, norms, ab)
+            assert not ((weights > 0) & (weights < tiny)).any()
+            logits = (2.0 * math.sqrt(ab) * (sums @ columns) - ab * norms) / (2.0 * (1.0 - ab))
+            uncut = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            uncut /= uncut.sum(axis=-1, keepdims=True)
+            if ((uncut > 0) & (uncut < tiny)).any():
+                uncut_subnormal.add(ab)
+            means = kernel(sums, columns, norms, ab)
+            assert np.array_equal(means, uncut @ columns.swapaxes(-1, -2))
+        steps = [t for t, ab in enumerate(predictor.schedule.alpha_bar) if ab in uncut_subnormal]
+        assert steps and max(steps) <= 15
+
+
+class TestThreadDeterminism:
+    def test_swap_pairs_bytes_do_not_depend_on_blas_threads(self):
+        # one 30-pair call: swap_pairs denoises CHUNK_PAIRS pairs at a time,
+        # so no posterior GEMM is large enough for OpenBLAS to split it
+        script = (
+            "import hashlib\n"
+            "from headswap import EmpiricalNoisePredictor, RunConfig, enumerate_dataset\n"
+            "from headswap import make_schedule, sample_pairs, swap_pairs\n"
+            "pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(50))\n"
+            "digest = hashlib.sha256()\n"
+            "for results in swap_pairs(sample_pairs(1, 30), RunConfig(), "
+            "('naive', 'no_orth', 'full'), pred):\n"
+            "    for r in results:\n"
+            "        for array in (r.output, r.mask, r.io_map):\n"
+            "            digest.update(array.tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headswap.imaging import (
+    _reflect_index,
+    encode_gray,
     gaussian_filter,
     gaussian_kernel_1d,
     minmax_normalize,
@@ -131,6 +133,53 @@ class TestThreshold:
     def test_normalized_then_zero_tau_is_all_ones(self, rng):
         field = rng.normal(size=(7, 9))
         assert (threshold(minmax_normalize(field), 0.0) == 1).all()
+
+
+class TestStackedMaps:
+    """The blur, normalization and threshold take a stack of maps, each
+    bit for bit as it would be alone."""
+
+    MAP_FUNCTIONS = {
+        "gaussian_filter": lambda field: gaussian_filter(field, 1.3),
+        "minmax_normalize": minmax_normalize,
+        "threshold": lambda field: threshold(field, 0.4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MAP_FUNCTIONS))
+    def test_stack_bit_equals_each_map(self, rng, name):
+        fn = self.MAP_FUNCTIONS[name]
+        stack = rng.uniform(0, 1, size=(4, 9, 11))
+        stack[1] = 0.37  # a constant map
+        stack[3] *= 1e-3
+        whole = fn(stack)
+        assert whole.shape == stack.shape
+        for got, field in zip(whole, stack):
+            alone = fn(field)
+            assert got.dtype == alone.dtype and got.tobytes() == alone.tobytes()
+        # a (P, V, H, W) stack is a (P * V, H, W) stack
+        assert fn(stack.reshape(2, 2, 9, 11)).tobytes() == whole.tobytes()
+
+    def test_constant_map_in_a_stack_normalizes_to_zeros(self, rng):
+        stack = np.stack([np.full((5, 5), 2.5), rng.normal(size=(5, 5))])
+        out = minmax_normalize(stack)
+        assert (out[0] == 0.0).all()
+        assert out[1].min() == 0.0 and out[1].max() == 1.0
+
+    def test_reflect_index_pads_as_numpy_reflect(self, rng):
+        # the blur's padding gathers, against np.pad, including radii
+        # longer than the map, which reflect more than once
+        for height, width in ((1, 1), (1, 5), (2, 3), (7, 4), (32, 32)):
+            field = rng.normal(size=(height, width))
+            for radius in (0, 1, 3, 6, 13, 40):
+                padded = field[_reflect_index(height, radius)][:, _reflect_index(width, radius)]
+                assert np.array_equal(padded, np.pad(field, radius, mode="reflect"))
+
+    def test_files_still_take_one_map(self):
+        with pytest.raises(ValueError, match="2-D array"):
+            encode_gray(np.zeros((2, 3, 3)))
+        for fn in self.MAP_FUNCTIONS.values():
+            with pytest.raises(ValueError, match="stack"):
+                fn(np.zeros(4))
 
 
 class TestPnmIO:
