@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Mutation survey: apply each mutant to a temporary copy of the repo and run tier-1 there.
+
+A mutant is one exact text replacement in one source file.  It is killed
+when tier-1 fails on the mutated copy, and it survives when tier-1
+passes.  Mutants run one at a time, each in a fresh copy, one pytest
+process at a time; pytest stops at the first failure.
+
+    python3 scripts/mutants.py             # every mutant
+    python3 scripts/mutants.py cut_margin  # the named ones
+
+Exits 0 when every mutant is killed, 1 when some survive and 2 when a
+mutant's text is not found exactly once (the source moved on).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+
+# name -> (file, old text, new text)
+MUTANTS = {
+    # moves the float bits of the maps but no quantized file byte
+    "null_ulp": (
+        "src/headswap/iomask.py",
+        "eps_null = pred.evaluate_stack(z_t, t, [NULL_CONDITION] * len(conds_body))",
+        "eps_null = pred.evaluate_stack(z_t, t, [NULL_CONDITION] * len(conds_body)) * (1 + 2**-52)",
+    ),
+    "tau_nudge": (
+        "src/headswap/iomask.py",
+        "minmax_normalize(edit_maps), cfg.sigma), cfg.tau)",
+        "minmax_normalize(edit_maps), cfg.sigma), cfg.tau + 1e-12)",
+    ),
+    # the weight cut: each leaves the means' bits, and only a weight between
+    # the smallest normal double and S times it tells
+    "cut_margin": (
+        "src/headswap/diffusion.py",
+        "cut = _LOG_TINY + math.log(logits.shape[-1])",
+        "cut = _LOG_TINY",
+    ),
+    "cut_no_zero": (
+        "src/headswap/diffusion.py",
+        "logits[below] = 0.0",
+        "pass",
+    ),
+    "cut_compare_low": (
+        "src/headswap/diffusion.py",
+        "below = logits < cut",
+        "below = logits < cut - 50",
+    ),
+    # head runs as stacks of one row: the same files, other float bits
+    "one_row_heads": (
+        "src/headswap/hid.py",
+        "runs = [list(run) for _, run in groupby(range(len(conds)), key=conds.__getitem__)]",
+        "runs = [[row] for row in range(len(conds))]",
+    ),
+    # every one-image evaluate through the class sums
+    "evaluate_via_stack": (
+        "src/headswap/diffusion.py",
+        "if indices.size > 1:",
+        "if True:",
+    ),
+}
+
+
+def apply(copy: Path, file: str, old: str, new: str) -> bool:
+    """Replace ``old`` by ``new`` in ``copy/file``; False unless ``old`` occurs exactly once."""
+    path = copy / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        return False
+    path.write_text(text.replace(old, new))
+    return True
+
+
+def run_mutant(name: str) -> tuple[str, str]:
+    """('killed', the failing test), ('survived', '') or ('stale', '') for one
+    mutant, on a fresh copy of the repo."""
+    file, old, new = MUTANTS[name]
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        if not apply(copy, file, old, new):
+            return "stale", ""
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
+    if done.returncode == 0:
+        return "survived", ""
+    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return "killed", failed[0].split(" - ")[0] if failed else f"exit {done.returncode}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args()
+    unknown = [name for name in args.names if name not in MUTANTS]
+    if unknown:
+        parser.error(f"unknown mutants {unknown}; choose from {list(MUTANTS)}")
+    outcomes = {}
+    for name in args.names or MUTANTS:
+        started = time.perf_counter()
+        outcomes[name], detail = run_mutant(name)
+        seconds = time.perf_counter() - started
+        print(f"{name:20s} {outcomes[name]:9s} {seconds:6.1f} s  {detail}", flush=True)
+    kinds = ("killed", "survived", "stale")
+    counts = {kind: sum(o == kind for o in outcomes.values()) for kind in kinds}
+    print(", ".join(f"{count} {kind}" for kind, count in counts.items()))
+    for kind in ("survived", "stale"):
+        if counts[kind]:
+            print(f"{kind}: {' '.join(n for n, o in outcomes.items() if o == kind)}")
+    return 2 if counts["stale"] else 1 if counts["survived"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

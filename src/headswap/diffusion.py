@@ -124,8 +124,8 @@ class EmpiricalNoisePredictor:
     needs only z_t summed over each class, and the mean is formed per
     class.  ``evaluate_stack`` sums a stack's pixels over the classes,
     calls it and gathers the means back to pixels, which is exact because
-    the classes are; when one image matches, its weight is 1 and the
-    prediction uses that image directly.  ``evaluate`` is a stack of one.
+    the classes are.  ``evaluate`` is a stack of one, except when one image
+    matches: its weight is 1, and the prediction uses that image directly.
     """
 
     def __init__(
@@ -201,27 +201,21 @@ class EmpiricalNoisePredictor:
         """``evaluate`` of each latent of a stack (P, H, W, C), latent p under
         ``conds[p]``, bit for bit: (P, H, W, C).
 
-        When every condition keeps one image, each latent takes its image,
-        as ``evaluate`` does.  Otherwise the stack takes one
-        ``class_posterior_mean`` call as stacks of one latent, so each makes
-        a GEMV of ``evaluate``'s shape, and a one-image subset's mean is its
-        image's class values, bit for bit.
+        The stack takes one ``class_posterior_mean`` call as stacks of one
+        latent, so each makes a GEMV of a lone latent's shape, and a
+        one-image subset's mean is its image's class values, bit for bit.
         """
         step = _check_step(t, 1, self.schedule.T, self.schedule)
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.shape[1:] != self.grid_shape or len(conds) != len(z_t):
             raise ValueError(f"{len(conds)} conditions for latents {z_t.shape}")
-        kept = [self._subset(cond)[0] for cond in conds]
         alpha_bar = float(self.schedule.alpha_bar[step])
-        scale = -math.sqrt(alpha_bar)  # as in ``evaluate``
-        if all(indices.size == 1 for indices in kept):
-            eps = z_t + self.images[[indices[0] for indices in kept]] * scale
-        else:  # each class's mean is scaled once, then gathered to its pixels
-            classes = self.column_classes
-            sums = classes.sums(z_t.reshape(len(z_t), -1))[:, None]
-            x0 = self.class_posterior_mean(sums, step, conds)[:, 0]
-            eps = np.take(x0 * scale, classes.inv, axis=-1).reshape(z_t.shape)
-            eps += z_t
+        classes = self.column_classes
+        sums = classes.sums(z_t.reshape(len(z_t), -1))[:, None]
+        x0 = self.class_posterior_mean(sums, step, conds)[:, 0]
+        # each class's mean is scaled once, as in ``evaluate``, then gathered to its pixels
+        eps = np.take(x0 * -math.sqrt(alpha_bar), classes.inv, axis=-1).reshape(z_t.shape)
+        eps += z_t
         eps /= math.sqrt(1.0 - alpha_bar)
         return eps
 
@@ -235,24 +229,17 @@ class EmpiricalNoisePredictor:
         in the order of first appearance as (member stacks, columns,
         squared norms); ``_stacked_posterior_mean(sums, columns, norms,
         ab)`` then takes the members' (R, M, G) class sums.  The columns
-        and norms are (R, G, S) and (R, 1, S) stacks, or one subset's own
-        (G, S) and (1, S) when the members share it: copying the null's
-        (121, 324) table made a one-latent call take 42 us instead of 25 us
-        (median of 20 alternating blocks; 2 vCPUs, one BLAS thread).  Either
-        way numpy makes one BLAS call per stack, of that stack's own shape,
-        so a stack's bits do not depend on the stacks beside it.
+        and norms are the members' subsets', stacked as (R, G, S) and
+        (R, 1, S).  numpy makes one BLAS call per stack, of that stack's
+        own shape, so a stack's bits do not depend on the stacks beside it.
         """
         subsets = [self._subset(cond) for cond in conds]
         keys = [(length, subset[0].size) for length, subset in zip(lengths, subsets)]
         plan = []
         for key in dict.fromkeys(keys):
             members = [r for r, other in enumerate(keys) if other == key]
-            group = [subsets[r] for r in members]
-            if all(subset is group[0] for subset in group):
-                columns, norms = group[0][1:]
-            else:
-                columns = np.stack([columns for _, columns, _ in group])
-                norms = np.stack([norms for _, _, norms in group])
+            columns = np.stack([subsets[r][1] for r in members])
+            norms = np.stack([subsets[r][2] for r in members])
             plan.append((members, columns, norms))
         return plan
 

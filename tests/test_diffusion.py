@@ -11,6 +11,7 @@ from headswap.diffusion import (
     EmpiricalNoisePredictor,
     NoMatchingConditionError,
     NoiseSchedule,
+    _posterior_weights,
     cfg_combine,
     ddim_invert_step,
     ddim_sample_loop,
@@ -277,8 +278,9 @@ class TestStackedPredictor:
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_evaluate_stack_bit_equals_each_evaluate(self, stack, predictor, t):
-        # the mask path's stacked predictions: one-image conditions take their
-        # image, the others stacks of one latent in one posterior call
+        # the mask path's stacked predictions take the class path for every
+        # condition, while ``evaluate`` takes a one-image condition's image
+        # directly: two implementations that must agree bit for bit
         z, conds = stack
         for stack_conds in (conds + conds[:3], [NULL_CONDITION] * len(z), [conds[4]] * len(z)):
             eps = predictor.evaluate_stack(z, t, stack_conds)
@@ -299,7 +301,6 @@ class TestStackedPredictor:
         monkeypatch.setattr(predictor, "class_posterior_mean", refuse)
         for latent in z:
             assert predictor.evaluate(latent, 30, conds[4]).shape == latent.shape
-        assert predictor.evaluate_stack(z, 30, [conds[4]] * len(z)).shape == z.shape
 
     def test_stack_shape_checked(self, stack, predictor):
         # ``evaluate`` takes one latent; stacks go to ``evaluate_stack``
@@ -310,6 +311,28 @@ class TestStackedPredictor:
                     predictor.evaluate(bad, 30, cond)
         with pytest.raises(ValueError):
             predictor.evaluate(z[0], 0, conds[0])
+
+
+class TestWeightCut:
+    """The posterior kernel's cut of weights under the smallest normal double."""
+
+    def test_cut_zeroes_weights_normal_before_the_division(self):
+        # constructed logits: at ab = 1/2 and zero class sums, a stack's
+        # logits are exactly -norms / 2.  Three logits at 0 make the
+        # normaliser 3, so the logit between log(tiny) and log(S tiny) has a
+        # normal exp but a subnormal weight, and only the log(S) margin of
+        # the cut catches it; the logit under log(tiny) is cut either way
+        tiny = np.finfo(np.float64).tiny
+        log_tiny = math.log(tiny)
+        logits = np.array([0.0, 0.0, 0.0, -1.0, -30.0, log_tiny + 0.9, log_tiny - 12.0, -800.0])
+        cut = log_tiny + math.log(logits.size)
+        assert log_tiny < logits[5] < cut and math.exp(logits[5]) / 3.0 < tiny
+        columns, norms = np.ones((1, logits.size)), -2.0 * logits[None]
+        weights = _posterior_weights(np.zeros((1, 1, 1)), columns, norms, 0.5)
+        # the cut weights are exact zeros and the others the softmax's
+        kept = np.where(logits >= cut, np.exp(logits), 0.0)
+        assert np.array_equal(weights, (kept / kept.sum())[None, None])
+        assert not ((weights > 0) & (weights < tiny)).any()
 
 
 class TestColumnClasses:

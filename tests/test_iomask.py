@@ -187,9 +187,13 @@ class TestBuildIoMask:
         assert mask.sum() == 0
 
     def test_zero_tau_gives_full_mask(self, rng):
-        field = rng.uniform(0, 1, (32, 32))
-        mask = build_iomask(field, RunConfig(tau=0.0).mask)
-        assert (mask == 1).all()
+        # the spike's blurred map is exactly 0 beyond the kernel's reach,
+        # which a value >= 0 still keeps
+        spike = np.zeros((32, 32))
+        spike[16, 16] = 1.0
+        for field in (rng.uniform(0, 1, (32, 32)), spike):
+            mask = build_iomask(field, RunConfig(tau=0.0).mask)
+            assert (mask == 1).all()
 
     def test_single_spike_filtered_below_threshold(self):
         spike = np.zeros((32, 32))
