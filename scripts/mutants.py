@@ -71,6 +71,18 @@ MUTANTS = {
         "if indices.size > 1:",
         "if True:",
     ),
+    # a caller's write into a render changes the corpus before grouping
+    "writable_borrow": (
+        "src/headswap/diffusion.py",
+        "image.setflags(write=False)",
+        "pass",
+    ),
+    # the grouping misses the last block of positions
+    "positions_one_block_short": (
+        "src/headswap/diffusion.py",
+        "for lo in range(0, flats[0].size, _GROUP_POSITIONS)",
+        "for lo in range(0, flats[0].size - _GROUP_POSITIONS, _GROUP_POSITIONS)",
+    ),
 }
 
 

@@ -72,6 +72,10 @@ def _check_step(t, lo: int, hi: int, sched: NoiseSchedule) -> int:
     return step
 
 
+# positions per block of the grouping (650 KB of the 324-image corpus)
+_GROUP_POSITIONS = 256
+
+
 @dataclass(frozen=True)
 class ColumnClasses:
     """The corpus's pixel-channel positions grouped by their value columns.
@@ -90,14 +94,21 @@ class ColumnClasses:
     counts: np.ndarray  # (G,): positions per class
 
     @classmethod
-    def of(cls, flat: np.ndarray) -> "ColumnClasses":
-        """Group the columns of a (N, D) corpus by their exact bytes."""
+    def of(cls, images: Sequence[np.ndarray]) -> "ColumnClasses":
+        """Group the positions of N same-shape float64 images by their N-value
+        columns' exact bytes, ``_GROUP_POSITIONS`` positions at a time: no
+        (N, D) copy of the images is made."""
+        flats = [image.reshape(-1) for image in images]
         groups: dict[bytes, int] = {}
-        inv = np.array([groups.setdefault(col.tobytes(), len(groups)) for col in flat.T])
+        inv = np.array([
+            groups.setdefault(column.tobytes(), len(groups))
+            for lo in range(0, flats[0].size, _GROUP_POSITIONS)
+            for column in np.array([flat[lo : lo + _GROUP_POSITIONS] for flat in flats]).T
+        ])
         first = np.unique(inv, return_index=True)[1]
         counts = np.bincount(inv)
         return cls(
-            table=np.ascontiguousarray(flat[:, first].T),
+            table=np.stack([flat[first] for flat in flats], axis=1),
             inv=inv,
             first=first,
             order=np.argsort(inv, kind="stable"),
@@ -125,41 +136,55 @@ class EmpiricalNoisePredictor:
     class.  ``evaluate_stack`` sums a stack's pixels over the classes,
     calls it and gathers the means back to pixels, which is exact because
     the classes are.  ``evaluate`` is a stack of one, except when one image
-    matches: its weight is 1, and the prediction uses that image directly.
+    matches: its weight is 1, and the prediction uses that image, gathered
+    from its classes and kept until a call under another condition.  The N
+    images (H, W, C), or an (N, H, W, C) array's N views, are borrowed, not
+    copied, marked read-only for good (an array argument itself stays
+    writable), and dropped once the first condition groups them.
     """
 
     def __init__(
         self,
-        images: np.ndarray,
+        images: Sequence[np.ndarray],
         attrs: Sequence[AttributeSpec],
         schedule: NoiseSchedule,
     ):
-        images = np.ascontiguousarray(images, dtype=np.float64)
-        if images.ndim != 4 or images.shape[0] == 0:
-            raise ValueError(f"images must be (N, H, W, C) with N >= 1, got {images.shape}")
-        if images.shape[0] != len(attrs):
+        images = [np.ascontiguousarray(image, dtype=np.float64) for image in images]
+        if len({image.shape for image in images}) != 1 or images[0].ndim != 3:
+            raise ValueError(f"images must be (N, H, W, C), got {set(map(np.shape, images))}")
+        if len(images) != len(attrs):
             raise ValueError("one AttributeSpec required per image")
-        self.images = images
+        for image in images:
+            image.setflags(write=False)
+        self._images: list[np.ndarray] | None = images
         self.schedule = schedule
-        self.grid_shape = images.shape[1:]
+        self.grid_shape = images[0].shape
         self._attr_matrix = np.array([a.to_ints() for a in attrs], dtype=np.int64)
         self._classes: ColumnClasses | None = None
         self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._one_image: tuple = (None, None)  # the last one-image condition and its image
 
     @classmethod
     def from_renders(cls, renders, schedule: NoiseSchedule) -> "EmpiricalNoisePredictor":
-        images = np.stack([r.image for r in renders])
-        return cls(images, [r.attrs for r in renders], schedule)
+        """A predictor that borrows the renders' images and marks them read-only."""
+        return cls([r.image for r in renders], [r.attrs for r in renders], schedule)
 
     def __len__(self) -> int:
-        return self.images.shape[0]
+        return len(self._attr_matrix)
 
     @property
     def column_classes(self) -> ColumnClasses:
         """The corpus's column classes, grouped on first use."""
         if self._classes is None:
-            self._classes = ColumnClasses.of(self.images.reshape(len(self), -1))
+            self._classes = ColumnClasses.of(self._images)
+            self._images = None
         return self._classes
+
+    @property
+    def images(self) -> np.ndarray:
+        """The corpus (N, H, W, C), rebuilt from the column classes on each access."""
+        classes = self.column_classes
+        return classes.table.T[:, classes.inv].reshape((len(self),) + self.grid_shape)
 
     def _subset(self, cond: Condition):
         """The matching indices, their class columns (G, S) and squared norms (1, S)."""
@@ -188,12 +213,17 @@ class EmpiricalNoisePredictor:
         indices = self._subset(cond)[0]
         if indices.size > 1:
             return self.evaluate_stack(z_t[None], step, [cond])[0]
-        # weight 1: x0 is that image, bit for bit, and no class sums, which
-        # keeps a stepped inversion's one-image calls cheap
+        # weight 1: x0 is that image, bit for bit (``table[:, i][inv]``), and no
+        # class sums; a stepped inversion's T calls share one condition and image
+        if self._one_image[0] != cond.constraints:
+            classes = self.column_classes
+            image = classes.table[:, indices[0]][classes.inv].reshape(self.grid_shape)
+            self._one_image = (cond.constraints, image)
+        image = self._one_image[1]
         alpha_bar = float(self.schedule.alpha_bar[step])
         # (z_t - sqrt(ab) x0) / sqrt(1 - ab): adding the negated product rounds
         # as subtracting it does
-        eps = z_t + self.images[indices[0]] * -math.sqrt(alpha_bar)
+        eps = z_t + image * -math.sqrt(alpha_bar)
         eps /= math.sqrt(1.0 - alpha_bar)
         return eps
 

@@ -4,8 +4,10 @@ These deliberately avoid the library's computational paths: the blur
 reference is a direct dense 2-D convolution over an explicitly padded
 array, the denoiser references evaluate naive (unshifted) exponentials in
 50-digit arithmetic or the full pixel-space distances one latent at a
-time (``pixel_posterior_weights``), and the blended-denoise reference
-steps one latent at a time with the single-latent predictor.
+time (``pixel_posterior_weights``), the column-class reference keys a
+dict by each column's bytes (``byte_key_classes``), and the
+blended-denoise reference steps one latent at a time with the
+single-latent predictor.
 ``files_identical`` compares written artifacts byte for byte, and
 ``read_pnm`` reads a written P5/P6 file's raster bytes back.  The avatar
 reference (``paint_avatar``) paints one avatar layer by layer from its
@@ -79,6 +81,23 @@ def pixel_posterior_eps(images: np.ndarray, z_t: np.ndarray, alpha_bar: float) -
         x0 = (pixel_posterior_weights(images, z, alpha_bar)[:, None] * flat).sum(axis=0)
         rows.append((z - math.sqrt(alpha_bar) * x0) / math.sqrt(1.0 - alpha_bar))
     return np.stack(rows).reshape(z_t.shape)
+
+
+def byte_key_classes(flat: np.ndarray) -> dict:
+    """The six ``ColumnClasses`` fields of a (N, D) corpus, from a dict keyed
+    by each column's bytes."""
+    groups: dict[bytes, int] = {}
+    inv = np.array([groups.setdefault(col.tobytes(), len(groups)) for col in flat.T])
+    first = np.unique(inv, return_index=True)[1]
+    counts = np.bincount(inv)
+    return {
+        "table": np.ascontiguousarray(flat[:, first].T),
+        "inv": inv,
+        "first": first,
+        "order": np.argsort(inv, kind="stable"),
+        "starts": np.cumsum(counts) - counts,
+        "counts": counts,
+    }
 
 
 def per_latent_blend_denoise(traj, mask, cond_head, cfg, sched, pred) -> np.ndarray:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headswap.diffusion import (
+    _GROUP_POSITIONS,
     ALPHA_BAR_FLOOR,
     COSINE_OFFSET,
+    ColumnClasses,
     EmpiricalNoisePredictor,
     NoMatchingConditionError,
     NoiseSchedule,
@@ -27,8 +31,14 @@ from headswap.synthgen import (
     NULL_CONDITION,
     all_attribute_specs,
     condition_match,
+    render_avatars,
 )
-from helpers import mp_posterior_eps, pixel_posterior_eps, pixel_posterior_weights
+from helpers import (
+    byte_key_classes,
+    mp_posterior_eps,
+    pixel_posterior_eps,
+    pixel_posterior_weights,
+)
 
 SHAPE = (4, 4, 3)
 
@@ -41,6 +51,14 @@ def toy_attrs(count):
 def toy_predictor(images, sched):
     images = np.asarray(images, dtype=np.float64)
     return EmpiricalNoisePredictor(images, toy_attrs(len(images)), sched)
+
+
+def assert_classes_equal(classes, want: dict) -> None:
+    """The six ``ColumnClasses`` fields equal ``want``'s in dtype, shape and bytes."""
+    for name, value in want.items():
+        got = getattr(classes, name)
+        assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+        assert got.tobytes() == value.tobytes(), name
 
 
 def matching(specs, cond) -> np.ndarray:
@@ -194,12 +212,12 @@ class TestStackedPredictor:
         return z, conds
 
     @pytest.mark.parametrize("t", [1, 10, 25, 40, 50])
-    def test_masked_softmax_matches_subset_weights(self, stack, predictor, t):
+    def test_masked_softmax_matches_subset_weights(self, stack, dataset, predictor, t):
         # a condition restricts the corpus: its posterior mean weighs the
         # images by the softmax of the full-corpus logits masked to its columns
         z, conds = stack
         ab = float(predictor.schedule.alpha_bar[t])
-        flat = predictor.images.reshape(len(predictor), -1)
+        flat = np.stack([render.image for render in dataset]).reshape(len(dataset), -1)
         corpus_logits = (
             2.0 * math.sqrt(ab) * (z.reshape(len(z), -1) @ flat.T) - ab * (flat * flat).sum(axis=1)
         ) / (2.0 * (1.0 - ab))
@@ -338,14 +356,14 @@ class TestWeightCut:
 class TestColumnClasses:
     """The exact column-class corpus behind every multi-image subset."""
 
-    def test_rendered_corpus_has_121_classes_that_rebuild_every_image(self, predictor):
+    def test_rendered_corpus_has_121_classes_that_rebuild_every_image(self, dataset, predictor):
         # a structural fact of the renderer: the 3,072 pixel-channel
         # positions carry 121 distinct columns of 324 values
         classes = predictor.column_classes
-        flat = predictor.images.reshape(len(predictor), -1)
         assert classes.table.shape == (121, len(predictor))
-        for i in range(len(predictor)):
-            assert classes.table[:, i][classes.inv].tobytes() == flat[i].tobytes()
+        for i, render in enumerate(dataset):
+            assert classes.table[:, i][classes.inv].tobytes() == render.image.tobytes()
+        assert predictor.images.tobytes() == np.stack([r.image for r in dataset]).tobytes()
 
     def test_class_layout(self, predictor):
         classes = predictor.column_classes
@@ -360,13 +378,78 @@ class TestColumnClasses:
             run = classes.order[classes.starts[g] : classes.starts[g] + classes.counts[g]]
             assert np.array_equal(run, np.flatnonzero(classes.inv == g))
 
-    def test_one_hot_null_posterior_returns_each_image_exactly(self, predictor):
+    def test_one_hot_null_posterior_returns_each_image_exactly(self, dataset, predictor):
         # at t = 1 every corpus image's own posterior is one-hot, so the
         # posterior mean must be the image bit for bit, which a lossy
         # corpus basis would break
         ab = float(predictor.schedule.alpha_bar[1])
-        for image in predictor.images:
-            assert not predictor.evaluate(math.sqrt(ab) * image, 1, NULL_CONDITION).any()
+        for render in dataset:
+            assert not predictor.evaluate(math.sqrt(ab) * render.image, 1, NULL_CONDITION).any()
+
+    def test_grouping_equals_byte_keys_on_the_corpus(self, dataset, predictor):
+        flat = np.stack([render.image for render in dataset]).reshape(len(dataset), -1)
+        assert_classes_equal(predictor.column_classes, byte_key_classes(flat))
+
+    @pytest.mark.parametrize("count", [1, 7, 29])
+    def test_grouping_equals_byte_keys_with_duplicated_columns(self, rng, count):
+        # about 8 distinct columns over 432 positions, more than one block and
+        # not a multiple of it, and the last position a copy of the first
+        # that differs in the last image only
+        shape = (12, 12, 3)
+        assert np.prod(shape) % _GROUP_POSITIONS and np.prod(shape) > _GROUP_POSITIONS
+        picks = rng.integers(0, 8, np.prod(shape))
+        picks[-1] = picks[0]
+        flat = rng.uniform(0, 1, (count, 8))[:, picks]
+        flat[-1, -1] += 1.0
+        pred = toy_predictor(flat.reshape((count,) + shape), make_schedule(50))
+        assert_classes_equal(pred.column_classes, byte_key_classes(flat))
+        assert len(pred) == count and pred.images.tobytes() == flat.tobytes()
+
+    def test_signed_zeros_are_two_classes(self, rng):
+        # 0.0 == -0.0, but their bytes differ, and so do the images they make
+        flat = rng.uniform(0, 1, (3, np.prod(SHAPE)))
+        flat[:, 0], flat[:, 1] = 0.0, -0.0
+        classes = ColumnClasses.of(list(flat.reshape((3,) + SHAPE)))
+        assert_classes_equal(classes, byte_key_classes(flat))
+        assert len(classes.table) == flat.shape[1]
+
+    def test_borrowed_renders_stay_read_only_and_are_dropped_once_grouped(self, sched50):
+        renders = render_avatars(all_attribute_specs()[:5])
+        image = weakref.ref(renders[0].image)
+        pred = EmpiricalNoisePredictor.from_renders(renders, sched50)
+        with pytest.raises(ValueError, match="read-only"):
+            renders[0].image[0, 0, 0] = 1.0
+        pred.column_classes
+        with pytest.raises(ValueError, match="read-only"):
+            renders[0].image[0, 0, 0] = 1.0
+        del renders
+        assert image() is None
+
+    def test_grouping_makes_no_copy_of_the_corpus(self, dataset, sched50):
+        # the corpus is 8 MB; the grouping's blocks take under 1 MB at a time
+        tracemalloc.start()
+        try:
+            EmpiricalNoisePredictor.from_renders(dataset, sched50).column_classes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_one_image_conditions_keep_one_image(self, dataset, sched50):
+        # every body condition keeps one image; a pixel image kept for each
+        # would hold 324 x 24 KB = 7.8 MB
+        pred = EmpiricalNoisePredictor.from_renders(dataset, sched50)
+        pred.column_classes
+        z = np.zeros(pred.grid_shape)
+        tracemalloc.start()
+        try:
+            for render in dataset:
+                eps = pred.evaluate(z, 10, body_condition(render.attrs))
+            del eps
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
 
     @pytest.mark.parametrize("t", [1, 10, 25, 50])
     def test_random_corpus_matches_pixel_reference(self, rng, t):
