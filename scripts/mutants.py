@@ -25,8 +25,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# The check that each mutant's text is still in the source fails on every
+# mutated copy, so it is left out there; the survey itself reports a stale mutant.
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"]
+         "--continue-on-collection-errors",
+         "--deselect", "tests/test_scripts.py::test_every_mutant_matches_its_source_exactly_once"]
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
 
 # name -> (file, old text, new text)
@@ -62,8 +65,8 @@ MUTANTS = {
     # head runs as stacks of one row: the same files, other float bits
     "one_row_heads": (
         "src/headswap/hid.py",
-        "runs = [list(run) for _, run in groupby(range(len(conds)), key=conds.__getitem__)]",
-        "runs = [[row] for row in range(len(conds))]",
+        "runs = [(cond, len(list(run))) for cond, run in groupby(conds)]",
+        "runs = [(cond, 1) for cond in conds]",
     ),
     # every one-image evaluate through the class sums
     "evaluate_via_stack": (
@@ -76,6 +79,18 @@ MUTANTS = {
         "src/headswap/diffusion.py",
         "image.setflags(write=False)",
         "pass",
+    ),
+    # the noise divided by the reciprocal's product: the same value, other bits
+    "noise_by_reciprocal": (
+        "src/headswap/diffusion.py",
+        "eps /= math.sqrt(1.0 - ab)",
+        "eps *= 1.0 / math.sqrt(1.0 - ab)",
+    ),
+    # a posterior plan reads a gathered group's rows one row late
+    "plan_rows_shifted": (
+        "src/headswap/diffusion.py",
+        "range(offsets[r], offsets[r + 1])",
+        "range(offsets[r] + 1, offsets[r + 1] + 1)",
     ),
     # the grouping misses the last block of positions
     "positions_one_block_short": (

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,17 +131,16 @@ class EmpiricalNoisePredictor:
     takes the posterior mean x0 = sum w_i x_i, and returns the implied
     noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).
 
-    The posterior is computed in one place, the kernel behind
-    ``class_posterior_mean``, on the corpus's ``ColumnClasses``: z_t . x_i
-    needs only z_t summed over each class, and the mean is formed per
-    class.  ``evaluate_stack`` sums a stack's pixels over the classes,
-    calls it and gathers the means back to pixels, which is exact because
-    the classes are.  ``evaluate`` is a stack of one, except when one image
-    matches: its weight is 1, and the prediction uses that image, gathered
-    from its classes and kept until a call under another condition.  The N
-    images (H, W, C), or an (N, H, W, C) array's N views, are borrowed, not
-    copied, marked read-only for good (an array argument itself stays
-    writable), and dropped once the first condition groups them.
+    The posterior is computed in one place, the plans of ``posterior_plan``,
+    on the corpus's ``ColumnClasses``: z_t . x_i needs only z_t summed over
+    each class, and the mean is formed per class.  ``evaluate_stack`` sums
+    a stack's pixels over the classes, runs a plan and gathers the means
+    back to pixels, which is exact because the classes are.  ``evaluate``
+    is a stack of one, except when one image matches: its weight is 1, and
+    the prediction uses that image, gathered from its classes and kept
+    until a call under another condition.  The N images (H, W, C), or an
+    (N, H, W, C) array and its N views, are borrowed, not copied, marked
+    read-only for good, and dropped once the first condition groups them.
     """
 
     def __init__(
@@ -149,12 +149,13 @@ class EmpiricalNoisePredictor:
         attrs: Sequence[AttributeSpec],
         schedule: NoiseSchedule,
     ):
+        borrowed = [images] if isinstance(images, np.ndarray) else []
         images = [np.ascontiguousarray(image, dtype=np.float64) for image in images]
         if len({image.shape for image in images}) != 1 or images[0].ndim != 3:
             raise ValueError(f"images must be (N, H, W, C), got {set(map(np.shape, images))}")
         if len(images) != len(attrs):
             raise ValueError("one AttributeSpec required per image")
-        for image in images:
+        for image in images + borrowed:
             image.setflags(write=False)
         self._images: list[np.ndarray] | None = images
         self.schedule = schedule
@@ -219,20 +220,14 @@ class EmpiricalNoisePredictor:
             classes = self.column_classes
             image = classes.table[:, indices[0]][classes.inv].reshape(self.grid_shape)
             self._one_image = (cond.constraints, image)
-        image = self._one_image[1]
-        alpha_bar = float(self.schedule.alpha_bar[step])
-        # (z_t - sqrt(ab) x0) / sqrt(1 - ab): adding the negated product rounds
-        # as subtracting it does
-        eps = z_t + image * -math.sqrt(alpha_bar)
-        eps /= math.sqrt(1.0 - alpha_bar)
-        return eps
+        return implied_noise(self._one_image[1], z_t, float(self.schedule.alpha_bar[step]))
 
     def evaluate_stack(self, z_t: np.ndarray, t, conds: Sequence[Condition]) -> np.ndarray:
         """``evaluate`` of each latent of a stack (P, H, W, C), latent p under
         ``conds[p]``, bit for bit: (P, H, W, C).
 
-        The stack takes one ``class_posterior_mean`` call as stacks of one
-        latent, so each makes a GEMV of a lone latent's shape, and a
+        The stack takes one planned posterior mean with each latent a stack
+        of its own, so each makes a GEMV of a lone latent's shape, and a
         one-image subset's mean is its image's class values, bit for bit.
         """
         step = _check_step(t, 1, self.schedule.T, self.schedule)
@@ -241,9 +236,9 @@ class EmpiricalNoisePredictor:
             raise ValueError(f"{len(conds)} conditions for latents {z_t.shape}")
         alpha_bar = float(self.schedule.alpha_bar[step])
         classes = self.column_classes
-        sums = classes.sums(z_t.reshape(len(z_t), -1))[:, None]
-        x0 = self.class_posterior_mean(sums, step, conds)[:, 0]
-        # each class's mean is scaled once, as in ``evaluate``, then gathered to its pixels
+        sums = classes.sums(z_t.reshape(len(z_t), -1))
+        x0 = self.posterior_plan(conds, [1] * len(conds))(sums, alpha_bar)
+        # ``implied_noise``, scaled per class, not per pixel: gathering first is slower
         eps = np.take(x0 * -math.sqrt(alpha_bar), classes.inv, axis=-1).reshape(z_t.shape)
         eps += z_t
         eps /= math.sqrt(1.0 - alpha_bar)
@@ -251,27 +246,39 @@ class EmpiricalNoisePredictor:
 
     def posterior_plan(
         self, conds: Sequence[Condition], lengths: Sequence[int]
-    ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-        """The posterior kernel's operands for stacks of latents, built once.
+    ) -> Callable[[np.ndarray, float], np.ndarray]:
+        """The posterior mean ``mean(sums, ab)`` of stacked rows, planned once.
 
-        Stack r holds ``lengths[r]`` latents under ``conds[r]``.  Stacks of
-        one length M whose subsets have one size S form a group, returned
-        in the order of first appearance as (member stacks, columns,
-        squared norms); ``_stacked_posterior_mean(sums, columns, norms,
-        ab)`` then takes the members' (R, M, G) class sums.  The columns
-        and norms are the members' subsets', stacked as (R, G, S) and
-        (R, 1, S).  numpy makes one BLAS call per stack, of that stack's
-        own shape, so a stack's bits do not depend on the stacks beside it.
+        Stack r is the next ``lengths[r]`` rows, under ``conds[r]``; ``mean``
+        maps the rows' class sums (B, G) at signal level ab to their means
+        (B, G).  Stacks of one length M and subset size S form a group, whose
+        rows, columns (R, G, S) and squared norms (R, 1, S) are built here,
+        and ``mean`` runs the kernel once per group; a lone group's sums and
+        means are views.  numpy makes one BLAS call per stack, of its own
+        shape, so a stack's bits do not depend on the stacks beside it.
         """
         subsets = [self._subset(cond) for cond in conds]
         keys = [(length, subset[0].size) for length, subset in zip(lengths, subsets)]
-        plan = []
+        offsets = list(accumulate(lengths, initial=0))
+        groups = []
         for key in dict.fromkeys(keys):
             members = [r for r, other in enumerate(keys) if other == key]
-            columns = np.stack([subsets[r][1] for r in members])
-            norms = np.stack([subsets[r][2] for r in members])
-            plan.append((members, columns, norms))
-        return plan
+            rows = slice(None) if len(members) == len(keys) else np.array(
+                [row for r in members for row in range(offsets[r], offsets[r + 1])], dtype=np.intp)
+            columns, norms = (np.stack([subsets[r][k] for r in members]) for k in (1, 2))
+            groups.append((rows, columns, norms))
+
+        def mean(sums: np.ndarray, ab: float) -> np.ndarray:
+            x0 = None if len(groups) == 1 else np.empty_like(sums)
+            for rows, columns, norms in groups:
+                stack = sums[rows].reshape(len(columns), -1, sums.shape[1])
+                part = _stacked_posterior_mean(stack, columns, norms, ab).reshape(-1, sums.shape[1])
+                if x0 is None:  # one group of every row, in order: no gather, no scatter
+                    return part
+                x0[rows] = part
+            return x0
+
+        return mean
 
     def class_posterior_mean(
         self, sums: np.ndarray, t, conds: Sequence[Condition]
@@ -281,13 +288,9 @@ class EmpiricalNoisePredictor:
         ``sums`` is (R, M, G): R stacks of M latents' values summed over each
         class (``ColumnClasses.sums``), which is all the logits depend on;
         stack r is conditioned on ``conds[r]``.  The result has its shape.
-        Stacks whose subsets have one size are taken together
-        (``posterior_plan``), each in a BLAS call of its own shape.  Each
-        row takes its own max-subtracted softmax; a single logit's softmax
-        is exactly 1, so a one-image subset returns that image's class
-        values bit for bit.  ``evaluate_stack`` is this mean gathered back
-        to pixels, and ``hid.blend_denoise`` runs the same kernel on a plan
-        it builds once per denoise.
+        This is one ``posterior_plan``, checked and run once.  Each row takes
+        its own max-subtracted softmax, and a single logit's softmax is 1, so
+        a one-image subset returns its image's class values bit for bit.
         """
         step = _check_step(t, 1, self.schedule.T, self.schedule)
         groups = len(self.column_classes.counts)
@@ -296,11 +299,17 @@ class EmpiricalNoisePredictor:
             raise ValueError(f"class sums {sums.shape} are not (R, M, {groups})")
         if len(conds) != len(sums):
             raise ValueError(f"{len(conds)} conditions for {len(sums)} stacks of class sums")
+        mean = self.posterior_plan(conds, [sums.shape[1]] * len(sums))
         ab = float(self.schedule.alpha_bar[step])
-        x0 = np.empty_like(sums)
-        for members, columns, norms in self.posterior_plan(conds, [sums.shape[1]] * len(sums)):
-            x0[members] = _stacked_posterior_mean(sums[members], columns, norms, ab)
-        return x0
+        return mean(sums.reshape(-1, groups), ab).reshape(sums.shape)
+
+
+def implied_noise(x0: np.ndarray, z_t: np.ndarray, ab: float) -> np.ndarray:
+    """The noise (z_t - sqrt(ab) x0) / sqrt(1 - ab) that the posterior mean x0
+    implies at latent z_t (adding the negated product rounds as subtracting)."""
+    eps = z_t + x0 * -math.sqrt(ab)
+    eps /= math.sqrt(1.0 - ab)
+    return eps
 
 
 # exp(x) is a normal double only for x >= log(2^-1022)
@@ -422,7 +431,7 @@ def inversion_coefficients(sched: NoiseSchedule) -> np.ndarray:
     c = np.ones(sched.T + 1)
     for t in range(sched.T):
         step = max(t, 1)  # as in invert_trajectory
-        eps = (c[t] - math.sqrt(ab[step])) / math.sqrt(1.0 - ab[step])
+        eps = implied_noise(1.0, c[t], ab[step])
         c[t + 1] = ddim_invert_step(c[t], eps, t, sched)
     return c
 

@@ -9,9 +9,10 @@ exactly.  Swaps go through in chunks of CHUNK_PAIRS pairs
 (``swap_pairs``): a chunk's masks come from one stacked pass
 (``extract_masks``), and its swaps are denoised as a stack in lockstep,
 carried as one value per (swap, corpus column class) rather than per
-pixel (``blend_denoise``); a single swap is a stack of one.  No stage
-takes a schedule: each reads the predictor's, and ``body_inversion``
-checks that the config's T is its T.
+pixel (``blend_denoise``); a single swap is a stack of one.  Every
+posterior mean comes from the predictor's public API.  No stage takes a
+schedule: each reads the predictor's, and ``body_inversion`` checks that
+the config's T is its T.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 
 from .diffusion import (
     EmpiricalNoisePredictor,
-    _stacked_posterior_mean,
     cfg_combine,
     ddim_sample_step,
+    implied_noise,
     inversion_coefficients,
 )
 from .iomask import VARIANTS, IOMaskConfig, build_iomasks, io_predictions, variant_map
@@ -169,15 +170,13 @@ def blend_denoise(
     (``ColumnClasses``): a body is constant on each class, so every masked
     position of a class starts from the same value and receives the same
     posterior mean at every step, and stays one value per (row, class).
-    Each step forms the rows' class sums from those values and the
-    closed-form outside values, takes the null condition's posterior mean
-    for the whole stack and each head condition's for its run of adjacent
-    rows, and applies CFG and the DDIM step to the (B, G) values.  The
-    posterior operands are planned once per call (``posterior_plan``: one
-    group for all runs of one length and subset size, so one when every
-    pair brings one run), and each step runs the kernel on them.  The
-    pixels are gathered once at the end, and the unmasked ones are the
-    bodies themselves, bit for bit (c[0] is 1).
+    Each step maps the rows' class sums, from those values and the
+    closed-form outside values, to two posterior means, each planned once
+    per call (``posterior_plan``): the null condition's over the whole
+    stack, and the head conditions' with each run of adjacent rows sharing
+    one as a stack.  Their noises (``implied_noise``), CFG and the DDIM
+    step act on the (B, G) values.  The pixels are gathered once at the
+    end; the unmasked ones are the bodies, bit for bit (c[0] is 1).
     Raises ValueError for a body that is not constant on the classes.
     """
     sched, classes = pred.schedule, pred.column_classes
@@ -190,21 +189,12 @@ def blend_denoise(
     n_in = classes.sums(inside.astype(np.int64))
     n_out = classes.counts - n_in
     z = coefficients[cfg.edit_start] * x_g
-    # runs of adjacent rows sharing a condition, and each group's runs as (R, M) row indices
-    runs = [list(run) for _, run in groupby(range(len(conds)), key=conds.__getitem__)]
-    plan = pred.posterior_plan([conds[run[0]] for run in runs], [len(run) for run in runs])
-    heads = [(np.array([runs[r] for r in group]), columns, norms) for group, columns, norms in plan]
-    [(_, null_columns, null_norms)] = pred.posterior_plan([NULL_CONDITION], [len(z)])
-    x0_cond = np.empty_like(z)
+    runs = [(cond, len(list(run))) for cond, run in groupby(conds)]  # rows sharing a condition
+    means = pred.posterior_plan([NULL_CONDITION], [len(z)]), pred.posterior_plan(*zip(*runs))
     for t in range(cfg.edit_start, 0, -1):
         ab = float(sched.alpha_bar[t])
         sums = n_in * z + n_out * (coefficients[t] * x_g)
-        for rows, columns, norms in heads:
-            x0_cond[rows] = _stacked_posterior_mean(sums[rows], columns, norms, ab)
-        x0_null = _stacked_posterior_mean(sums[None], null_columns, null_norms, ab)[0]
-        # the noise of each masked value, rounded as ``evaluate`` rounds it
-        scale, spread = -math.sqrt(ab), math.sqrt(1.0 - ab)
-        guided = cfg_combine((x0_null * scale + z) / spread, (x0_cond * scale + z) / spread, cfg.w)
+        guided = cfg_combine(*(implied_noise(mean(sums, ab), z, ab) for mean in means), cfg.w)
         z = ddim_sample_step(z, guided, t, sched)
     return np.where(inside, z[:, classes.inv], x_flat).reshape(x.shape)
 

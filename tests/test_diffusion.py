@@ -314,9 +314,9 @@ class TestStackedPredictor:
         z, conds = stack
 
         def refuse(*args):
-            raise AssertionError("a one-image evaluate went through class_posterior_mean")
+            raise AssertionError("a one-image evaluate went through the posterior plan")
 
-        monkeypatch.setattr(predictor, "class_posterior_mean", refuse)
+        monkeypatch.setattr(predictor, "posterior_plan", refuse)
         for latent in z:
             assert predictor.evaluate(latent, 30, conds[4]).shape == latent.shape
 
@@ -424,6 +424,15 @@ class TestColumnClasses:
             renders[0].image[0, 0, 0] = 1.0
         del renders
         assert image() is None
+
+    def test_borrowed_array_turns_read_only(self, rng, sched50):
+        # an (N, H, W, C) array is borrowed whole: a write into it would
+        # change the corpus that the first condition groups
+        images = rng.uniform(0, 1, (5,) + SHAPE)
+        pred = toy_predictor(images, sched50)
+        with pytest.raises(ValueError, match="read-only"):
+            images[0] = 5.0
+        assert pred.images.tobytes() == images.tobytes()
 
     def test_grouping_makes_no_copy_of_the_corpus(self, dataset, sched50):
         # the corpus is 8 MB; the grouping's blocks take under 1 MB at a time

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from headswap import cli, hid
+from headswap import cli, diffusion, hid
 from headswap.diffusion import (
     EmpiricalNoisePredictor,
     NoiseSchedule,
@@ -236,7 +237,7 @@ class TestClassSpaceBlend:
         def refuse(*args):
             raise AssertionError("blend_denoise took a step")
 
-        monkeypatch.setattr(hid, "_stacked_posterior_mean", refuse)
+        monkeypatch.setattr(diffusion, "_stacked_posterior_mean", refuse)
         body = render_avatar(BODY).image
         mask = np.ones((32, 32), dtype=np.uint8)
         coefficients = inversion_coefficients(sched50)
@@ -291,33 +292,40 @@ class TestClassSpaceBlend:
         conds = [compose_head_condition(head, body) for body, head in rows]
         cfg = RunConfig()
         coefficients = inversion_coefficients(predictor.schedule)
-        plan, plans, kernel, calls = predictor.posterior_plan, [], hid._stacked_posterior_mean, []
+        plan, kernel = predictor.posterior_plan, diffusion._stacked_posterior_mean
+        plans, calls = [], []
 
         def plan_spy(stack_conds, stack_lengths):
-            plans.append(plan(stack_conds, stack_lengths))
-            return plans[-1]
+            plans.append((list(stack_conds), list(stack_lengths)))
+            return plan(stack_conds, stack_lengths)
 
         def kernel_spy(sums, columns, norms, ab):
             x0 = kernel(sums, columns, norms, ab)
-            calls.append((sums, ab, x0))
+            calls.append((sums, columns, ab, x0))
             return x0
 
         monkeypatch.setattr(predictor, "posterior_plan", plan_spy)
-        monkeypatch.setattr(hid, "_stacked_posterior_mean", kernel_spy)
+        monkeypatch.setattr(diffusion, "_stacked_posterior_mean", kernel_spy)
         outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, predictor)
-        heads = plans[0]
-        assert len(plans) == 2 and len(plans[1]) == 1  # the heads' plan and the null's
-        assert sorted(len(members) for members, _, _ in heads) == [1, 1, 2]
+        monkeypatch.undo()
         starts = np.cumsum((0,) + lengths)
-        assert len(calls) == cfg.edit_start * (len(set(lengths)) + 1)  # + the null call
-        per_step = len(heads) + 1  # the head groups in plan order, then the null
-        for k, (sums, ab, x0) in enumerate(calls):
+        # two plans per denoise: the null's, one stack of every row, and the heads', one per run
+        assert len(plans) == 2 and ([NULL_CONDITION], [len(rows)]) in plans
+        assert ([conds[start] for start in starts[:-1]], list(lengths)) in plans
+        per_step = len(set(lengths)) + 1  # a kernel call per head group, + the null call
+        assert len(calls) == cfg.edit_start * per_step
+        is_null = [columns.shape[-1] == len(predictor) for _, columns, _, _ in calls]
+        heads = [sums for (sums, _, _, _), null in zip(calls[:per_step], is_null) if not null]
+        assert sorted(len(sums) for sums in heads) == [1, 1, 2]
+        for k, ((sums, _, ab, x0), null) in enumerate(zip(calls, is_null)):
             t = cfg.edit_start - k // per_step
             assert ab == predictor.schedule.alpha_bar[t]
-            if k % per_step == len(heads):
+            if null:
+                assert sums.shape[:2] == (1, len(rows))
                 continue
-            members = heads[k % per_step][0]
-            assert sums.shape[:2] == (len(members), lengths[members[0]])
+            # a group holds the runs of one length, in order of appearance
+            members = [run for run, length in enumerate(lengths) if length == sums.shape[1]]
+            assert len(members) == len(sums)
             for run, run_sums, run_x0 in zip(members, sums, x0):
                 alone = predictor.class_posterior_mean(run_sums[None], t, [conds[starts[run]]])
                 assert np.array_equal(run_x0, alone[0])
@@ -329,16 +337,17 @@ class TestClassSpaceBlend:
             assert np.abs(output - reference).max() <= 1e-12
 
     def test_weight_cut_keeps_bits_and_leaves_no_subnormal_weight(self, predictor, monkeypatch):
-        # every step of a 4-pair chunk's denoise: without the cut, the late
-        # steps form subnormal weights; with it, each is an exact 0, and the
-        # means keep the bits of the uncut softmax
-        kernel, calls = hid._stacked_posterior_mean, []
+        # every kernel call of a 4-pair chunk's swaps, its masks' and each step
+        # of its denoise: without the cut, the late steps form subnormal
+        # weights; with it, each is an exact 0, and the means keep the bits of
+        # the uncut softmax
+        kernel, calls = diffusion._stacked_posterior_mean, []
 
         def spy(sums, columns, norms, ab):
             calls.append((sums, columns, norms, ab))
             return kernel(sums, columns, norms, ab)
 
-        monkeypatch.setattr(hid, "_stacked_posterior_mean", spy)
+        monkeypatch.setattr(diffusion, "_stacked_posterior_mean", spy)
         swap_pairs(sample_pairs(1, 4), RunConfig(), VARIANTS, predictor)
         tiny = np.finfo(np.float64).tiny
         uncut_subnormal = set()
@@ -354,6 +363,17 @@ class TestClassSpaceBlend:
             assert np.array_equal(means, uncut @ columns.swapaxes(-1, -2))
         steps = [t for t, ab in enumerate(predictor.schedule.alpha_bar) if ab in uncut_subnormal]
         assert steps and max(steps) <= 15
+
+
+def test_hid_imports_no_private_name_from_diffusion():
+    # every posterior mean goes through the predictor's public API
+    tree = ast.parse(Path(hid.__file__).read_text())
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "diffusion"
+    ]
+    assert imports
+    assert not [alias.name for node in imports for alias in node.names if alias.name[0] == "_"]
 
 
 class TestThreadDeterminism:
