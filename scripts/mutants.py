@@ -80,6 +80,12 @@ MUTANTS = {
         "image.setflags(write=False)",
         "pass",
     ),
+    # the borrow walk stops at the image: a list of views leaves their array writable
+    "borrow_stops_at_view": (
+        "src/headswap/diffusion.py",
+        "while isinstance(image, np.ndarray):",
+        "if isinstance(image, np.ndarray):",
+    ),
     # the noise divided by the reciprocal's product: the same value, other bits
     "noise_by_reciprocal": (
         "src/headswap/diffusion.py",

@@ -63,7 +63,7 @@ def parse_attrs(text: str, flag: str) -> AttributeSpec:
 def read_config_file(path: str, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
     """Parse flat 'key = value' lines; keys outside ``keys`` or bad values are usage errors."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise RuntimeError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     values = {}

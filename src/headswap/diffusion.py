@@ -138,9 +138,9 @@ class EmpiricalNoisePredictor:
     back to pixels, which is exact because the classes are.  ``evaluate``
     is a stack of one, except when one image matches: its weight is 1, and
     the prediction uses that image, gathered from its classes and kept
-    until a call under another condition.  The N images (H, W, C), or an
-    (N, H, W, C) array and its N views, are borrowed, not copied, marked
-    read-only for good, and dropped once the first condition groups them.
+    until a call under another condition.  The N images (H, W, C) are
+    borrowed, not copied, and dropped once the first condition groups them;
+    each, and each array down its ``.base`` chain, turns read-only for good.
     """
 
     def __init__(
@@ -149,14 +149,15 @@ class EmpiricalNoisePredictor:
         attrs: Sequence[AttributeSpec],
         schedule: NoiseSchedule,
     ):
-        borrowed = [images] if isinstance(images, np.ndarray) else []
         images = [np.ascontiguousarray(image, dtype=np.float64) for image in images]
         if len({image.shape for image in images}) != 1 or images[0].ndim != 3:
             raise ValueError(f"images must be (N, H, W, C), got {set(map(np.shape, images))}")
         if len(images) != len(attrs):
             raise ValueError("one AttributeSpec required per image")
-        for image in images + borrowed:
-            image.setflags(write=False)
+        for image in images:
+            while isinstance(image, np.ndarray):
+                image.setflags(write=False)
+                image = image.base
         self._images: list[np.ndarray] | None = images
         self.schedule = schedule
         self.grid_shape = images[0].shape
@@ -279,29 +280,6 @@ class EmpiricalNoisePredictor:
             return x0
 
         return mean
-
-    def class_posterior_mean(
-        self, sums: np.ndarray, t, conds: Sequence[Condition]
-    ) -> np.ndarray:
-        """The posterior mean x0 on each column class, from latents' class sums.
-
-        ``sums`` is (R, M, G): R stacks of M latents' values summed over each
-        class (``ColumnClasses.sums``), which is all the logits depend on;
-        stack r is conditioned on ``conds[r]``.  The result has its shape.
-        This is one ``posterior_plan``, checked and run once.  Each row takes
-        its own max-subtracted softmax, and a single logit's softmax is 1, so
-        a one-image subset returns its image's class values bit for bit.
-        """
-        step = _check_step(t, 1, self.schedule.T, self.schedule)
-        groups = len(self.column_classes.counts)
-        sums = np.asarray(sums, dtype=np.float64)
-        if sums.ndim != 3 or sums.shape[-1] != groups:
-            raise ValueError(f"class sums {sums.shape} are not (R, M, {groups})")
-        if len(conds) != len(sums):
-            raise ValueError(f"{len(conds)} conditions for {len(sums)} stacks of class sums")
-        mean = self.posterior_plan(conds, [sums.shape[1]] * len(sums))
-        ab = float(self.schedule.alpha_bar[step])
-        return mean(sums.reshape(-1, groups), ab).reshape(sums.shape)
 
 
 def implied_noise(x0: np.ndarray, z_t: np.ndarray, ab: float) -> np.ndarray:

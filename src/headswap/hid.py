@@ -112,7 +112,7 @@ class SwapResult:
 
 def body_condition(body: AttributeSpec) -> Condition:
     """Fully constrained condition matching exactly the body's attributes."""
-    return Condition.from_mapping(vars(body))
+    return Condition.of(**vars(body))
 
 
 def compose_head_condition(head: AttributeSpec, body: AttributeSpec) -> Condition:
@@ -124,7 +124,7 @@ def compose_head_condition(head: AttributeSpec, body: AttributeSpec) -> Conditio
     """
     attrs = dict(vars(composite_spec(body, head)))
     del attrs["clothing_color"]
-    return Condition.from_mapping(attrs)
+    return Condition.of(**attrs)
 
 
 def body_inversion(cfg: RunConfig, pred: EmpiricalNoisePredictor):

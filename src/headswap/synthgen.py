@@ -13,7 +13,7 @@ smoothed, thresholded edit map (see render_avatars).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -145,10 +145,6 @@ class Condition:
     @classmethod
     def of(cls, **constraints: int) -> "Condition":
         return cls(tuple(constraints.items()))
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, int]) -> "Condition":
-        return cls(tuple(mapping.items()))
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.constraints)

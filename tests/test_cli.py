@@ -58,6 +58,8 @@ class TestConfigFile:
         assert values == {"T": 40, "w": 2.5, "variant": "naive"}
         path.write_text("tau = 0.5\nseed = 9\n")
         assert read_config_file(str(path), ABLATE_KEYS) == {"tau": 0.5, "seed": 9}
+        path.write_text("T = 50\n", encoding="utf-8-sig")  # as some editors save UTF-8
+        assert read_config_file(str(path)) == {"T": 50}
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -156,9 +156,9 @@ class TestEmpiricalEps:
         pred = toy_predictor(images, sched)
         classes = pred.column_classes
         flat = images.reshape(len(images), -1)
+        mean = pred.posterior_plan([NULL_CONDITION], [1])
         for z in rng.normal(size=(4,) + SHAPE):
-            sums = classes.sums(z.reshape(1, 1, -1))
-            x0 = pred.class_posterior_mean(sums, 35, [NULL_CONDITION])[0, 0]
+            x0 = mean(classes.sums(z.reshape(1, -1)), float(sched.alpha_bar[35]))[0]
             assert (x0[classes.inv] >= flat.min(axis=0) - 1e-12).all()
             assert (x0[classes.inv] <= flat.max(axis=0) + 1e-12).all()
 
@@ -179,12 +179,13 @@ class TestEmpiricalEps:
         cond = Condition.of(clothing_color=2)
         x = images[2].ravel()
         classes = pred.column_classes
+        mean = pred.posterior_plan([cond], [1])
         for t in (1, 20, 50):
             z = rng.normal(size=SHAPE)
-            x0 = pred.class_posterior_mean(classes.sums(z.reshape(1, 1, -1)), t, [cond])[0, 0]
+            ab = float(sched.alpha_bar[t])
+            x0 = mean(classes.sums(z.reshape(1, -1)), ab)[0]
             assert x0[classes.inv].tobytes() == x.tobytes()
             # the general path: a softmax over the one logit, then the weighted mean
-            ab = float(sched.alpha_bar[t])
             logit = (2.0 * math.sqrt(ab) * (x @ z.ravel()) - ab * (x @ x)) / (2.0 * (1.0 - ab))
             logits = np.array([logit])
             logits -= logits.max()
@@ -228,21 +229,22 @@ class TestStackedPredictor:
             masked = corpus_logits[:, indices]
             masked = np.exp(masked - masked.max(axis=1, keepdims=True))
             expected = (masked / masked.sum(axis=1, keepdims=True)) @ flat[indices]
-            x0 = predictor.class_posterior_mean(sums[None], t, [cond])[0]
+            x0 = predictor.posterior_plan([cond], [len(z)])(sums, ab)
             np.testing.assert_allclose(x0[:, classes.inv], expected, rtol=0, atol=1e-12)
             for row in range(len(z)):
-                row_x0 = predictor.class_posterior_mean(sums[None, None, row], t, [cond])[0, 0]
+                row_x0 = predictor.posterior_plan([cond], [1])(sums[row : row + 1], ab)[0]
                 np.testing.assert_allclose(x0[row], row_x0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_stack_of_one_bit_equals_single_latent(self, stack, predictor, t):
         # latents stacked as stacks of one row each give each latent's own bits
         z, conds = stack
-        sums = predictor.column_classes.sums(z.reshape(len(z), 1, -1))
+        ab = float(predictor.schedule.alpha_bar[t])
+        sums = predictor.column_classes.sums(z.reshape(len(z), -1))
         for cond in conds:
-            stacked = predictor.class_posterior_mean(sums, t, [cond] * len(z))
+            stacked = predictor.posterior_plan([cond] * len(z), [1] * len(z))(sums, ab)
             for row in range(len(z)):
-                x0 = predictor.class_posterior_mean(sums[row : row + 1], t, [cond])
+                x0 = predictor.posterior_plan([cond], [1])(sums[row : row + 1], ab)
                 assert np.array_equal(stacked[row], x0[0])
 
     @pytest.mark.parametrize("t", [1, 25, 50])
@@ -250,17 +252,20 @@ class TestStackedPredictor:
         # subsets of 4, 4, 4, 324 and 1 images: the equal sizes share one
         # stacked matmul, and every stack keeps the bits of its own call
         z, conds = stack
+        ab = float(predictor.schedule.alpha_bar[t])
         sums = predictor.column_classes.sums(z.reshape(len(z), -1))
         for rows in (slice(0, 3), slice(0, 1), slice(None)):
-            stacks = np.stack([sums[rows]] * len(conds))
-            x0 = predictor.class_posterior_mean(stacks, t, conds)
+            stacks = np.concatenate([sums[rows]] * len(conds))
+            m = len(stacks) // len(conds)
+            x0 = predictor.posterior_plan(conds, [m] * len(conds))(stacks, ab)
             assert x0.shape == stacks.shape
-            for stack_sums, cond, stack_x0 in zip(stacks, conds, x0):
-                alone = predictor.class_posterior_mean(stack_sums[None], t, [cond])
-                assert np.array_equal(stack_x0, alone[0])
+            for k, cond in enumerate(conds):
+                stack_rows = slice(k * m, (k + 1) * m)
+                alone = predictor.posterior_plan([cond], [m])(stacks[stack_rows], ab)
+                assert np.array_equal(x0[stack_rows], alone)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
-    def test_evaluate_is_class_posterior_mean_scattered(self, stack, predictor, t):
+    def test_evaluate_is_planned_mean_scattered(self, stack, predictor, t):
         # the one predictor path: pixels -> class sums -> class-space mean -> pixels
         z, conds = stack
         classes = predictor.column_classes
@@ -268,17 +273,12 @@ class TestStackedPredictor:
         sums = classes.sums(z.reshape(len(z), -1))
         for cond, size in ((NULL_CONDITION, 324), (conds[0], 4)):
             assert matching(all_attribute_specs(), cond).size == size
-            for latent, latent_sums in zip(z, sums):
-                x0 = predictor.class_posterior_mean(latent_sums[None, None], t, [cond])[0, 0]
+            mean = predictor.posterior_plan([cond], [1])
+            for row, latent in enumerate(z):
+                x0 = mean(sums[row : row + 1], ab)[0]
                 scattered = (x0 * -math.sqrt(ab))[classes.inv].reshape(latent.shape)
                 want = (scattered + latent) / math.sqrt(1.0 - ab)
                 assert np.array_equal(predictor.evaluate(latent, t, cond), want)
-        for bad in (sums[None, :, :-1], sums, sums[0], z):
-            with pytest.raises(ValueError, match="class sums"):
-                predictor.class_posterior_mean(bad, t, [NULL_CONDITION])
-        for bad_conds in ([], [NULL_CONDITION] * 2):
-            with pytest.raises(ValueError, match="conditions for 1 stacks"):
-                predictor.class_posterior_mean(sums[None], t, bad_conds)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_one_image_posterior_mean_is_its_column(self, stack, predictor, t):
@@ -290,7 +290,8 @@ class TestStackedPredictor:
         classes = predictor.column_classes
         (index,) = matching(all_attribute_specs(), conds[4])
         sums = classes.sums(latents.reshape(len(latents), -1))
-        x0 = predictor.class_posterior_mean(sums[None], t, [conds[4]])[0]
+        ab = float(predictor.schedule.alpha_bar[t])
+        x0 = predictor.posterior_plan([conds[4]], [len(latents)])(sums, ab)
         assert x0.shape == sums.shape
         assert x0.tobytes() == np.tile(classes.table[:, index], (len(latents), 1)).tobytes()
 
@@ -433,6 +434,18 @@ class TestColumnClasses:
         with pytest.raises(ValueError, match="read-only"):
             images[0] = 5.0
         assert pred.images.tobytes() == images.tobytes()
+
+    def test_borrowed_views_turn_their_array_read_only(self, rng, sched50):
+        # a list of an array's views borrows the array too, before and after
+        # the grouping drops the views
+        images = rng.uniform(0, 1, (5,) + SHAPE)
+        want = images.tobytes()
+        pred = EmpiricalNoisePredictor(list(images), toy_attrs(len(images)), sched50)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="read-only"):
+                images[0] = 5.0
+            pred.column_classes
+        assert pred.images.tobytes() == want
 
     def test_grouping_makes_no_copy_of_the_corpus(self, dataset, sched50):
         # the corpus is 8 MB; the grouping's blocks take under 1 MB at a time

@@ -327,8 +327,9 @@ class TestClassSpaceBlend:
             members = [run for run, length in enumerate(lengths) if length == sums.shape[1]]
             assert len(members) == len(sums)
             for run, run_sums, run_x0 in zip(members, sums, x0):
-                alone = predictor.class_posterior_mean(run_sums[None], t, [conds[starts[run]]])
-                assert np.array_equal(run_x0, alone[0])
+                mean = predictor.posterior_plan([conds[starts[run]]], [len(run_sums)])
+                alone = mean(run_sums, ab)
+                assert np.array_equal(run_x0, alone)
         for body, mask, cond, output in zip(bodies, masks, conds, outputs):
             trajectory = coefficients[:, None, None, None] * body
             reference = per_latent_blend_denoise(

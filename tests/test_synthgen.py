@@ -193,7 +193,7 @@ class TestCondition:
 
     def test_fully_constrained_matches_exactly_one(self):
         target = spec(1, LONG, 2, 3, 0)
-        cond = Condition.from_mapping(dict(zip(
+        cond = Condition.of(**dict(zip(
             ("skin_tone", "hair_style", "hair_color", "clothing_color", "head_tilt"),
             target.to_ints(),
         )))
@@ -208,7 +208,7 @@ class TestCondition:
         constraints = {
             name: data.draw(st.sampled_from(ATTRIBUTE_VALUES[name])) for name in chosen
         }
-        cond = Condition.from_mapping(constraints)
+        cond = Condition.of(**constraints)
         count = sum(condition_match(cond, s) for s in all_attribute_specs())
         expected = 324
         for name in chosen:
