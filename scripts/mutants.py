@@ -62,11 +62,11 @@ MUTANTS = {
         "below = logits < cut",
         "below = logits < cut - 50",
     ),
-    # head runs as stacks of one row: the same files, other float bits
+    # the head plan with one row per stack: the same files, other float bits
     "one_row_heads": (
         "src/headswap/hid.py",
-        "runs = [(cond, len(list(run))) for cond, run in groupby(conds)]",
-        "runs = [(cond, 1) for cond in conds]",
+        "pred.posterior_plan(conds)",
+        "pred.posterior_plan([cond for cond in conds for _ in range(len(z) // len(conds))])",
     ),
     # every one-image evaluate through the class sums
     "evaluate_via_stack": (
@@ -92,11 +92,11 @@ MUTANTS = {
         "eps /= math.sqrt(1.0 - ab)",
         "eps *= 1.0 / math.sqrt(1.0 - ab)",
     ),
-    # a posterior plan reads a gathered group's rows one row late
-    "plan_rows_shifted": (
+    # a posterior plan deals the rows to its stacks round-robin
+    "plan_rows_dealt": (
         "src/headswap/diffusion.py",
-        "range(offsets[r], offsets[r + 1])",
-        "range(offsets[r] + 1, offsets[r + 1] + 1)",
+        "sums.reshape(len(columns), -1, sums.shape[1])",
+        "sums.reshape(-1, len(columns), sums.shape[1]).swapaxes(0, 1)",
     ),
     # the grouping misses the last block of positions
     "positions_one_block_short": (

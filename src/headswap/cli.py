@@ -61,12 +61,12 @@ def parse_attrs(text: str, flag: str) -> AttributeSpec:
 
 
 def read_config_file(path: str, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
-    """Parse flat 'key = value' lines; keys outside ``keys`` or bad values are usage errors."""
+    """Parse flat 'key = value' lines; unknown or repeated keys and bad values are usage errors."""
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise RuntimeError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
-    values = {}
+    values, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -80,6 +80,11 @@ def read_config_file(path: str, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
             raise UsageError(
                 f"{path}:{lineno}: unknown config key {key!r}, expected one of {', '.join(keys)}"
             )
+        if key in seen:
+            raise UsageError(
+                f"{path}:{lineno}: repeated config key {key!r}, first set on line {seen[key]}"
+            )
+        seen[key] = lineno
         try:
             values[key] = _CONFIG_PARSERS[key](value)
         except ValueError:

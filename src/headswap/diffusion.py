@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,7 +224,7 @@ class EmpiricalNoisePredictor:
 
     def evaluate_stack(self, z_t: np.ndarray, t, conds: Sequence[Condition]) -> np.ndarray:
         """``evaluate`` of each latent of a stack (P, H, W, C), latent p under
-        ``conds[p]``, bit for bit: (P, H, W, C).
+        ``conds[p]``, which keep equally many images, bit for bit: (P, H, W, C).
 
         The stack takes one planned posterior mean with each latent a stack
         of its own, so each makes a GEMV of a lone latent's shape, and a
@@ -237,47 +236,29 @@ class EmpiricalNoisePredictor:
             raise ValueError(f"{len(conds)} conditions for latents {z_t.shape}")
         alpha_bar = float(self.schedule.alpha_bar[step])
         classes = self.column_classes
-        sums = classes.sums(z_t.reshape(len(z_t), -1))
-        x0 = self.posterior_plan(conds, [1] * len(conds))(sums, alpha_bar)
-        # ``implied_noise``, scaled per class, not per pixel: gathering first is slower
-        eps = np.take(x0 * -math.sqrt(alpha_bar), classes.inv, axis=-1).reshape(z_t.shape)
-        eps += z_t
-        eps /= math.sqrt(1.0 - alpha_bar)
-        return eps
+        x0 = self.posterior_plan(conds)(classes.sums(z_t.reshape(len(z_t), -1)), alpha_bar)
+        return implied_noise(np.take(x0, classes.inv, axis=-1).reshape(z_t.shape), z_t, alpha_bar)
 
     def posterior_plan(
-        self, conds: Sequence[Condition], lengths: Sequence[int]
+        self, conds: Sequence[Condition]
     ) -> Callable[[np.ndarray, float], np.ndarray]:
         """The posterior mean ``mean(sums, ab)`` of stacked rows, planned once.
 
-        Stack r is the next ``lengths[r]`` rows, under ``conds[r]``; ``mean``
-        maps the rows' class sums (B, G) at signal level ab to their means
-        (B, G).  Stacks of one length M and subset size S form a group, whose
-        rows, columns (R, G, S) and squared norms (R, 1, S) are built here,
-        and ``mean`` runs the kernel once per group; a lone group's sums and
-        means are views.  numpy makes one BLAS call per stack, of its own
+        ``mean`` maps the rows' class sums (B, G) at signal level ab to their
+        means (B, G) in one kernel call, the rows forming ``len(conds)`` stacks
+        of equal height, stack r under ``conds[r]``.  The conditions must keep
+        equally many images.  numpy makes one BLAS call per stack, of its own
         shape, so a stack's bits do not depend on the stacks beside it.
         """
         subsets = [self._subset(cond) for cond in conds]
-        keys = [(length, subset[0].size) for length, subset in zip(lengths, subsets)]
-        offsets = list(accumulate(lengths, initial=0))
-        groups = []
-        for key in dict.fromkeys(keys):
-            members = [r for r, other in enumerate(keys) if other == key]
-            rows = slice(None) if len(members) == len(keys) else np.array(
-                [row for r in members for row in range(offsets[r], offsets[r + 1])], dtype=np.intp)
-            columns, norms = (np.stack([subsets[r][k] for r in members]) for k in (1, 2))
-            groups.append((rows, columns, norms))
+        sizes = [subset[0].size for subset in subsets]
+        if len(set(sizes)) > 1:
+            raise ValueError(f"conditions keep different numbers of images: {sizes}")
+        columns, norms = (np.stack([subset[k] for subset in subsets]) for k in (1, 2))
 
         def mean(sums: np.ndarray, ab: float) -> np.ndarray:
-            x0 = None if len(groups) == 1 else np.empty_like(sums)
-            for rows, columns, norms in groups:
-                stack = sums[rows].reshape(len(columns), -1, sums.shape[1])
-                part = _stacked_posterior_mean(stack, columns, norms, ab).reshape(-1, sums.shape[1])
-                if x0 is None:  # one group of every row, in order: no gather, no scatter
-                    return part
-                x0[rows] = part
-            return x0
+            stacks = sums.reshape(len(columns), -1, sums.shape[1])
+            return _stacked_posterior_mean(stacks, columns, norms, ab).reshape(sums.shape)
 
         return mean
 
@@ -319,7 +300,7 @@ def _posterior_weights(sums: np.ndarray, columns: np.ndarray, norms: np.ndarray,
 
 
 def _stacked_posterior_mean(sums, columns, norms, ab: float) -> np.ndarray:
-    """The posterior means (R, M, G) of (R, M, G) class sums under a ``posterior_plan`` group."""
+    """The posterior means (R, M, G) of (R, M, G) class sums, stack r under ``columns[r]``."""
     return _posterior_weights(sums, columns, norms, ab) @ columns.swapaxes(-1, -2)
 
 

@@ -7,9 +7,9 @@ head condition while re-imposing c[t - 1] * x outside the mask at every
 step.  c[0] is exactly 1, so unmasked output pixels equal the body image
 exactly.  Swaps go through in chunks of CHUNK_PAIRS pairs
 (``swap_pairs``): a chunk's masks come from one stacked pass
-(``extract_masks``), and its swaps are denoised as a stack in lockstep,
-carried as one value per (swap, corpus column class) rather than per
-pixel (``blend_denoise``); a single swap is a stack of one.  Every
+(``extract_masks``), and its swaps are denoised in lockstep, each pair's
+variants a stack under its head condition, carried as one value per (swap,
+corpus column class) rather than per pixel (``blend_denoise``).  Every
 posterior mean comes from the predictor's public API.  No stage takes a
 schedule: each reads the predictor's, and ``body_inversion`` checks that
 the config's T is its T.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -164,20 +163,20 @@ def blend_denoise(
 ) -> np.ndarray:
     """Denoise a stack of swaps in lockstep from t_edit to 0: (B, H, W, C).
 
-    Row b starts from c[t_edit] * bodies[b], is guided towards conds[b],
-    and has its latent c[t - 1] * bodies[b] re-imposed outside its mask
-    after every step.  The stack is carried on the corpus's column classes
+    The rows form ``len(conds)`` stacks of equal height, stack r under
+    ``conds[r]``.  Row b starts from c[t_edit] * bodies[b] and has its
+    latent c[t - 1] * bodies[b] re-imposed outside its mask after every
+    step.  The stack is carried on the corpus's column classes
     (``ColumnClasses``): a body is constant on each class, so every masked
     position of a class starts from the same value and receives the same
     posterior mean at every step, and stays one value per (row, class).
     Each step maps the rows' class sums, from those values and the
-    closed-form outside values, to two posterior means, each planned once
-    per call (``posterior_plan``): the null condition's over the whole
-    stack, and the head conditions' with each run of adjacent rows sharing
-    one as a stack.  Their noises (``implied_noise``), CFG and the DDIM
-    step act on the (B, G) values.  The pixels are gathered once at the
-    end; the unmasked ones are the bodies, bit for bit (c[0] is 1).
-    Raises ValueError for a body that is not constant on the classes.
+    closed-form outside values, to the null condition's posterior mean,
+    with all the rows one stack, and the head conditions', each planned
+    once per call (``posterior_plan``).  Their noises (``implied_noise``),
+    CFG and the DDIM step act on the (B, G) values.  The pixels are gathered
+    once at the end; the unmasked ones are the bodies, bit for bit (c[0] is
+    1).  Raises ValueError for a body that is not constant on the classes.
     """
     sched, classes = pred.schedule, pred.column_classes
     x = np.stack(bodies)
@@ -189,8 +188,7 @@ def blend_denoise(
     n_in = classes.sums(inside.astype(np.int64))
     n_out = classes.counts - n_in
     z = coefficients[cfg.edit_start] * x_g
-    runs = [(cond, len(list(run))) for cond, run in groupby(conds)]  # rows sharing a condition
-    means = pred.posterior_plan([NULL_CONDITION], [len(z)]), pred.posterior_plan(*zip(*runs))
+    means = pred.posterior_plan([NULL_CONDITION]), pred.posterior_plan(conds)
     for t in range(cfg.edit_start, 0, -1):
         ab = float(sched.alpha_bar[t])
         sums = n_in * z + n_out * (coefficients[t] * x_g)
@@ -209,11 +207,11 @@ def swap_pairs(
 
     The inversion coefficients are computed once (``body_inversion``).  Per
     chunk, the masks of every pair and variant come from one stacked pass
-    (``extract_masks``), and one ``blend_denoise`` call denoises the pairs
-    x variants together in lockstep under the head conditions.  Returns one
-    list of results per pair, in the order of ``variants``.  An all-empty
-    mask is reported via ``degenerate_mask``, not an error: that output
-    equals the body image bit-exactly.
+    (``extract_masks``), and one ``blend_denoise`` call denoises them in
+    lockstep, each pair's variants a stack under its head condition.
+    Returns one list of results per pair, in the order of ``variants``.  An
+    all-empty mask is reported via ``degenerate_mask``, not an error: that
+    output equals the body image bit-exactly.
     """
     coefficients = body_inversion(cfg, pred)
     results = []
@@ -227,8 +225,7 @@ def swap_pairs(
         # one denoise row per pair x variant
         bodies = np.repeat(images, len(variants), axis=0)
         row_masks = masks.reshape(bodies.shape[:3])
-        row_conds = [cond for cond in conds for _ in variants]
-        outputs = blend_denoise(bodies, row_masks, row_conds, coefficients, cfg, pred)
+        outputs = blend_denoise(bodies, row_masks, conds, coefficients, cfg, pred)
         results += [
             [
                 SwapResult(output, mask, edit_map, degenerate_mask=not mask.any())

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from headswap.cli import ABLATE_KEYS, UsageError, cli_main, parse_attrs, read_config_file
 from headswap.experiment import RECORD_FIELDS, sample_pairs
+from headswap.hid import RunConfig
 from helpers import files_identical, read_pnm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -448,3 +449,21 @@ class TestCliProperties:
             code, err = run_cli(argv + ["--out", str(Path(tmp, "out")), "--config", str(config)])
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        argv=st.sampled_from([SWAP_ARGV, ABLATE_ARGV]),
+        key=st.sampled_from(["T", "w", "tau", "sigma", "edit_fraction"]),
+        comments=st.integers(0, 2),
+        value=SETTING_TEXT | PLAUSIBLE_TEXT,
+    )
+    def test_swap_and_ablate_repeated_config_key_exit_one(self, argv, key, comments, value):
+        # a repeat never silently replaces the first value, whatever it reads
+        first = f"{key} = {getattr(RunConfig(), key)}\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp, "run.cfg")
+            text = first + "# note\n" * comments + f"{key} = {value}\n"
+            config.write_text(text, encoding="utf-8")
+            code, err = run_cli(argv + ["--out", str(Path(tmp, "out")), "--config", str(config)])
+        assert code == 1
+        assert f"{config}:{comments + 2}: repeated config key {key!r}, first set on line 1" in err

@@ -156,7 +156,7 @@ class TestEmpiricalEps:
         pred = toy_predictor(images, sched)
         classes = pred.column_classes
         flat = images.reshape(len(images), -1)
-        mean = pred.posterior_plan([NULL_CONDITION], [1])
+        mean = pred.posterior_plan([NULL_CONDITION])
         for z in rng.normal(size=(4,) + SHAPE):
             x0 = mean(classes.sums(z.reshape(1, -1)), float(sched.alpha_bar[35]))[0]
             assert (x0[classes.inv] >= flat.min(axis=0) - 1e-12).all()
@@ -179,7 +179,7 @@ class TestEmpiricalEps:
         cond = Condition.of(clothing_color=2)
         x = images[2].ravel()
         classes = pred.column_classes
-        mean = pred.posterior_plan([cond], [1])
+        mean = pred.posterior_plan([cond])
         for t in (1, 20, 50):
             z = rng.normal(size=SHAPE)
             ab = float(sched.alpha_bar[t])
@@ -229,10 +229,10 @@ class TestStackedPredictor:
             masked = corpus_logits[:, indices]
             masked = np.exp(masked - masked.max(axis=1, keepdims=True))
             expected = (masked / masked.sum(axis=1, keepdims=True)) @ flat[indices]
-            x0 = predictor.posterior_plan([cond], [len(z)])(sums, ab)
+            x0 = predictor.posterior_plan([cond])(sums, ab)
             np.testing.assert_allclose(x0[:, classes.inv], expected, rtol=0, atol=1e-12)
             for row in range(len(z)):
-                row_x0 = predictor.posterior_plan([cond], [1])(sums[row : row + 1], ab)[0]
+                row_x0 = predictor.posterior_plan([cond])(sums[row : row + 1], ab)[0]
                 np.testing.assert_allclose(x0[row], row_x0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
@@ -242,27 +242,37 @@ class TestStackedPredictor:
         ab = float(predictor.schedule.alpha_bar[t])
         sums = predictor.column_classes.sums(z.reshape(len(z), -1))
         for cond in conds:
-            stacked = predictor.posterior_plan([cond] * len(z), [1] * len(z))(sums, ab)
+            stacked = predictor.posterior_plan([cond] * len(z))(sums, ab)
             for row in range(len(z)):
-                x0 = predictor.posterior_plan([cond], [1])(sums[row : row + 1], ab)
+                x0 = predictor.posterior_plan([cond])(sums[row : row + 1], ab)
                 assert np.array_equal(stacked[row], x0[0])
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_stacks_under_mixed_conditions_bit_equal_each_stack_alone(self, stack, predictor, t):
-        # subsets of 4, 4, 4, 324 and 1 images: the equal sizes share one
-        # stacked matmul, and every stack keeps the bits of its own call
+        # stacks under conditions of one subset size (4, 324 or 1 images)
+        # share one stacked matmul, and every stack keeps the bits of its own call
         z, conds = stack
         ab = float(predictor.schedule.alpha_bar[t])
         sums = predictor.column_classes.sums(z.reshape(len(z), -1))
-        for rows in (slice(0, 3), slice(0, 1), slice(None)):
-            stacks = np.concatenate([sums[rows]] * len(conds))
-            m = len(stacks) // len(conds)
-            x0 = predictor.posterior_plan(conds, [m] * len(conds))(stacks, ab)
-            assert x0.shape == stacks.shape
-            for k, cond in enumerate(conds):
-                stack_rows = slice(k * m, (k + 1) * m)
-                alone = predictor.posterior_plan([cond], [m])(stacks[stack_rows], ab)
-                assert np.array_equal(x0[stack_rows], alone)
+        for same_size in (conds[:3], [conds[3]] * 2, [conds[4]] * 2):
+            for rows in (slice(0, 3), slice(0, 1), slice(None)):
+                stacks = np.concatenate([sums[rows]] * len(same_size))
+                m = len(stacks) // len(same_size)
+                x0 = predictor.posterior_plan(same_size)(stacks, ab)
+                assert x0.shape == stacks.shape
+                for k, cond in enumerate(same_size):
+                    stack_rows = slice(k * m, (k + 1) * m)
+                    alone = predictor.posterior_plan([cond])(stacks[stack_rows], ab)
+                    assert np.array_equal(x0[stack_rows], alone)
+
+    def test_conditions_keeping_different_numbers_of_images_rejected(self, stack, predictor):
+        # a plan is one kernel call, so its conditions keep equally many images
+        z, conds = stack
+        for mixed in (conds[2:4], conds[3:], [conds[0], conds[4]]):
+            with pytest.raises(ValueError, match="different numbers of images"):
+                predictor.posterior_plan(mixed)
+            with pytest.raises(ValueError, match="different numbers of images"):
+                predictor.evaluate_stack(z[: len(mixed)], 30, mixed)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_evaluate_is_planned_mean_scattered(self, stack, predictor, t):
@@ -273,7 +283,7 @@ class TestStackedPredictor:
         sums = classes.sums(z.reshape(len(z), -1))
         for cond, size in ((NULL_CONDITION, 324), (conds[0], 4)):
             assert matching(all_attribute_specs(), cond).size == size
-            mean = predictor.posterior_plan([cond], [1])
+            mean = predictor.posterior_plan([cond])
             for row, latent in enumerate(z):
                 x0 = mean(sums[row : row + 1], ab)[0]
                 scattered = (x0 * -math.sqrt(ab))[classes.inv].reshape(latent.shape)
@@ -291,7 +301,7 @@ class TestStackedPredictor:
         (index,) = matching(all_attribute_specs(), conds[4])
         sums = classes.sums(latents.reshape(len(latents), -1))
         ab = float(predictor.schedule.alpha_bar[t])
-        x0 = predictor.posterior_plan([conds[4]], [len(latents)])(sums, ab)
+        x0 = predictor.posterior_plan([conds[4]])(sums, ab)
         assert x0.shape == sums.shape
         assert x0.tobytes() == np.tile(classes.table[:, index], (len(latents), 1)).tobytes()
 
@@ -301,7 +311,9 @@ class TestStackedPredictor:
         # condition, while ``evaluate`` takes a one-image condition's image
         # directly: two implementations that must agree bit for bit
         z, conds = stack
-        for stack_conds in (conds + conds[:3], [NULL_CONDITION] * len(z), [conds[4]] * len(z)):
+        # one stack's conditions keep equally many images: 4, 324 or 1
+        heads = conds[:3] * 2 + conds[:2]
+        for stack_conds in (heads, [NULL_CONDITION] * len(z), [conds[4]] * len(z)):
             eps = predictor.evaluate_stack(z, t, stack_conds)
             assert eps.shape == z.shape
             for latent, cond, latent_eps in zip(z, stack_conds, eps):

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import os
 import subprocess
@@ -37,7 +38,6 @@ from headswap.synthgen import (
     Condition,
     all_attribute_specs,
     condition_match,
-    ground_truth_edit_mask,
     oracle_swap,
     render_avatar,
 )
@@ -269,73 +269,54 @@ class TestClassSpaceBlend:
         masks = [gen.random((4, 4)) < 0.5 for _ in bodies]
         masks[1][:] = False
         masks[2][:] = True
-        conds = [Condition.of(clothing_color=1)] * 3 + [NULL_CONDITION] * 2
-        outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, pred)
-        assert np.array_equal(outputs[1], bodies[1])  # an all-empty mask keeps the body
-        for body, mask, cond, output in zip(bodies, masks, conds, outputs):
-            trajectory = coefficients[:, None, None, None] * body
-            reference = per_latent_blend_denoise(trajectory, mask, cond, cfg, sched, pred)
-            assert np.abs(output - reference).max() <= 1e-12
-            assert np.array_equal(output[~mask], body[~mask])
+        # five stacks of one row under three-image conditions, then one stack of five
+        for conds in ([Condition.of(clothing_color=k) for k in (1, 1, 2, 3, 0)], [NULL_CONDITION]):
+            outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, pred)
+            assert np.array_equal(outputs[1], bodies[1])  # an all-empty mask keeps the body
+            row_conds = [cond for cond in conds for _ in range(len(bodies) // len(conds))]
+            for body, mask, cond, output in zip(bodies, masks, row_conds, outputs):
+                trajectory = coefficients[:, None, None, None] * body
+                reference = per_latent_blend_denoise(trajectory, mask, cond, cfg, sched, pred)
+                assert np.abs(output - reference).max() <= 1e-12
+                assert np.array_equal(output[~mask], body[~mask])
 
-    def test_runs_of_shared_head_conditions_keep_their_own_bits(self, predictor, monkeypatch):
-        # adjacent rows sharing a head condition form one run, and the runs
-        # of one length share a kernel call per step, planned once per
-        # denoise; each run's head posterior keeps the bits of a call for
-        # that run alone
-        specs = all_attribute_specs()
-        pairs = [(specs[k], specs[j]) for k, j in ((5, 200), (17, 90), (300, 41), (120, 250))]
-        lengths = (3, 6, 3, 1)  # runs of 3, 6, 3 and 1 rows: three lengths
-        rows = [pair for pair, length in zip(pairs, lengths) for _ in range(length)]
-        bodies = [render_avatar(body).image for body, _ in rows]
-        masks = [ground_truth_edit_mask(body, head) for body, head in rows]
-        conds = [compose_head_condition(head, body) for body, head in rows]
+    def test_each_pair_is_its_own_head_stack(self, predictor, monkeypatch):
+        # the middle pairs of this chunk share a head condition, yet each
+        # denoise step makes one head kernel call, whose stack for each pair
+        # keeps the bits of a plan of that pair's stack alone
+        chunk = sample_pairs(7, 50)[28:32]
+        conds = [compose_head_condition(head, body) for body, head in chunk]
+        assert conds[1] == conds[2]
         cfg = RunConfig()
-        coefficients = inversion_coefficients(predictor.schedule)
-        plan, kernel = predictor.posterior_plan, diffusion._stacked_posterior_mean
-        plans, calls = [], []
+        kernel, calls = diffusion._stacked_posterior_mean, []
 
-        def plan_spy(stack_conds, stack_lengths):
-            plans.append((list(stack_conds), list(stack_lengths)))
-            return plan(stack_conds, stack_lengths)
-
-        def kernel_spy(sums, columns, norms, ab):
+        def spy(sums, columns, norms, ab):
             x0 = kernel(sums, columns, norms, ab)
             calls.append((sums, columns, ab, x0))
             return x0
 
-        monkeypatch.setattr(predictor, "posterior_plan", plan_spy)
-        monkeypatch.setattr(diffusion, "_stacked_posterior_mean", kernel_spy)
-        outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, predictor)
+        monkeypatch.setattr(diffusion, "_stacked_posterior_mean", spy)
+        results = swap_pairs(chunk, cfg, VARIANTS, predictor)
         monkeypatch.undo()
-        starts = np.cumsum((0,) + lengths)
-        # two plans per denoise: the null's, one stack of every row, and the heads', one per run
-        assert len(plans) == 2 and ([NULL_CONDITION], [len(rows)]) in plans
-        assert ([conds[start] for start in starts[:-1]], list(lengths)) in plans
-        per_step = len(set(lengths)) + 1  # a kernel call per head group, + the null call
-        assert len(calls) == cfg.edit_start * per_step
-        is_null = [columns.shape[-1] == len(predictor) for _, columns, _, _ in calls]
-        heads = [sums for (sums, _, _, _), null in zip(calls[:per_step], is_null) if not null]
-        assert sorted(len(sums) for sums in heads) == [1, 1, 2]
-        for k, ((sums, _, ab, x0), null) in enumerate(zip(calls, is_null)):
-            t = cfg.edit_start - k // per_step
-            assert ab == predictor.schedule.alpha_bar[t]
-            if null:
-                assert sums.shape[:2] == (1, len(rows))
+        steps = calls[3:]  # after the masks' body, null and head calls
+        assert len(steps) == 2 * cfg.edit_start  # a null and a head call per step
+        for k, (sums, columns, ab, x0) in enumerate(steps):
+            assert ab == predictor.schedule.alpha_bar[cfg.edit_start - k // 2]
+            if k % 2 == 0:
+                assert sums.shape[:2] == (1, len(chunk) * len(VARIANTS))
+                assert columns.shape[-1] == len(predictor)
                 continue
-            # a group holds the runs of one length, in order of appearance
-            members = [run for run, length in enumerate(lengths) if length == sums.shape[1]]
-            assert len(members) == len(sums)
-            for run, run_sums, run_x0 in zip(members, sums, x0):
-                mean = predictor.posterior_plan([conds[starts[run]]], [len(run_sums)])
-                alone = mean(run_sums, ab)
-                assert np.array_equal(run_x0, alone)
-        for body, mask, cond, output in zip(bodies, masks, conds, outputs):
-            trajectory = coefficients[:, None, None, None] * body
-            reference = per_latent_blend_denoise(
-                trajectory, mask, cond, cfg, predictor.schedule, predictor
-            )
-            assert np.abs(output - reference).max() <= 1e-12
+            assert sums.shape[:2] == (len(chunk), len(VARIANTS))
+            for cond, pair_sums, pair_x0 in zip(conds, sums, x0):
+                assert np.array_equal(pair_x0, predictor.posterior_plan([cond])(pair_sums, ab))
+        coefficients = inversion_coefficients(predictor.schedule)
+        for (body, _), cond, per_pair in zip(chunk, conds, results):
+            trajectory = coefficients[:, None, None, None] * render_avatar(body).image
+            for result in per_pair:
+                reference = per_latent_blend_denoise(
+                    trajectory, result.mask, cond, cfg, predictor.schedule, predictor
+                )
+                assert np.abs(result.output - reference).max() <= 1e-12
 
     def test_weight_cut_keeps_bits_and_leaves_no_subnormal_weight(self, predictor, monkeypatch):
         # every kernel call of a 4-pair chunk's swaps, its masks' and each step
@@ -415,3 +396,17 @@ class TestThreadDeterminism:
             digests.append(done.stdout.strip())
         assert digests[0] == self.PINNED
         assert digests[1] == digests[0]
+
+    # the float64 bits of a chunk whose middle pairs share a head condition
+    MERGED_CHUNK = "42d36ab5e783c2a85183be1e80237f0f14b9b962f70f699e9ed1eb7e8bf48811"
+
+    def test_chunk_with_a_shared_head_condition_keeps_its_bits(self, predictor):
+        chunk = sample_pairs(7, 50)[28:32]
+        conds = [compose_head_condition(head, body) for body, head in chunk]
+        assert conds[1] == conds[2] and len(set(conds)) == 3
+        digest = hashlib.sha256()
+        for results in swap_pairs(chunk, RunConfig(), ("naive", "no_orth", "full"), predictor):
+            for result in results:
+                for array in (result.output, result.mask, result.io_map):
+                    digest.update(array.tobytes())
+        assert digest.hexdigest() == self.MERGED_CHUNK
