@@ -42,8 +42,14 @@ MUTANTS = {
     ),
     "tau_nudge": (
         "src/headswap/iomask.py",
-        "minmax_normalize(edit_maps), cfg.sigma), cfg.tau)",
-        "minmax_normalize(edit_maps), cfg.sigma), cfg.tau + 1e-12)",
+        "minmax_normalize(maps), cfg.sigma), cfg.tau)",
+        "minmax_normalize(maps), cfg.sigma), cfg.tau + 1e-12)",
+    ),
+    # every variant gets the last variant's map
+    "maps_one_variant": (
+        "src/headswap/iomask.py",
+        "variant_map((eps_body, eps_null, eps_head), variant, w)",
+        "variant_map((eps_body, eps_null, eps_head), variants[-1], w)",
     ),
     # the weight cut: each leaves the means' bits, and only a weight between
     # the smallest normal double and S times it tells

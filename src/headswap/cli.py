@@ -24,16 +24,16 @@ from .experiment import (
     summarize,
     write_metrics,
 )
-from .hid import body_condition, body_inversion, compose_head_condition, extract_masks, run_headswap
+from .hid import body_condition, body_inversion, compose_head_condition, run_headswap
 from .imaging import minmax_normalize, overlay_heatmap, write_gray, write_image, write_mask
-from .iomask import VARIANTS
+from .iomask import VARIANTS, build_iomasks, edit_maps
 from .metrics import swap_reference
 from .synthgen import AttributeSpec, enumerate_dataset, render_avatar
 
 # swap and mask run one variant and sample nothing, so they take no seed
 CONFIG_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "variant")
-# ablate runs every variant over seeded pairs, so it takes a seed and no variant
-ABLATE_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "seed")
+# ablate runs every variant over seeded pairs, so it takes a seed and a pair count, no variant
+ABLATE_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "seed", "pairs")
 # each config key parses as the type of its RunConfig default
 _CONFIG_PARSERS = {f.name: type(f.default) for f in fields(RunConfig)}
 
@@ -97,7 +97,7 @@ def _merge_run_config(args, keys: tuple[str, ...] = CONFIG_KEYS) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(read_config_file(args.config, keys))
-    for key in keys + ("pairs",):
+    for key in keys:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -121,6 +121,8 @@ def _add_run_options(sub: argparse.ArgumentParser, keys: tuple[str, ...] = CONFI
         sub.add_argument("--variant", choices=VARIANTS, default=None, help="edit-map variant")
     if "seed" in keys:
         sub.add_argument("--seed", type=int, default=None, help="pair sampling seed")
+    if "pairs" in keys:
+        sub.add_argument("--pairs", type=int, default=None, help="number of sampled pairs")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_run_options(sub)
 
     ablate = subs.add_parser("ablate", help="run all mask variants over sampled pairs")
-    ablate.add_argument("--pairs", type=int, default=None, help="number of sampled pairs")
     ablate.add_argument("--out", required=True, help="output directory")
     _add_run_options(ablate, ABLATE_KEYS)
 
@@ -210,12 +211,12 @@ def _cmd_swap(args) -> int:
 def _cmd_mask(args) -> int:
     body, head, cfg, pred = _swap_setup(args)
     image = render_avatar(body).image
-    z_edit = body_inversion(cfg, pred)[cfg.edit_start] * image
-    cond_head, cond_body = compose_head_condition(head, body), body_condition(body)
-    maps, masks = extract_masks(z_edit[None], [cond_head], [cond_body], cfg, (cfg.variant,), pred)
-    mask = masks[0, 0]
-    _write_mask_files(cfg.out_dir, image, maps[0, 0], mask)
-    print(f"mask covers {int(mask.sum())} pixels at t={cfg.edit_start}")
+    z_edit = body_inversion(cfg, pred)[cfg.edit_start] * image[None]
+    conds = [compose_head_condition(head, body)], [body_condition(body)]
+    maps = edit_maps(z_edit, cfg.edit_start, *conds, (cfg.variant,), cfg.w, pred)
+    masks = build_iomasks(maps, cfg.mask)
+    _write_mask_files(cfg.out_dir, image, maps[0, 0], masks[0, 0])
+    print(f"mask covers {int(masks.sum())} pixels at t={cfg.edit_start}")
     return 0
 
 

@@ -6,8 +6,8 @@ computes the edit mask once at c[t_edit] * x, then denoises under the
 head condition while re-imposing c[t - 1] * x outside the mask at every
 step.  c[0] is exactly 1, so unmasked output pixels equal the body image
 exactly.  Swaps go through in chunks of CHUNK_PAIRS pairs
-(``swap_pairs``): a chunk's masks come from one stacked pass
-(``extract_masks``), and its swaps are denoised in lockstep, each pair's
+(``swap_pairs``): a chunk's maps come from one stacked pass
+(``iomask.edit_maps``), and its swaps are denoised in lockstep, each pair's
 variants a stack under its head condition, carried as one value per (swap,
 corpus column class) rather than per pixel (``blend_denoise``).  Every
 posterior mean comes from the predictor's public API.  No stage takes a
@@ -31,7 +31,7 @@ from .diffusion import (
     implied_noise,
     inversion_coefficients,
 )
-from .iomask import VARIANTS, IOMaskConfig, build_iomasks, io_predictions, variant_map
+from .iomask import VARIANTS, IOMaskConfig, build_iomasks, edit_maps
 from .synthgen import NULL_CONDITION, AttributeSpec, Condition, composite_spec, render_avatar
 
 # The most pairs ``swap_pairs`` denoises in lockstep (times its variants:
@@ -133,26 +133,6 @@ def body_inversion(cfg: RunConfig, pred: EmpiricalNoisePredictor):
     return inversion_coefficients(pred.schedule)
 
 
-def extract_masks(
-    z_edit: np.ndarray,
-    conds_head: Sequence[Condition],
-    conds_body: Sequence[Condition],
-    cfg: RunConfig,
-    variants: Sequence[str],
-    pred: EmpiricalNoisePredictor,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each pair's edit map and mask per variant, (P, V, H, W) each, at the
-    bodies' latents z_edit (P, H, W, C) of step cfg.edit_start.
-
-    Pair p compares ``conds_head[p]`` with ``conds_body[p]``.  The stack's
-    predictions are evaluated once (``io_predictions``) and shared by the
-    variants, and its maps are made masks as one stack (``build_iomasks``).
-    """
-    predictions = io_predictions(z_edit, cfg.edit_start, conds_head, conds_body, cfg.w, pred)
-    maps = np.stack([variant_map(predictions, variant, cfg.w) for variant in variants], axis=1)
-    return maps, build_iomasks(maps, cfg.mask)
-
-
 def blend_denoise(
     bodies: Sequence[np.ndarray],
     masks: Sequence[np.ndarray],
@@ -206,9 +186,9 @@ def swap_pairs(
     """Swap every (body, head) pair under every mask variant, CHUNK_PAIRS pairs at a time.
 
     The inversion coefficients are computed once (``body_inversion``).  Per
-    chunk, the masks of every pair and variant come from one stacked pass
-    (``extract_masks``), and one ``blend_denoise`` call denoises them in
-    lockstep, each pair's variants a stack under its head condition.
+    chunk, one stacked pass makes the maps (``edit_maps``) and masks
+    (``build_iomasks``) of every pair and variant, and one ``blend_denoise``
+    call denoises them in lockstep, each pair's variants one head stack.
     Returns one list of results per pair, in the order of ``variants``.  An
     all-empty mask is reported via ``degenerate_mask``, not an error: that
     output equals the body image bit-exactly.
@@ -221,7 +201,8 @@ def swap_pairs(
         conds = [compose_head_condition(head, body) for body, head in chunk]
         conds_body = [body_condition(body) for body, _ in chunk]
         z_edit = coefficients[cfg.edit_start] * images
-        maps, masks = extract_masks(z_edit, conds, conds_body, cfg, variants, pred)
+        maps = edit_maps(z_edit, cfg.edit_start, conds, conds_body, variants, cfg.w, pred)
+        masks = build_iomasks(maps, cfg.mask)
         # one denoise row per pair x variant
         bodies = np.repeat(images, len(variants), axis=0)
         row_masks = masks.reshape(bodies.shape[:3])

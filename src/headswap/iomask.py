@@ -59,29 +59,32 @@ def orthogonal_component(eps_h: np.ndarray, eps_b: np.ndarray) -> np.ndarray:
     return eps_h - coef[..., None] * eps_b
 
 
-def io_predictions(
+def edit_maps(
     z_t: np.ndarray,
     t,
     conds_head: Sequence[Condition],
     conds_body: Sequence[Condition],
+    variants: Sequence[str],
     w: float,
     pred: EmpiricalNoisePredictor,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The predictions every variant compares, at a stack of latents z_t (P, H, W, C) of step t.
+) -> np.ndarray:
+    """Each pair's edit map per variant, (P, V, H, W), at latents z_t (P, H, W, C) of step t.
 
-    Latent p is a pair's, compared under ``conds_head[p]`` and
-    ``conds_body[p]``.  Returns the body-conditioned, the null and the
-    CFG-guided head-conditioned predictions, (P, H, W, C) each, from one
-    ``evaluate_stack`` call per condition kind.
+    Latent p compares ``conds_head[p]`` with ``conds_body[p]``.  The body, the
+    null and the CFG-guided head predictions take one ``evaluate_stack`` call
+    each, and every variant's map (``variant_map``) is made from them.
     """
     eps_body = pred.evaluate_stack(z_t, t, conds_body)
     eps_null = pred.evaluate_stack(z_t, t, [NULL_CONDITION] * len(conds_body))
     eps_head = cfg_combine(eps_null, pred.evaluate_stack(z_t, t, conds_head), w)
-    return eps_body, eps_null, eps_head
+    maps = np.empty((len(z_t), len(variants)) + z_t.shape[1:3])
+    for v, variant in enumerate(variants):
+        maps[:, v] = variant_map((eps_body, eps_null, eps_head), variant, w)
+    return maps
 
 
 def variant_map(predictions, variant: str, w: float) -> np.ndarray:
-    """One variant's edit maps from ``io_predictions``, (..., H, W).
+    """One variant's edit maps (..., H, W) from the body, null and guided head predictions.
 
     Each is the channel-mean absolute value of the variant's difference field.
     """
@@ -109,13 +112,13 @@ def io_map(
     """Per-pixel edit evidence at the latent traj[t] for the variant of ``cfg``: a stack of one."""
     _check_predictor(sched, pred)
     step = _check_step(t, 1, sched.T, sched)
-    predictions = io_predictions(traj[step][None], step, [cond_head], [cond_body], cfg.w, pred)
-    return variant_map(predictions, cfg.variant, cfg.w)[0]
+    maps = edit_maps(traj[step][None], step, [cond_head], [cond_body], (cfg.variant,), cfg.w, pred)
+    return maps[0, 0]
 
 
-def build_iomasks(edit_maps: np.ndarray, cfg: IOMaskConfig) -> np.ndarray:
+def build_iomasks(maps: np.ndarray, cfg: IOMaskConfig) -> np.ndarray:
     """Normalize, blur, and threshold each edit map of a (..., H, W) stack into a binary mask."""
-    return threshold(gaussian_filter(minmax_normalize(edit_maps), cfg.sigma), cfg.tau)
+    return threshold(gaussian_filter(minmax_normalize(maps), cfg.sigma), cfg.tau)
 
 
 def build_iomask(edit_map: np.ndarray, cfg: IOMaskConfig) -> np.ndarray:

@@ -193,6 +193,17 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["swap", "mask"])
+    def test_swap_and_mask_reject_pairs_key(self, tmp_path, capsys, command):
+        # each runs one pair, so a pair count would be silently ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pairs = 2\n")
+        out = tmp_path / "out"
+        argv = [command, "--body", "0,2,0,1,0", "--head", "2,0,1,3,-1", "--out", str(out)]
+        assert cli_main(argv + ["--config", str(cfg)]) == 1
+        assert "unknown config key 'pairs'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flag_exit_one(self):
         assert cli_main(["swap", "--bogus"]) == 1
 
@@ -315,6 +326,16 @@ class TestAblateAndEval:
         assert run_cli(["ablate", "--pairs", "1", "--out", str(out)] + setting)[0] == 0
         [first, *_] = (out / "metrics.jsonl").read_text().splitlines()
         assert json.loads(first)["body_attrs"] == list(sample_pairs(3, 1)[0][0].to_ints())
+
+    def test_ablate_takes_pairs_from_a_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pairs = 2\nseed = 3\n")
+        out = tmp_path / "out"
+        assert run_cli(["ablate", "--out", str(out), "--config", str(cfg)])[0] == 0
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 2 * 3
+        # the flag still overrides the file
+        assert run_cli(["ablate", "--out", str(out), "--config", str(cfg), "--pairs", "1"])[0] == 0
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 3
 
     def test_failed_image_write_exits_two_without_metrics(self, tmp_path):
         out = tmp_path / "ablate"

@@ -14,6 +14,7 @@ from headswap.diffusion import (
     EmpiricalNoisePredictor,
     NoiseSchedule,
     _posterior_weights,
+    cfg_combine,
     inversion_coefficients,
     make_schedule,
 )
@@ -23,11 +24,10 @@ from headswap.hid import (
     blend_denoise,
     body_condition,
     compose_head_condition,
-    extract_masks,
     run_headswap,
     swap_pairs,
 )
-from headswap.iomask import VARIANTS, build_iomask, io_predictions, variant_map
+from headswap.iomask import VARIANTS, build_iomask, build_iomasks, edit_maps, variant_map
 from headswap.metrics import region_mse
 from headswap.synthgen import (
     AttributeSpec,
@@ -131,22 +131,32 @@ class TestIdentitySwap:
             assert np.array_equal(result.output, render_avatar(spec).image)
 
 
+def reference_maps(pred, z_t, t, conds_head, conds_body, variants, w):
+    """Edit maps (P, V, H, W) made without ``edit_maps``: three
+    ``evaluate_stack`` calls, CFG and each variant's ``variant_map``."""
+    eps_body = pred.evaluate_stack(z_t, t, conds_body)
+    eps_null = pred.evaluate_stack(z_t, t, [NULL_CONDITION] * len(conds_body))
+    eps_head = cfg_combine(eps_null, pred.evaluate_stack(z_t, t, conds_head), w)
+    return np.stack([variant_map((eps_body, eps_null, eps_head), v, w) for v in variants], axis=1)
+
+
 class TestExtractMask:
     def test_maps_are_taken_at_the_edit_step(self, predictor):
         cfg = RunConfig()
         coefficients = inversion_coefficients(predictor.schedule)
         z_edit = coefficients[cfg.edit_start] * render_avatar(BODY).image[None]
-        conds_head, conds_body = [compose_head_condition(HEAD, BODY)], [body_condition(BODY)]
+        conds = [compose_head_condition(HEAD, BODY)], [body_condition(BODY)]
 
         def maps_at(step):
-            predictions = io_predictions(z_edit, step, conds_head, conds_body, cfg.w, predictor)
-            return [variant_map(predictions, variant, cfg.w)[0] for variant in VARIANTS]
+            return reference_maps(predictor, z_edit, step, *conds, VARIANTS, cfg.w)[0]
 
         expected = maps_at(cfg.edit_start)
         # the step matters: one step earlier gives different maps
         assert not any(np.array_equal(a, b) for a, b in zip(expected, maps_at(cfg.edit_start - 1)))
-        maps, masks = extract_masks(z_edit, conds_head, conds_body, cfg, VARIANTS, predictor)
+        maps = edit_maps(z_edit, cfg.edit_start, *conds, VARIANTS, cfg.w, predictor)
+        masks = build_iomasks(maps, cfg.mask)
         assert maps.shape == masks.shape == (1, len(VARIANTS), 32, 32)
+        assert maps.flags.c_contiguous
         for want, edit_map, mask in zip(expected, maps[0], masks[0]):
             assert np.array_equal(edit_map, want)
             assert np.array_equal(mask, build_iomask(want, cfg.mask))
@@ -159,17 +169,20 @@ class TestExtractMask:
         pairs = [(specs[k], specs[j]) for k, j in ((5, 200), (17, 90), (5, 200), (300, 41))]
         pairs.append((BODY, HEAD))
         cfg = RunConfig()
-        c_edit = inversion_coefficients(predictor.schedule)[cfg.edit_start]
+        t = cfg.edit_start
+        c_edit = inversion_coefficients(predictor.schedule)[t]
         z_edit = c_edit * np.stack([render_avatar(body).image for body, _ in pairs])
         conds_head = [compose_head_condition(head, body) for body, head in pairs]
         conds_body = [body_condition(body) for body, _ in pairs]
-        maps, masks = extract_masks(z_edit, conds_head, conds_body, cfg, variants, predictor)
+        maps = edit_maps(z_edit, t, conds_head, conds_body, variants, cfg.w, predictor)
+        masks = build_iomasks(maps, cfg.mask)
         assert maps.shape == masks.shape == (len(pairs), len(variants), 32, 32)
         assert masks.dtype == np.uint8 and masks.any()
         for p, (z, cond_head, cond_body) in enumerate(zip(z_edit, conds_head, conds_body)):
-            alone = extract_masks(z[None], [cond_head], [cond_body], cfg, variants, predictor)
-            assert maps[p].tobytes() == alone[0][0].tobytes()
-            assert masks[p].tobytes() == alone[1][0].tobytes()
+            conds = [cond_head], [cond_body]
+            alone = reference_maps(predictor, z[None], t, *conds, variants, cfg.w)
+            assert maps[p].tobytes() == alone[0].tobytes()
+            assert masks[p].tobytes() == build_iomasks(alone, cfg.mask)[0].tobytes()
 
 
 @pytest.fixture(scope="module")
