@@ -86,6 +86,12 @@ MUTANTS = {
         "image.setflags(write=False)",
         "pass",
     ),
+    # the schedule's cached inversion coefficients stay writable
+    "writable_inversion": (
+        "src/headswap/diffusion.py",
+        "c.setflags(write=False)",
+        "pass",
+    ),
     # the borrow walk stops at the image: a list of views leaves their array writable
     "borrow_stops_at_view": (
         "src/headswap/diffusion.py",

@@ -24,9 +24,9 @@ from .experiment import (
     summarize,
     write_metrics,
 )
-from .hid import body_condition, body_inversion, compose_head_condition, run_headswap
+from .hid import mask_pairs, run_headswap
 from .imaging import minmax_normalize, overlay_heatmap, write_gray, write_image, write_mask
-from .iomask import VARIANTS, build_iomasks, edit_maps
+from .iomask import VARIANTS
 from .metrics import swap_reference
 from .synthgen import AttributeSpec, enumerate_dataset, render_avatar
 
@@ -210,19 +210,15 @@ def _cmd_swap(args) -> int:
 
 def _cmd_mask(args) -> int:
     body, head, cfg, pred = _swap_setup(args)
-    image = render_avatar(body).image
-    z_edit = body_inversion(cfg, pred)[cfg.edit_start] * image[None]
-    conds = [compose_head_condition(head, body)], [body_condition(body)]
-    maps = edit_maps(z_edit, cfg.edit_start, *conds, (cfg.variant,), cfg.w, pred)
-    masks = build_iomasks(maps, cfg.mask)
-    _write_mask_files(cfg.out_dir, image, maps[0, 0], masks[0, 0])
+    images, _, maps, masks = mask_pairs([(body, head)], cfg, (cfg.variant,), pred)
+    _write_mask_files(cfg.out_dir, images[0], maps[0, 0], masks[0, 0])
     print(f"mask covers {int(masks.sum())} pixels at t={cfg.edit_start}")
     return 0
 
 
 def _cmd_ablate(args) -> int:
     cfg = _merge_run_config(args, ABLATE_KEYS)
-    print(format_summary(summarize(run_experiment(cfg, variants=VARIANTS))))
+    print(format_summary(summarize(run_experiment(cfg))))
     print(f"wrote records to {Path(args.out) / METRICS_FILENAME}")
     return 0
 

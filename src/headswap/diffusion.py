@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +54,20 @@ class NoiseSchedule:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "alpha_bar", arr)
+
+    @cached_property
+    def inversion(self) -> np.ndarray:
+        """c[0..T] with ``invert_trajectory(x, cond, ...)[t] = c[t] x`` whenever
+        ``cond`` keeps one image x: the posterior mean is then x, so at z = c x
+        the noise is (c - sqrt(ab_t)) / sqrt(1 - ab_t) x.  c runs the inversion
+        steps on the scalar 1, so c[0] is exactly 1.  Made once, read-only."""
+        c = np.ones(self.T + 1)
+        for t in range(self.T):
+            step = max(t, 1)  # as in invert_trajectory
+            eps = implied_noise(1.0, c[t], self.alpha_bar[step])
+            c[t + 1] = ddim_invert_step(c[t], eps, t, self)
+        c.setflags(write=False)
+        return c
 
 
 def make_schedule(T: int) -> NoiseSchedule:
@@ -379,20 +394,6 @@ def invert_trajectory(
         z = ddim_invert_step(z, eps, t, sched)
         latents[t + 1] = z
     return latents
-
-
-def inversion_coefficients(sched: NoiseSchedule) -> np.ndarray:
-    """c[0..T] with ``invert_trajectory(x, cond, ...)[t] = c[t] x`` whenever ``cond``
-    keeps one image x: the posterior mean is then x, so at z = c x the noise
-    estimate is (c - sqrt(ab_t)) / sqrt(1 - ab_t) x.  c runs the same inversion
-    steps on the scalar 1, so c[0] is exactly 1."""
-    ab = sched.alpha_bar
-    c = np.ones(sched.T + 1)
-    for t in range(sched.T):
-        step = max(t, 1)  # as in invert_trajectory
-        eps = implied_noise(1.0, c[t], ab[step])
-        c[t + 1] = ddim_invert_step(c[t], eps, t, sched)
-    return c
 
 
 def ddim_sample_loop(

@@ -24,6 +24,7 @@ import numpy as np
 from .diffusion import EmpiricalNoisePredictor, make_schedule
 from .hid import CHUNK_PAIRS, RunConfig, SwapResult, swap_pairs
 from .imaging import encode_image, encode_mask, minmax_normalize, overlay_heatmap
+from .iomask import VARIANTS
 from .metrics import SwapReference, attribute_probe, mask_iou, region_mse, swap_reference
 from .synthgen import AttributeSpec, all_attribute_specs, enumerate_dataset, render_avatar
 
@@ -180,9 +181,7 @@ def format_summary(summary: dict[str, dict[str, float]]) -> str:
     return "\n".join(lines)
 
 
-def _encode_pair_images(
-    pair_id: str, ref: SwapReference, variants, results
-) -> list[tuple[str, bytes]]:
+def _encode_pair_images(pair_id: str, ref: SwapReference, results) -> list[tuple[str, bytes]]:
     """File names and bytes of the pair's body, head and oracle, and of each
     variant's output, mask and map overlay."""
     files = [
@@ -190,7 +189,7 @@ def _encode_pair_images(
         (f"{pair_id}_head.ppm", encode_image(render_avatar(ref.head).image)),
         (f"{pair_id}_oracle.ppm", encode_image(ref.oracle.image)),
     ]
-    for variant, result in zip(variants, results):
+    for variant, result in zip(VARIANTS, results):
         stem = f"{pair_id}_{variant}"
         overlay = overlay_heatmap(ref.body_image, minmax_normalize(result.io_map))
         files += [
@@ -223,12 +222,8 @@ def swap_chunks(cfg: RunConfig, variants: Sequence[str], pred: EmpiricalNoisePre
             yield f"pair{index:03d}", swap_reference(body, head), pair_results, runtime_ms
 
 
-def run_experiment(
-    cfg: RunConfig,
-    variants: Sequence[str],
-    pred: EmpiricalNoisePredictor | None = None,
-) -> list[dict]:
-    """Run seeded swap pairs for each requested variant and collect metric rows.
+def run_experiment(cfg: RunConfig, pred: EmpiricalNoisePredictor | None = None) -> list[dict]:
+    """Run seeded swap pairs under every mask variant and collect metric rows.
 
     The pairs go through ``swap_chunks``, so every pair x variant of a
     chunk is denoised in lockstep.  A shared predictor, whose schedule must
@@ -242,8 +237,6 @@ def run_experiment(
     re-raises its error here.  However this returns or raises, pending
     writes are cancelled and the writer thread is joined first.
     """
-    for variant in variants:
-        cfg.swap_config(variant)  # rejects an unknown variant before any work
     if pred is None:
         pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(cfg.T))
 
@@ -259,13 +252,13 @@ def run_experiment(
     writer = ThreadPoolExecutor(max_workers=1)  # starts its thread on the first submit
     pending: deque = deque()  # the futures of pairs not yet known to be written, oldest first
     try:
-        for pair_id, ref, results, runtime_ms in swap_chunks(cfg, variants, pred):
+        for pair_id, ref, results, runtime_ms in swap_chunks(cfg, VARIANTS, pred):
             rows += [
-                evaluate_swap(pair_id, ref, v, r, runtime_ms) for v, r in zip(variants, results)
+                evaluate_swap(pair_id, ref, v, r, runtime_ms) for v, r in zip(VARIANTS, results)
             ]
             if out_dir is None:
                 continue
-            files = _encode_pair_images(pair_id, ref, variants, results)
+            files = _encode_pair_images(pair_id, ref, results)
             if len(pending) == CHUNK_PAIRS:
                 pending.popleft().result()
             pending.append(writer.submit(_write_pair_images, out_dir, files))

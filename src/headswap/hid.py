@@ -1,18 +1,16 @@
 """End-to-end head swapping: invert, extract the edit mask, blend-denoise.
 
 Inverted under its own one-image condition, the body image x has the
-latents c[t] * x (``diffusion.inversion_coefficients``).  The pipeline
-computes the edit mask once at c[t_edit] * x, then denoises under the
-head condition while re-imposing c[t - 1] * x outside the mask at every
-step.  c[0] is exactly 1, so unmasked output pixels equal the body image
-exactly.  Swaps go through in chunks of CHUNK_PAIRS pairs
-(``swap_pairs``): a chunk's maps come from one stacked pass
-(``iomask.edit_maps``), and its swaps are denoised in lockstep, each pair's
-variants a stack under its head condition, carried as one value per (swap,
-corpus column class) rather than per pixel (``blend_denoise``).  Every
-posterior mean comes from the predictor's public API.  No stage takes a
-schedule: each reads the predictor's, and ``body_inversion`` checks that
-the config's T is its T.
+latents c[t] * x (``NoiseSchedule.inversion``).  A swap runs two stages on
+each chunk of at most CHUNK_PAIRS pairs (``swap_pairs``).  The mask stage
+(``mask_pairs``) makes every pair's and variant's edit map in one stacked
+pass at c[t_edit] * x, and its mask.  The denoise (``blend_denoise``) takes
+that output as it is, and re-imposes c[t - 1] * x outside each mask after
+every step, each pair's variants one stack under its head condition.
+c[0] is exactly 1, so unmasked output pixels equal the body image exactly.
+Every posterior mean comes from the predictor's public API.  No stage
+takes a schedule: each reads the predictor's, whose T ``mask_pairs``
+checks against the config's.
 """
 
 from __future__ import annotations
@@ -24,13 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diffusion import (
-    EmpiricalNoisePredictor,
-    cfg_combine,
-    ddim_sample_step,
-    implied_noise,
-    inversion_coefficients,
-)
+from .diffusion import EmpiricalNoisePredictor, cfg_combine, ddim_sample_step, implied_noise
 from .iomask import VARIANTS, IOMaskConfig, build_iomasks, edit_maps
 from .synthgen import NULL_CONDITION, AttributeSpec, Condition, composite_spec, render_avatar
 
@@ -126,55 +118,75 @@ def compose_head_condition(head: AttributeSpec, body: AttributeSpec) -> Conditio
     return Condition.of(**attrs)
 
 
-def body_inversion(cfg: RunConfig, pred: EmpiricalNoisePredictor):
-    """Inversion coefficients c under the predictor's schedule, whose T cfg must share."""
-    if cfg.T != pred.schedule.T:
-        raise ValueError(f"config T={cfg.T} does not match schedule T={pred.schedule.T}")
-    return inversion_coefficients(pred.schedule)
+def mask_pairs(
+    pairs: Sequence[tuple[AttributeSpec, AttributeSpec]],
+    cfg: RunConfig,
+    variants: Sequence[str],
+    pred: EmpiricalNoisePredictor,
+) -> tuple[np.ndarray, list[Condition], np.ndarray, np.ndarray]:
+    """The mask stage of (body, head) pairs: (images, conds_head, maps, masks).
+
+    Checks that cfg's T is the predictor's schedule's, renders the bodies
+    (P, H, W, C) and builds each pair's head condition.  One ``edit_maps``
+    call at the latents c[t_edit] * x makes the maps (P, V, H, W), variant v
+    under ``variants[v]``, and one ``build_iomasks`` call their masks.
+    """
+    sched = pred.schedule
+    if cfg.T != sched.T:
+        raise ValueError(f"config T={cfg.T} does not match schedule T={sched.T}")
+    images = np.stack([render_avatar(body).image for body, _ in pairs])
+    conds_head = [compose_head_condition(head, body) for body, head in pairs]
+    conds_body = [body_condition(body) for body, _ in pairs]
+    z_edit = sched.inversion[cfg.edit_start] * images
+    maps = edit_maps(z_edit, cfg.edit_start, conds_head, conds_body, variants, cfg.w, pred)
+    return images, conds_head, maps, build_iomasks(maps, cfg.mask)
 
 
 def blend_denoise(
-    bodies: Sequence[np.ndarray],
-    masks: Sequence[np.ndarray],
+    images: np.ndarray,
+    masks: np.ndarray,
     conds: Sequence[Condition],
-    coefficients: np.ndarray,
     cfg: RunConfig,
     pred: EmpiricalNoisePredictor,
 ) -> np.ndarray:
-    """Denoise a stack of swaps in lockstep from t_edit to 0: (B, H, W, C).
+    """Denoise bodies (P, H, W, C) under masks (P, V, H, W) in lockstep from
+    t_edit to 0: (P, V, H, W, C).
 
-    The rows form ``len(conds)`` stacks of equal height, stack r under
-    ``conds[r]``.  Row b starts from c[t_edit] * bodies[b] and has its
-    latent c[t - 1] * bodies[b] re-imposed outside its mask after every
-    step.  The stack is carried on the corpus's column classes
-    (``ColumnClasses``): a body is constant on each class, so every masked
-    position of a class starts from the same value and receives the same
-    posterior mean at every step, and stays one value per (row, class).
-    Each step maps the rows' class sums, from those values and the
-    closed-form outside values, to the null condition's posterior mean,
-    with all the rows one stack, and the head conditions', each planned
-    once per call (``posterior_plan``).  Their noises (``implied_noise``),
-    CFG and the DDIM step act on the (B, G) values.  The pixels are gathered
-    once at the end; the unmasked ones are the bodies, bit for bit (c[0] is
-    1).  Raises ValueError for a body that is not constant on the classes.
+    Body p's V rows are one stack under ``conds[p]``.  Row (p, v) starts
+    from c[t_edit] * images[p] and has c[t - 1] * images[p] re-imposed
+    outside masks[p, v] after every step.  The rows are carried on the
+    corpus's column classes (``ColumnClasses``): a body is constant on each
+    class, so every masked position of a class starts from the same value,
+    receives the same posterior mean at every step, and stays one value per
+    (row, class).  Each step maps the rows' class sums to the null
+    condition's posterior mean, all rows one stack, and the head
+    conditions', each planned once per call (``posterior_plan``); the
+    noises (``implied_noise``), CFG and the DDIM step act on the (P V, G)
+    values.  The pixels are gathered once at the end; the unmasked ones are
+    the bodies, bit for bit (c[0] is 1).  Raises ValueError for a body that
+    is not constant on the classes.
     """
     sched, classes = pred.schedule, pred.column_classes
-    x = np.stack(bodies)
-    x_flat = x.reshape(len(x), -1)
-    x_g = x_flat[:, classes.first]
-    if not np.array_equal(x_g[:, classes.inv], x_flat):
+    pairs, variants = masks.shape[:2]
+    x = images.reshape(pairs, -1)
+    x_g = x[:, classes.first]
+    if not np.array_equal(x_g[:, classes.inv], x):
         raise ValueError("every body must be constant on the corpus's column classes")
-    inside = np.broadcast_to(np.stack(masks).astype(bool)[..., None], x.shape).reshape(len(x), -1)
-    n_in = classes.sums(inside.astype(np.int64))
+    shape = masks.shape + images.shape[-1:]
+    inside = np.broadcast_to(masks.astype(bool)[..., None], shape).reshape(pairs, variants, -1)
+    # one row per pair x variant, pair-major
+    n_in = classes.sums(inside.astype(np.int64)).reshape(pairs * variants, -1)
     n_out = classes.counts - n_in
-    z = coefficients[cfg.edit_start] * x_g
+    x_g = np.repeat(x_g, variants, axis=0)
+    c = sched.inversion
+    z = c[cfg.edit_start] * x_g
     means = pred.posterior_plan([NULL_CONDITION]), pred.posterior_plan(conds)
     for t in range(cfg.edit_start, 0, -1):
         ab = float(sched.alpha_bar[t])
-        sums = n_in * z + n_out * (coefficients[t] * x_g)
+        sums = n_in * z + n_out * (c[t] * x_g)
         guided = cfg_combine(*(implied_noise(mean(sums, ab), z, ab) for mean in means), cfg.w)
         z = ddim_sample_step(z, guided, t, sched)
-    return np.where(inside, z[:, classes.inv], x_flat).reshape(x.shape)
+    return np.where(inside, z[:, classes.inv].reshape(inside.shape), x[:, None]).reshape(shape)
 
 
 def swap_pairs(
@@ -185,34 +197,24 @@ def swap_pairs(
 ) -> list[list[SwapResult]]:
     """Swap every (body, head) pair under every mask variant, CHUNK_PAIRS pairs at a time.
 
-    The inversion coefficients are computed once (``body_inversion``).  Per
-    chunk, one stacked pass makes the maps (``edit_maps``) and masks
-    (``build_iomasks``) of every pair and variant, and one ``blend_denoise``
-    call denoises them in lockstep, each pair's variants one head stack.
-    Returns one list of results per pair, in the order of ``variants``.  An
-    all-empty mask is reported via ``degenerate_mask``, not an error: that
-    output equals the body image bit-exactly.
+    Per chunk, ``mask_pairs`` makes the maps and masks of every pair and
+    variant, and one ``blend_denoise`` call denoises them in lockstep, each
+    pair's variants one head stack.  Returns one list of results per pair,
+    in the order of ``variants``.  An all-empty mask is reported via
+    ``degenerate_mask``, not an error: that output equals the body image
+    bit-exactly.
     """
-    coefficients = body_inversion(cfg, pred)
     results = []
     for first in range(0, len(pairs), CHUNK_PAIRS):
         chunk = pairs[first : first + CHUNK_PAIRS]
-        images = np.stack([render_avatar(body).image for body, _ in chunk])
-        conds = [compose_head_condition(head, body) for body, head in chunk]
-        conds_body = [body_condition(body) for body, _ in chunk]
-        z_edit = coefficients[cfg.edit_start] * images
-        maps = edit_maps(z_edit, cfg.edit_start, conds, conds_body, variants, cfg.w, pred)
-        masks = build_iomasks(maps, cfg.mask)
-        # one denoise row per pair x variant
-        bodies = np.repeat(images, len(variants), axis=0)
-        row_masks = masks.reshape(bodies.shape[:3])
-        outputs = blend_denoise(bodies, row_masks, conds, coefficients, cfg, pred)
+        images, conds, maps, masks = mask_pairs(chunk, cfg, variants, pred)
+        outputs = blend_denoise(images, masks, conds, cfg, pred)
         results += [
             [
                 SwapResult(output, mask, edit_map, degenerate_mask=not mask.any())
                 for output, mask, edit_map in zip(*per_pair)
             ]
-            for per_pair in zip(outputs.reshape(masks.shape + images.shape[-1:]), masks, maps)
+            for per_pair in zip(outputs, masks, maps)
         ]
     return results
 

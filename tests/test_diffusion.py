@@ -20,7 +20,6 @@ from headswap.diffusion import (
     ddim_invert_step,
     ddim_sample_loop,
     ddim_sample_step,
-    inversion_coefficients,
     invert_trajectory,
     make_schedule,
 )
@@ -607,12 +606,21 @@ class TestTrajectories:
         for T in (2, 50, 1000):
             sched = sched50 if T == 50 else make_schedule(T)
             pred = predictor if T == 50 else EmpiricalNoisePredictor.from_renders(dataset, sched)
-            coefficients = inversion_coefficients(sched)
+            coefficients = sched.inversion
             assert coefficients.shape == (T + 1,) and coefficients[0] == 1.0
             for render in dataset[::81]:
                 traj = invert_trajectory(render.image, body_condition(render.attrs), sched, pred)
                 for c in [coefficients] + [formula] * (T == 50):
                     assert np.abs(traj - c[:, None, None, None] * render.image).max() <= 1e-12
+
+    @pytest.mark.parametrize("T", [2, 50, 1000])
+    def test_inversion_is_computed_once_and_read_only(self, T):
+        sched = make_schedule(T)
+        coefficients = sched.inversion
+        assert sched.inversion is coefficients
+        assert coefficients[0] == 1.0 and not coefficients.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coefficients[1] = 0.0
 
     def test_single_point_round_trip(self, dataset):
         sched = make_schedule(50)

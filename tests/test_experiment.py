@@ -40,15 +40,15 @@ class TestSamplePairs:
 def small_run(tmp_path_factory, predictor):
     out_dir = tmp_path_factory.mktemp("exp")
     cfg = RunConfig(seed=5, pairs=2, out_dir=out_dir)
-    records = run_experiment(cfg, variants=("naive", "full"), pred=predictor)
+    records = run_experiment(cfg, pred=predictor)
     return cfg, out_dir, records
 
 
 class TestRunExperiment:
     def test_one_record_per_pair_and_variant(self, small_run):
         _, _, records = small_run
-        assert len(records) == 4
-        assert {r["variant"] for r in records} == {"naive", "full"}
+        assert len(records) == 6
+        assert {r["variant"] for r in records} == set(VARIANTS)
 
     def test_outside_mask_metric_is_zero(self, small_run):
         _, _, records = small_run
@@ -61,7 +61,7 @@ class TestRunExperiment:
     def test_metrics_file_lines_parse_independently(self, small_run):
         _, out_dir, _ = small_run
         lines = (out_dir / METRICS_FILENAME).read_text().splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 6
         for line in lines:
             row = json.loads(line)
             assert tuple(row.keys()) == RECORD_FIELDS
@@ -78,14 +78,10 @@ class TestRunExperiment:
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
             cfg = RunConfig(seed=5, pairs=2, out_dir=d)
-            run_experiment(cfg, variants=("full",), pred=predictor)
+            run_experiment(cfg, pred=predictor)
         assert (dirs[0] / METRICS_FILENAME).read_bytes() == (
             dirs[1] / METRICS_FILENAME
         ).read_bytes()
-
-    def test_unknown_variant_rejected(self, predictor):
-        with pytest.raises(ValueError):
-            run_experiment(RunConfig(pairs=1), variants=("bogus",), pred=predictor)
 
 
 class TestLockstep:
@@ -100,7 +96,7 @@ class TestLockstep:
             return score(pair_id, ref, variant, result, runtime_ms)
 
         monkeypatch.setattr(experiment, "evaluate_swap", capture)
-        rows = run_experiment(cfg, variants=VARIANTS, pred=predictor)
+        rows = run_experiment(cfg, pred=predictor)
         assert len(seen) == len(rows) == cfg.pairs * len(VARIANTS)
         for index, (body, head) in enumerate(sample_pairs(cfg.seed, cfg.pairs)):
             # the stepped inversion: the reference for the closed-form latents
@@ -164,7 +160,7 @@ class TestImageWriter:
         monkeypatch.setattr(experiment, "_write_pair_images", slow_write)
         monkeypatch.setattr(experiment, "swap_pairs", counting_swap_pairs)
         threads_before = threading.active_count()
-        run_experiment(cfg, variants=("full",), pred=predictor)
+        run_experiment(cfg, pred=predictor)
         assert threading.active_count() == threads_before
         assert [pair_id for pair_id, _ in written] == [f"pair{i:03d}" for i in range(cfg.pairs)]
         assert all(thread is not threading.main_thread() for _, thread in written)
@@ -172,8 +168,9 @@ class TestImageWriter:
         names = {METRICS_FILENAME} | {
             f"pair{i:03d}_{name}"
             for i in range(cfg.pairs)
-            for name in ("body.ppm", "head.ppm", "oracle.ppm", "full_output.ppm",
-                         "full_mask.pgm", "full_overlay.ppm")
+            for name in ("body.ppm", "head.ppm", "oracle.ppm")
+            + tuple(f"{v}_{kind}" for v in VARIANTS
+                    for kind in ("output.ppm", "mask.pgm", "overlay.ppm"))
         }
         assert {path.name for path in tmp_path.iterdir()} == names
 
@@ -197,7 +194,7 @@ class TestImageWriter:
 
         monkeypatch.setattr(experiment, "_write_pair_images", failing_write)
         with pytest.raises(OSError, match="disk full"):
-            run_experiment(cfg, variants=("full",), pred=predictor)
+            run_experiment(cfg, pred=predictor)
         # the write in progress finished before the error surfaced, the writes
         # still waiting never started, and the thread is gone
         expected = [f"pair{i:03d}" for i in range(CHUNK_PAIRS + 2)]

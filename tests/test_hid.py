@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,21 +16,22 @@ from headswap.diffusion import (
     NoiseSchedule,
     _posterior_weights,
     cfg_combine,
-    inversion_coefficients,
     make_schedule,
 )
-from headswap.experiment import sample_pairs
+from headswap.experiment import evaluate_swap, sample_pairs
 from headswap.hid import (
     RunConfig,
     blend_denoise,
     body_condition,
     compose_head_condition,
+    mask_pairs,
     run_headswap,
     swap_pairs,
 )
 from headswap.iomask import VARIANTS, build_iomask, build_iomasks, edit_maps, variant_map
-from headswap.metrics import region_mse
+from headswap.metrics import region_mse, swap_reference
 from headswap.synthgen import (
+    ATTRIBUTE_VALUES,
     AttributeSpec,
     BALD,
     LONG,
@@ -143,8 +145,7 @@ def reference_maps(pred, z_t, t, conds_head, conds_body, variants, w):
 class TestExtractMask:
     def test_maps_are_taken_at_the_edit_step(self, predictor):
         cfg = RunConfig()
-        coefficients = inversion_coefficients(predictor.schedule)
-        z_edit = coefficients[cfg.edit_start] * render_avatar(BODY).image[None]
+        z_edit = predictor.schedule.inversion[cfg.edit_start] * render_avatar(BODY).image[None]
         conds = [compose_head_condition(HEAD, BODY)], [body_condition(BODY)]
 
         def maps_at(step):
@@ -163,23 +164,22 @@ class TestExtractMask:
 
     @pytest.mark.parametrize("variants", [("full",), ("naive", "full"), VARIANTS], ids=len)
     def test_stacked_extraction_bit_equals_stacks_of_one(self, predictor, variants):
-        # a chunk with repeated pairs, as the one stacked pass over its
-        # pairs, against each pair extracted alone
+        # a chunk with repeated pairs, as the mask stage's one stacked pass
+        # over its pairs, against each pair extracted alone
         specs = all_attribute_specs()
         pairs = [(specs[k], specs[j]) for k, j in ((5, 200), (17, 90), (5, 200), (300, 41))]
         pairs.append((BODY, HEAD))
         cfg = RunConfig()
         t = cfg.edit_start
-        c_edit = inversion_coefficients(predictor.schedule)[t]
-        z_edit = c_edit * np.stack([render_avatar(body).image for body, _ in pairs])
-        conds_head = [compose_head_condition(head, body) for body, head in pairs]
-        conds_body = [body_condition(body) for body, _ in pairs]
-        maps = edit_maps(z_edit, t, conds_head, conds_body, variants, cfg.w, predictor)
-        masks = build_iomasks(maps, cfg.mask)
+        images, conds_head, maps, masks = mask_pairs(pairs, cfg, variants, predictor)
         assert maps.shape == masks.shape == (len(pairs), len(variants), 32, 32)
         assert masks.dtype == np.uint8 and masks.any()
-        for p, (z, cond_head, cond_body) in enumerate(zip(z_edit, conds_head, conds_body)):
-            conds = [cond_head], [cond_body]
+        c_edit = predictor.schedule.inversion[t]
+        for p, (body, head) in enumerate(pairs):
+            assert np.array_equal(images[p], render_avatar(body).image)
+            assert conds_head[p] == compose_head_condition(head, body)
+            z = c_edit * render_avatar(body).image
+            conds = [conds_head[p]], [body_condition(body)]
             alone = reference_maps(predictor, z[None], t, *conds, variants, cfg.w)
             assert maps[p].tobytes() == alone[0].tobytes()
             assert masks[p].tobytes() == build_iomasks(alone, cfg.mask)[0].tobytes()
@@ -235,6 +235,35 @@ class TestSwapPipeline:
         assert not swap_result.degenerate_mask
         assert swap_result.mask.sum() > 0
 
+    def test_swap_never_reads_the_heads_clothing_or_tilt(self, predictor):
+        # the head condition takes the body's clothing and tilt, so a head
+        # that differs only in those two swaps to the same bits
+        clothing, tilts = ATTRIBUTE_VALUES["clothing_color"], ATTRIBUTE_VALUES["head_tilt"]
+        pairs = sample_pairs(3, 4)
+        others = [
+            (body, replace(
+                head,
+                clothing_color=clothing[(clothing.index(head.clothing_color) + 1) % len(clothing)],
+                head_tilt=tilts[(tilts.index(head.head_tilt) + 1) % len(tilts)],
+            ))
+            for body, head in pairs
+        ]
+        cfg = RunConfig()
+        runs = [swap_pairs(chunk, cfg, VARIANTS, predictor) for chunk in (pairs, others)]
+        for (body, head), (_, other), *per_pair in zip(pairs, others, *runs):
+            refs = swap_reference(body, head), swap_reference(body, other)
+            for variant, *results in zip(VARIANTS, *per_pair):
+                for a, b in zip(*((r.output, r.mask, r.io_map) for r in results)):
+                    assert a.tobytes() == b.tobytes()
+                records = [
+                    evaluate_swap("pair", ref, variant, result, 0.0)
+                    for ref, result in zip(refs, results)
+                ]
+                assert records[0]["head_attrs"] != records[1]["head_attrs"]
+                for record in records:
+                    del record["head_attrs"]
+                assert records[0] == records[1]
+
     def test_full_window_edit_runs(self, predictor):
         cfg = RunConfig(edit_fraction=1.0)
         result = run_headswap(BODY, AttributeSpec(1, SHORT, 2, 1, 0), cfg, predictor)
@@ -246,21 +275,18 @@ class TestSwapPipeline:
 class TestClassSpaceBlend:
     """``blend_denoise`` carries the stack on the corpus's column classes."""
 
-    def test_body_not_constant_on_classes_rejected(self, sched50, predictor, monkeypatch, rng):
+    def test_body_not_constant_on_classes_rejected(self, predictor, monkeypatch, rng):
         def refuse(*args):
             raise AssertionError("blend_denoise took a step")
 
         monkeypatch.setattr(diffusion, "_stacked_posterior_mean", refuse)
         body = render_avatar(BODY).image
-        mask = np.ones((32, 32), dtype=np.uint8)
-        coefficients = inversion_coefficients(sched50)
         for bodies in ([body + 1e-3 * rng.normal(size=body.shape)], [body, body[::-1]]):
             with pytest.raises(ValueError, match="constant on the corpus's column classes"):
                 rows = len(bodies)
+                masks = np.ones((rows, 1, 32, 32), dtype=np.uint8)
                 conds = [compose_head_condition(HEAD, BODY)] * rows
-                blend_denoise(
-                    bodies, [mask] * rows, conds, coefficients, RunConfig(), predictor
-                )
+                blend_denoise(np.stack(bodies), masks, conds, RunConfig(), predictor)
 
     @pytest.mark.parametrize(
         "sched",
@@ -277,18 +303,20 @@ class TestClassSpaceBlend:
         pred = EmpiricalNoisePredictor(images, attrs, sched)
         assert len(pred.column_classes.table) == images[0].size
         cfg = RunConfig(T=sched.T)
-        coefficients = inversion_coefficients(sched)
-        bodies = [images[k] for k in (0, 5, 5, 7, 9)]
-        masks = [gen.random((4, 4)) < 0.5 for _ in bodies]
-        masks[1][:] = False
-        masks[2][:] = True
-        # five stacks of one row under three-image conditions, then one stack of five
-        for conds in ([Condition.of(clothing_color=k) for k in (1, 1, 2, 3, 0)], [NULL_CONDITION]):
-            outputs = blend_denoise(bodies, masks, conds, coefficients, cfg, pred)
+        bodies = images[[0, 5, 5, 7, 9]]
+        masks = gen.random((5, 1, 4, 4)) < 0.5
+        masks[1] = False
+        masks[2] = True
+        # five head stacks of one row, under three-image conditions and then
+        # under the null condition; the null plan runs all five rows as one stack
+        for conds in ([Condition.of(clothing_color=k) for k in (1, 1, 2, 3, 0)],
+                      [NULL_CONDITION] * 5):
+            outputs = blend_denoise(bodies, masks, conds, cfg, pred)
+            assert outputs.shape == (5, 1, 4, 4, 3)
+            outputs, mask_rows = outputs[:, 0], masks[:, 0]
             assert np.array_equal(outputs[1], bodies[1])  # an all-empty mask keeps the body
-            row_conds = [cond for cond in conds for _ in range(len(bodies) // len(conds))]
-            for body, mask, cond, output in zip(bodies, masks, row_conds, outputs):
-                trajectory = coefficients[:, None, None, None] * body
+            for body, mask, cond, output in zip(bodies, mask_rows, conds, outputs):
+                trajectory = sched.inversion[:, None, None, None] * body
                 reference = per_latent_blend_denoise(trajectory, mask, cond, cfg, sched, pred)
                 assert np.abs(output - reference).max() <= 1e-12
                 assert np.array_equal(output[~mask], body[~mask])
@@ -322,7 +350,7 @@ class TestClassSpaceBlend:
             assert sums.shape[:2] == (len(chunk), len(VARIANTS))
             for cond, pair_sums, pair_x0 in zip(conds, sums, x0):
                 assert np.array_equal(pair_x0, predictor.posterior_plan([cond])(pair_sums, ab))
-        coefficients = inversion_coefficients(predictor.schedule)
+        coefficients = predictor.schedule.inversion
         for (body, _), cond, per_pair in zip(chunk, conds, results):
             trajectory = coefficients[:, None, None, None] * render_avatar(body).image
             for result in per_pair:

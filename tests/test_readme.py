@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import headswap
-from headswap.diffusion import ColumnClasses, EmpiricalNoisePredictor
+from headswap.diffusion import ColumnClasses, EmpiricalNoisePredictor, NoiseSchedule
 from headswap.hid import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,6 +18,7 @@ OWNERS = {
     **MODULES,
     "EmpiricalNoisePredictor": EmpiricalNoisePredictor,
     "ColumnClasses": ColumnClasses,
+    "NoiseSchedule": NoiseSchedule,
     "RunConfig": RunConfig,
 }
 FILE_NAME = re.compile(r"[\w/]+\.(py|jsonl|ppm|pgm|tsv|cfg|md|json)")
