@@ -13,8 +13,15 @@ import argparse
 
 import numpy as np
 
-from headswap import EmpiricalNoisePredictor, enumerate_dataset, make_schedule
-from headswap.experiment import RunConfig, evaluate_swap, swap_chunks
+from headswap import (
+    EmpiricalNoisePredictor,
+    enumerate_dataset,
+    make_schedule,
+    sample_pairs,
+    swap_pairs,
+)
+from headswap.experiment import RunConfig, evaluate_swap
+from headswap.metrics import swap_reference
 
 
 def main() -> None:
@@ -26,14 +33,16 @@ def main() -> None:
 
     sched = make_schedule(RunConfig().T)
     predictor = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), sched)
+    pairs = sample_pairs(args.seed, args.pairs)
 
     print(f"{args.pairs} pairs, seed {args.seed}, full variant")
     print(f"{'w':>5s} {'improved':>9s} {'probe>=2/3':>11s} {'mse_head':>10s}")
     for w in args.scales:
         cfg = RunConfig(seed=args.seed, pairs=args.pairs, w=w)
         improved, probed, errors = 0, 0, []
-        for _, ref, [result], _ in swap_chunks(cfg, ("full",), predictor):
-            record = evaluate_swap("sweep", ref, "full", result, 0.0)
+        for (body, head), [result] in zip(pairs, swap_pairs(pairs, cfg, ("full",), predictor)):
+            ref = swap_reference(body, head)
+            record = evaluate_swap("sweep", ref, "full", result)
             oracle = ref.oracle.image
             improved += np.mean((result.output - oracle) ** 2) < np.mean(
                 (ref.body_image - oracle) ** 2

@@ -116,6 +116,18 @@ MUTANTS = {
         "for lo in range(0, flats[0].size, _GROUP_POSITIONS)",
         "for lo in range(0, flats[0].size - _GROUP_POSITIONS, _GROUP_POSITIONS)",
     ),
+    # each swap carries its chunk's time split among the pairs, not the swaps
+    "runtime_per_pair": (
+        "src/headswap/hid.py",
+        "(len(chunk) * len(variants))",
+        "len(chunk)",
+    ),
+    # run_experiment swaps every chunk before it scores or writes the first pair
+    "swap_all_before_writing": (
+        "src/headswap/experiment.py",
+        "zip(pairs, swap_pairs(pairs, cfg, VARIANTS, pred))",
+        "zip(pairs, list(swap_pairs(pairs, cfg, VARIANTS, pred)))",
+    ),
 }
 
 

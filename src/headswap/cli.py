@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -189,9 +188,7 @@ def _write_mask_files(out_dir: Path, body_image, edit_map, mask) -> None:
 def _cmd_swap(args) -> int:
     body, head, cfg, pred = _swap_setup(args)
     out_dir = cfg.out_dir
-    started = time.perf_counter()
     result = run_headswap(body, head, cfg, pred)
-    elapsed_ms = (time.perf_counter() - started) * 1e3
 
     ref = swap_reference(body, head)
     write_image(ref.body_image, out_dir / "body.ppm")
@@ -200,7 +197,7 @@ def _cmd_swap(args) -> int:
     write_image(result.output, out_dir / "output.ppm")
     _write_mask_files(out_dir, ref.body_image, result.io_map, result.mask)
 
-    record = evaluate_swap("pair000", ref, cfg.variant, result, elapsed_ms)
+    record = evaluate_swap("pair000", ref, cfg.variant, result)
     write_metrics([record], out_dir / METRICS_FILENAME)
     if result.degenerate_mask:
         print("warning: edit mask is empty; output equals the body image")

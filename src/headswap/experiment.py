@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from collections import deque
 from pathlib import Path
 from typing import Sequence
@@ -55,10 +54,8 @@ def sample_pairs(seed: int, count: int) -> list[tuple[AttributeSpec, AttributeSp
     return pairs
 
 
-def evaluate_swap(
-    pair_id: str, ref: SwapReference, variant: str, result: SwapResult, runtime_ms: float
-) -> dict:
-    """Reduce a finished swap to its metrics.jsonl row plus ``runtime_ms``."""
+def evaluate_swap(pair_id: str, ref: SwapReference, variant: str, result: SwapResult) -> dict:
+    """Reduce a finished swap to its metrics.jsonl row plus the result's ``runtime_ms``."""
     oracle = ref.oracle
     head_region = oracle.head_mask.astype(bool) | oracle.hair_mask.astype(bool)
     matched, total = attribute_probe(result.output, ref)
@@ -71,7 +68,7 @@ def evaluate_swap(
         "mse_head": region_mse(result.output, oracle.image, head_region.astype(np.uint8)),
         "mse_outside": region_mse(result.output, ref.body_image, 1 - result.mask),
         "attr_probe": {"matched": matched, "total": total},
-        "runtime_ms": runtime_ms,
+        "runtime_ms": result.runtime_ms,
     }
 
 
@@ -206,26 +203,10 @@ def _write_pair_images(out_dir: Path, files: Sequence[tuple[str, bytes]]) -> Non
         (out_dir / name).write_bytes(data)
 
 
-def swap_chunks(cfg: RunConfig, variants: Sequence[str], pred: EmpiricalNoisePredictor):
-    """Swap the seeded pairs of ``cfg`` through ``swap_pairs``, CHUNK_PAIRS at a time.
-
-    Yields (pair_id, swap_reference, results per variant, runtime_ms) in
-    pair order; runtime_ms is the chunk's swap time split evenly among its swaps.
-    """
-    pairs = sample_pairs(cfg.seed, cfg.pairs)
-    for first in range(0, len(pairs), CHUNK_PAIRS):
-        chunk = pairs[first : first + CHUNK_PAIRS]
-        started = time.perf_counter()
-        results = swap_pairs(chunk, cfg, variants, pred)
-        runtime_ms = (time.perf_counter() - started) * 1e3 / (len(chunk) * len(variants))
-        for index, (body, head), pair_results in zip(range(first, len(pairs)), chunk, results):
-            yield f"pair{index:03d}", swap_reference(body, head), pair_results, runtime_ms
-
-
 def run_experiment(cfg: RunConfig, pred: EmpiricalNoisePredictor | None = None) -> list[dict]:
     """Run seeded swap pairs under every mask variant and collect metric rows.
 
-    The pairs go through ``swap_chunks``, so every pair x variant of a
+    The pairs go through ``swap_pairs``, so every pair x variant of a
     chunk is denoised in lockstep.  A shared predictor, whose schedule must
     have cfg.T steps, may be injected to amortize dataset setup across calls.
 
@@ -248,14 +229,16 @@ def run_experiment(cfg: RunConfig, pred: EmpiricalNoisePredictor | None = None) 
     # imported here, because a cold swap would pay ~5 ms for a module it never uses
     from concurrent.futures import ThreadPoolExecutor
 
+    pairs = sample_pairs(cfg.seed, cfg.pairs)
     rows: list[dict] = []
     writer = ThreadPoolExecutor(max_workers=1)  # starts its thread on the first submit
     pending: deque = deque()  # the futures of pairs not yet known to be written, oldest first
     try:
-        for pair_id, ref, results, runtime_ms in swap_chunks(cfg, VARIANTS, pred):
-            rows += [
-                evaluate_swap(pair_id, ref, v, r, runtime_ms) for v, r in zip(VARIANTS, results)
-            ]
+        for index, ((body, head), results) in enumerate(
+            zip(pairs, swap_pairs(pairs, cfg, VARIANTS, pred))
+        ):
+            pair_id, ref = f"pair{index:03d}", swap_reference(body, head)
+            rows += [evaluate_swap(pair_id, ref, v, r) for v, r in zip(VARIANTS, results)]
             if out_dir is None:
                 continue
             files = _encode_pair_images(pair_id, ref, results)

@@ -1,12 +1,13 @@
 """End-to-end head swapping: invert, extract the edit mask, blend-denoise.
 
 Inverted under its own one-image condition, the body image x has the
-latents c[t] * x (``NoiseSchedule.inversion``).  A swap runs two stages on
-each chunk of at most CHUNK_PAIRS pairs (``swap_pairs``).  The mask stage
-(``mask_pairs``) makes every pair's and variant's edit map in one stacked
-pass at c[t_edit] * x, and its mask.  The denoise (``blend_denoise``) takes
-that output as it is, and re-imposes c[t - 1] * x outside each mask after
-every step, each pair's variants one stack under its head condition.
+latents c[t] * x (``NoiseSchedule.inversion``).  ``swap_pairs``, the one
+chunk loop, runs and times two stages on each chunk of at most CHUNK_PAIRS
+pairs.  The mask stage (``mask_pairs``) makes every pair's and variant's
+edit map in one stacked pass at c[t_edit] * x, and its mask.  The denoise
+(``blend_denoise``) takes that output as it is, and re-imposes c[t - 1] * x
+outside each mask after every step, each pair's variants one stack under
+its head condition.
 c[0] is exactly 1, so unmasked output pixels equal the body image exactly.
 Every posterior mean comes from the predictor's public API.  No stage
 takes a schedule: each reads the predictor's, whose T ``mask_pairs``
@@ -16,9 +17,10 @@ checks against the config's.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +57,10 @@ class RunConfig:
     out_dir: Path | None = None
 
     def __post_init__(self):
+        for name in ("T", "seed", "pairs"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, float)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # upper bounds on work: the denoise loop runs up to T steps per swap,
         # and the mask blur pads the map by 3 sigma per side
         if not 2 <= self.T <= 1000:
@@ -93,12 +99,17 @@ class RunConfig:
 
 @dataclass(eq=False)
 class SwapResult:
-    """Everything a swap produces: output image, mask, map."""
+    """Everything a swap produces: output image, mask, map, and its wall time."""
 
     output: np.ndarray
     mask: np.ndarray
     io_map: np.ndarray
-    degenerate_mask: bool
+    runtime_ms: float
+
+    @property
+    def degenerate_mask(self) -> bool:
+        """An all-empty mask: the output equals the body image bit-exactly."""
+        return not self.mask.any()
 
 
 def body_condition(body: AttributeSpec) -> Condition:
@@ -194,29 +205,24 @@ def swap_pairs(
     cfg: RunConfig,
     variants: Sequence[str],
     pred: EmpiricalNoisePredictor,
-) -> list[list[SwapResult]]:
+) -> Iterator[list[SwapResult]]:
     """Swap every (body, head) pair under every mask variant, CHUNK_PAIRS pairs at a time.
 
-    Per chunk, ``mask_pairs`` makes the maps and masks of every pair and
-    variant, and one ``blend_denoise`` call denoises them in lockstep, each
-    pair's variants one head stack.  Returns one list of results per pair,
-    in the order of ``variants``.  An all-empty mask is reported via
-    ``degenerate_mask``, not an error: that output equals the body image
-    bit-exactly.
+    Yields one list of results per pair, in pair order and in the order of
+    ``variants``.  A chunk is swapped when its first pair is asked for:
+    ``mask_pairs`` makes the maps and masks of every pair and variant, and
+    one ``blend_denoise`` call denoises them in lockstep, each pair's
+    variants one head stack.  Each result's ``runtime_ms`` is the chunk's
+    wall time split evenly among its swaps.
     """
-    results = []
     for first in range(0, len(pairs), CHUNK_PAIRS):
         chunk = pairs[first : first + CHUNK_PAIRS]
+        started = time.perf_counter()
         images, conds, maps, masks = mask_pairs(chunk, cfg, variants, pred)
         outputs = blend_denoise(images, masks, conds, cfg, pred)
-        results += [
-            [
-                SwapResult(output, mask, edit_map, degenerate_mask=not mask.any())
-                for output, mask, edit_map in zip(*per_pair)
-            ]
-            for per_pair in zip(outputs, masks, maps)
-        ]
-    return results
+        runtime_ms = (time.perf_counter() - started) * 1e3 / (len(chunk) * len(variants))
+        for per_pair in zip(outputs, masks, maps):
+            yield [SwapResult(*per_swap, runtime_ms) for per_swap in zip(*per_pair)]
 
 
 def run_headswap(
@@ -226,4 +232,4 @@ def run_headswap(
     pred: EmpiricalNoisePredictor,
 ) -> SwapResult:
     """Swap the head of the body avatar for the head avatar's: a batch of one."""
-    return swap_pairs([(body, head)], cfg, (cfg.variant,), pred)[0][0]
+    return next(swap_pairs([(body, head)], cfg, (cfg.variant,), pred))[0]

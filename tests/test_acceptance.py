@@ -43,7 +43,7 @@ def ablation_run(predictor):
         ref = swap_reference(body, head)
         for variant in ("full", "naive"):
             result = hs.run_headswap(body, head, cfg.swap_config(variant), predictor)
-            record = evaluate_swap(f"pair{index:03d}", ref, variant, result, 0.0)
+            record = evaluate_swap(f"pair{index:03d}", ref, variant, result)
             out[variant].append((body, head, result, record))
     out["elapsed"] = time.perf_counter() - started
     return out
@@ -176,7 +176,7 @@ def test_criterion_8_end_to_end(ablation_run, predictor):
             hits = 0
             for body, head in ablation_run["pairs"]:
                 result = hs.run_headswap(body, head, cfg.swap_config("full"), predictor)
-                record = evaluate_swap("sweep", swap_reference(body, head), "full", result, 0.0)
+                record = evaluate_swap("sweep", swap_reference(body, head), "full", result)
                 hits += record["attr_probe"]["matched"] >= 2
             probe_rates[w] = hits / 50
             best = max(best, probe_rates[w])

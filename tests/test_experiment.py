@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from headswap import experiment
+from headswap import experiment, hid
 from headswap.diffusion import invert_trajectory
 from headswap.experiment import (
     CHUNK_PAIRS,
@@ -19,7 +19,13 @@ from headswap.experiment import (
     summarize,
     write_metrics,
 )
-from headswap.hid import body_condition, compose_head_condition, run_headswap, swap_pairs
+from headswap.hid import (
+    body_condition,
+    compose_head_condition,
+    mask_pairs,
+    run_headswap,
+    swap_pairs,
+)
 from headswap.iomask import VARIANTS
 from headswap.synthgen import render_avatar
 from helpers import per_latent_blend_denoise
@@ -91,9 +97,9 @@ class TestLockstep:
         seen = {}
         score = experiment.evaluate_swap
 
-        def capture(pair_id, ref, variant, result, runtime_ms):
+        def capture(pair_id, ref, variant, result):
             seen[pair_id, variant] = result
-            return score(pair_id, ref, variant, result, runtime_ms)
+            return score(pair_id, ref, variant, result)
 
         monkeypatch.setattr(experiment, "evaluate_swap", capture)
         rows = run_experiment(cfg, pred=predictor)
@@ -131,7 +137,7 @@ class TestLockstep:
 
         monkeypatch.setattr(predictor, "evaluate_stack", spy)
         pairs = sample_pairs(2, 2)
-        results = swap_pairs(pairs, RunConfig(), VARIANTS, predictor)
+        results = list(swap_pairs(pairs, RunConfig(), VARIANTS, predictor))
         assert [len(per_pair) for per_pair in results] == [3, 3]
         for body, _ in pairs:
             assert conds.count(body_condition(body)) == 1
@@ -151,14 +157,14 @@ class TestImageWriter:
             pair_id = files[0][0].partition("_")[0]
             written.append((pair_id, threading.current_thread()))
 
-        def counting_swap_pairs(chunk, *args):
+        def counting_mask_pairs(chunk, *args):
             nonlocal pairs_swapped
             backlogs.append(pairs_swapped - len(written))
             pairs_swapped += len(chunk)
-            return swap_pairs(chunk, *args)
+            return mask_pairs(chunk, *args)
 
         monkeypatch.setattr(experiment, "_write_pair_images", slow_write)
-        monkeypatch.setattr(experiment, "swap_pairs", counting_swap_pairs)
+        monkeypatch.setattr(hid, "mask_pairs", counting_mask_pairs)
         threads_before = threading.active_count()
         run_experiment(cfg, pred=predictor)
         assert threading.active_count() == threads_before

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from headswap.diffusion import (
 )
 from headswap.experiment import evaluate_swap, sample_pairs
 from headswap.hid import (
+    CHUNK_PAIRS,
     RunConfig,
     blend_denoise,
     body_condition,
@@ -98,6 +100,15 @@ class TestSwapConfig:
         with pytest.raises(ValueError):
             RunConfig().swap_config("fancy")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("T", 50.5), ("T", 50.0), ("seed", 1.5), ("seed", False), ("pairs", 2.5), ("pairs", True)],
+    )
+    def test_integer_settings_reject_floats_and_bools(self, field, value):
+        # a float pair count would otherwise run its ceiling: sample_pairs(0, 2.5) draws 3
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            RunConfig(**{field: value})
+
     def test_edit_start_rounding(self):
         assert RunConfig(T=50, edit_fraction=0.8).edit_start == 40
         assert RunConfig(T=50, edit_fraction=1.0).edit_start == 50
@@ -120,6 +131,32 @@ class TestScheduleChecks:
         monkeypatch.setattr(cli, "make_schedule", lambda T: make_schedule(40))
         assert cli.cli_main(argv) == 2
         assert "does not match schedule T=40" in capsys.readouterr().err
+
+
+class TestSwapTiming:
+    """``swap_pairs`` times each chunk's two stages, and each result carries
+    the chunk's time split evenly among its swaps."""
+
+    @staticmethod
+    def fake_clock(monkeypatch, *readings):
+        clock = iter(readings)
+        monkeypatch.setattr(hid, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+
+    def test_each_result_carries_its_chunks_time_per_swap(self, predictor, monkeypatch):
+        # a full chunk that takes 3 s and a one-pair chunk that takes 0.375 s
+        self.fake_clock(monkeypatch, 0.0, 3.0, 10.0, 10.375)
+        pairs = sample_pairs(5, CHUNK_PAIRS + 1)
+        results = list(swap_pairs(pairs, RunConfig(), VARIANTS, predictor))
+        per_swap = [3e3 / (CHUNK_PAIRS * len(VARIANTS))] * CHUNK_PAIRS + [375 / len(VARIANTS)]
+        assert [[r.runtime_ms for r in rs] for rs in results] == [
+            [ms] * len(VARIANTS) for ms in per_swap
+        ]
+
+    def test_swap_command_reports_the_results_time(self, tmp_path, capsys, monkeypatch):
+        self.fake_clock(monkeypatch, 1.0, 1.5)
+        argv = ["swap", "--body", "0,2,0,1,0", "--head", "2,0,1,3,-1", "--out", str(tmp_path)]
+        assert cli.cli_main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith("  runtime_ms=500")
 
 
 class TestIdentitySwap:
@@ -256,12 +293,12 @@ class TestSwapPipeline:
                 for a, b in zip(*((r.output, r.mask, r.io_map) for r in results)):
                     assert a.tobytes() == b.tobytes()
                 records = [
-                    evaluate_swap("pair", ref, variant, result, 0.0)
+                    evaluate_swap("pair", ref, variant, result)
                     for ref, result in zip(refs, results)
                 ]
                 assert records[0]["head_attrs"] != records[1]["head_attrs"]
-                for record in records:
-                    del record["head_attrs"]
+                for record in records:  # the wall times differ; every metric must not
+                    del record["head_attrs"], record["runtime_ms"]
                 assert records[0] == records[1]
 
     def test_full_window_edit_runs(self, predictor):
@@ -337,7 +374,7 @@ class TestClassSpaceBlend:
             return x0
 
         monkeypatch.setattr(diffusion, "_stacked_posterior_mean", spy)
-        results = swap_pairs(chunk, cfg, VARIANTS, predictor)
+        results = list(swap_pairs(chunk, cfg, VARIANTS, predictor))
         monkeypatch.undo()
         steps = calls[3:]  # after the masks' body, null and head calls
         assert len(steps) == 2 * cfg.edit_start  # a null and a head call per step
@@ -371,7 +408,7 @@ class TestClassSpaceBlend:
             return kernel(sums, columns, norms, ab)
 
         monkeypatch.setattr(diffusion, "_stacked_posterior_mean", spy)
-        swap_pairs(sample_pairs(1, 4), RunConfig(), VARIANTS, predictor)
+        list(swap_pairs(sample_pairs(1, 4), RunConfig(), VARIANTS, predictor))
         tiny = np.finfo(np.float64).tiny
         uncut_subnormal = set()
         for sums, columns, norms, ab in calls:
