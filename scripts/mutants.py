@@ -42,8 +42,8 @@ MUTANTS = {
     ),
     "tau_nudge": (
         "src/headswap/iomask.py",
-        "minmax_normalize(maps), cfg.sigma), cfg.tau)",
-        "minmax_normalize(maps), cfg.sigma), cfg.tau + 1e-12)",
+        "minmax_normalize(maps), sigma), tau)",
+        "minmax_normalize(maps), sigma), tau + 1e-12)",
     ),
     # every variant gets the last variant's map
     "maps_one_variant": (

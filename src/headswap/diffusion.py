@@ -172,11 +172,10 @@ class EmpiricalNoisePredictor:
             while isinstance(image, np.ndarray):
                 image.setflags(write=False)
                 image = image.base
-        self._images: list[np.ndarray] | None = images
+        self._images = images
         self.schedule = schedule
         self.grid_shape = images[0].shape
         self._attr_matrix = np.array([a.to_ints() for a in attrs], dtype=np.int64)
-        self._classes: ColumnClasses | None = None
         self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._one_image: tuple = (None, None)  # the last one-image condition and its image
 
@@ -188,13 +187,12 @@ class EmpiricalNoisePredictor:
     def __len__(self) -> int:
         return len(self._attr_matrix)
 
-    @property
+    @cached_property
     def column_classes(self) -> ColumnClasses:
         """The corpus's column classes, grouped on first use."""
-        if self._classes is None:
-            self._classes = ColumnClasses.of(self._images)
-            self._images = None
-        return self._classes
+        classes = ColumnClasses.of(self._images)
+        del self._images
+        return classes
 
     @property
     def images(self) -> np.ndarray:

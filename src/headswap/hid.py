@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .diffusion import EmpiricalNoisePredictor, cfg_combine, ddim_sample_step, implied_noise
-from .iomask import VARIANTS, IOMaskConfig, build_iomasks, edit_maps
+from .iomask import VARIANTS, build_iomasks, edit_maps
 from .synthgen import NULL_CONDITION, AttributeSpec, Condition, composite_spec, render_avatar
 
 # The most pairs ``swap_pairs`` denoises in lockstep (times its variants:
@@ -89,8 +89,9 @@ class RunConfig:
         return round(self.edit_fraction * self.T)
 
     @property
-    def mask(self) -> IOMaskConfig:
-        return IOMaskConfig(self.tau, self.sigma, self.variant, self.w)
+    def mask(self) -> RunConfig:
+        """This config itself: the spelling the frozen benchmark reads, until it is re-aligned."""
+        return self
 
     def swap_config(self, variant: str) -> RunConfig:
         """A checked copy of this config with another mask variant."""
@@ -150,7 +151,7 @@ def mask_pairs(
     conds_body = [body_condition(body) for body, _ in pairs]
     z_edit = sched.inversion[cfg.edit_start] * images
     maps = edit_maps(z_edit, cfg.edit_start, conds_head, conds_body, variants, cfg.w, pred)
-    return images, conds_head, maps, build_iomasks(maps, cfg.mask)
+    return images, conds_head, maps, build_iomasks(maps, cfg.sigma, cfg.tau)
 
 
 def blend_denoise(

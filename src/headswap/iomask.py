@@ -11,8 +11,7 @@ pairs at once, each pair's bits those of a stack of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -21,21 +20,14 @@ from .diffusion import _check_predictor, _check_step
 from .imaging import gaussian_filter, minmax_normalize, threshold
 from .synthgen import Condition, NULL_CONDITION
 
+if TYPE_CHECKING:
+    from .hid import RunConfig
+
 VARIANTS = ("naive", "no_orth", "full")
 
 
 class DegenerateReferenceError(ValueError):
     """Raised when the projection reference prediction is identically zero."""
-
-
-@dataclass(frozen=True)
-class IOMaskConfig:
-    """Mask-extraction settings; ``RunConfig.mask`` builds them from checked values."""
-
-    tau: float
-    sigma: float
-    variant: str
-    w: float
 
 
 def orthogonal_component(eps_h: np.ndarray, eps_b: np.ndarray) -> np.ndarray:
@@ -105,7 +97,7 @@ def io_map(
     t,
     cond_head: Condition,
     cond_body: Condition,
-    cfg: IOMaskConfig,
+    cfg: RunConfig,
     sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> np.ndarray:
@@ -116,12 +108,12 @@ def io_map(
     return maps[0, 0]
 
 
-def build_iomasks(maps: np.ndarray, cfg: IOMaskConfig) -> np.ndarray:
-    """Normalize, blur, and threshold each edit map of a (..., H, W) stack into a binary mask."""
-    return threshold(gaussian_filter(minmax_normalize(maps), cfg.sigma), cfg.tau)
+def build_iomasks(maps: np.ndarray, sigma: float, tau: float) -> np.ndarray:
+    """Normalize, blur by sigma, and threshold at tau each map of a (..., H, W) stack."""
+    return threshold(gaussian_filter(minmax_normalize(maps), sigma), tau)
 
 
-def build_iomask(edit_map: np.ndarray, cfg: IOMaskConfig) -> np.ndarray:
+def build_iomask(edit_map: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """One edit map's binary mask, (H, W): ``build_iomasks`` for one map, the
     entry that the benchmark's tracer counts as one mask per call."""
-    return build_iomasks(edit_map, cfg)
+    return build_iomasks(edit_map, cfg.sigma, cfg.tau)

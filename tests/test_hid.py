@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from headswap.diffusion import (
     cfg_combine,
     make_schedule,
 )
-from headswap.experiment import evaluate_swap, sample_pairs
+from headswap.experiment import RECORD_FIELDS, evaluate_swap, sample_pairs
 from headswap.hid import (
     CHUNK_PAIRS,
     RunConfig,
@@ -192,7 +193,7 @@ class TestExtractMask:
         # the step matters: one step earlier gives different maps
         assert not any(np.array_equal(a, b) for a, b in zip(expected, maps_at(cfg.edit_start - 1)))
         maps = edit_maps(z_edit, cfg.edit_start, *conds, VARIANTS, cfg.w, predictor)
-        masks = build_iomasks(maps, cfg.mask)
+        masks = build_iomasks(maps, cfg.sigma, cfg.tau)
         assert maps.shape == masks.shape == (1, len(VARIANTS), 32, 32)
         assert maps.flags.c_contiguous
         for want, edit_map, mask in zip(expected, maps[0], masks[0]):
@@ -219,7 +220,7 @@ class TestExtractMask:
             conds = [conds_head[p]], [body_condition(body)]
             alone = reference_maps(predictor, z[None], t, *conds, variants, cfg.w)
             assert maps[p].tobytes() == alone[0].tobytes()
-            assert masks[p].tobytes() == build_iomasks(alone, cfg.mask)[0].tobytes()
+            assert masks[p].tobytes() == build_iomasks(alone, cfg.sigma, cfg.tau)[0].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -488,3 +489,37 @@ class TestThreadDeterminism:
                 for array in (result.output, result.mask, result.io_map):
                     digest.update(array.tobytes())
         assert digest.hexdigest() == self.MERGED_CHUNK
+
+
+class TestCensusSlice:
+    # A swap reads a head only through its skin tone, hair style and hair
+    # colour, so 4 bodies against all 27 head triples (each head taking the
+    # body's clothing and tilt) are every distinct swap of those bodies.
+    # The slice includes the 4 identity swaps.  This digest pins the float64
+    # bits of every output, mask and map, then the swap's RECORD_FIELDS
+    # values, swap by swap, under the default config.
+    BODIES = [(0, 0, 0, 0, 0), (1, 1, 1, 1, -1), (2, 2, 2, 2, 1), (0, 2, 1, 3, 0)]
+    PINNED = "94f60167dd17cc4f50287d390f1a6827a0d96225e803a6167b475dcce9984ea8"
+
+    def test_four_bodies_against_every_head_triple(self, predictor):
+        pairs = [
+            (body, AttributeSpec(skin, style, colour, body.clothing_color, body.head_tilt))
+            for body in (AttributeSpec(*attrs) for attrs in self.BODIES)
+            for skin in ATTRIBUTE_VALUES["skin_tone"]
+            for style in ATTRIBUTE_VALUES["hair_style"]
+            for colour in ATTRIBUTE_VALUES["hair_color"]
+        ]
+        assert len(pairs) == 108 and sum(body == head for body, head in pairs) == 4
+        digest = hashlib.sha256()
+        swaps = swap_pairs(pairs, RunConfig(), VARIANTS, predictor)
+        for index, ((body, head), results) in enumerate(zip(pairs, swaps)):
+            ref = swap_reference(body, head)
+            for variant, result in zip(VARIANTS, results):
+                outside = ~result.mask.astype(bool)
+                assert result.output[outside].tobytes() == ref.body_image[outside].tobytes()
+                record = evaluate_swap(f"census-{index:03d}", ref, variant, result)
+                assert record["mse_outside"] == 0
+                for array in (result.output, result.mask, result.io_map):
+                    digest.update(array.tobytes())
+                digest.update(json.dumps([record[key] for key in RECORD_FIELDS]).encode())
+        assert digest.hexdigest() == self.PINNED
