@@ -37,8 +37,8 @@ MUTANTS = {
     # moves the float bits of the maps but no quantized file byte
     "null_ulp": (
         "src/headswap/iomask.py",
-        "eps_null = pred.evaluate_stack(z_t, t, [NULL_CONDITION] * len(conds_body))",
-        "eps_null = pred.evaluate_stack(z_t, t, [NULL_CONDITION] * len(conds_body)) * (1 + 2**-52)",
+        "cfg_combine(eps_null, eps_head, w)",
+        "cfg_combine(eps_null * (1 + 2**-52), eps_head, w)",
     ),
     "tau_nudge": (
         "src/headswap/iomask.py",
@@ -48,8 +48,14 @@ MUTANTS = {
     # every variant gets the last variant's map
     "maps_one_variant": (
         "src/headswap/iomask.py",
-        "variant_map((eps_body, eps_null, eps_head), variant, w)",
-        "variant_map((eps_body, eps_null, eps_head), variants[-1], w)",
+        "variant_map(predictions, variant, w)",
+        "variant_map(predictions, variants[-1], w)",
+    ),
+    # the mask stage takes any latent, as if it were constant on the column classes
+    "maps_any_latent": (
+        "src/headswap/iomask.py",
+        "if not np.array_equal(z_g[:, classes.inv], z):",
+        "if False:",
     ),
     # the weight cut: each leaves the means' bits, and only a weight between
     # the smallest normal double and S times it tells

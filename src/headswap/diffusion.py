@@ -4,7 +4,8 @@ Instead of a trained network, the noise predictor here is the exact
 minimum-MSE estimator for a finite image set under the Gaussian forward
 process: a softmax-weighted posterior mean over the images matching a
 condition.  Conditioning is dataset-subset restriction, so the null
-condition is the marginal over the whole corpus.
+condition is the marginal over the whole corpus.  Both stages of a swap
+reach it by one path, ``posterior_plan``, on the corpus's column classes.
 """
 
 from __future__ import annotations
@@ -139,22 +140,21 @@ class ColumnClasses:
 class EmpiricalNoisePredictor:
     """Exact conditional noise predictor over an immutable image set.
 
-    evaluate(z_t, t, cond) restricts the corpus to images matching ``cond``,
-    forms posterior weights w_i = softmax(-|z_t - sqrt(ab_t) x_i|^2 /
-    (2 (1 - ab_t))) over flattened images (max-subtracted exponentials),
-    takes the posterior mean x0 = sum w_i x_i, and returns the implied
-    noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).
+    The prediction for latent z_t at step t under ``cond`` restricts the
+    corpus to the matching images, forms posterior weights w_i =
+    softmax(-|z_t - sqrt(ab_t) x_i|^2 / (2 (1 - ab_t))) (max-subtracted
+    exponentials), takes the posterior mean x0 = sum w_i x_i, and implies
+    the noise (z_t - sqrt(ab_t) x0) / sqrt(1 - ab_t).
 
-    The posterior is computed in one place, the plans of ``posterior_plan``,
-    on the corpus's ``ColumnClasses``: z_t . x_i needs only z_t summed over
-    each class, and the mean is formed per class.  ``evaluate_stack`` sums
-    a stack's pixels over the classes, runs a plan and gathers the means
-    back to pixels, which is exact because the classes are.  ``evaluate``
-    is a stack of one, except when one image matches: its weight is 1, and
-    the prediction uses that image, gathered from its classes and kept
-    until a call under another condition.  The N images (H, W, C) are
-    borrowed, not copied, and dropped once the first condition groups them;
-    each, and each array down its ``.base`` chain, turns read-only for good.
+    The posterior is formed in one place, the plans of ``posterior_plan``,
+    on the corpus's ``ColumnClasses``: z_t . x_i needs only z_t's class
+    sums, and the mean is formed per class.  Both stages of a swap run the
+    plans on class values.  ``evaluate`` runs one on a pixel latent's class
+    sums, except when one image matches: its weight is 1, and the
+    prediction uses that image, gathered from its classes and kept until a
+    call under another condition.  The N images (H, W, C) are borrowed, not
+    copied, and dropped once the first condition groups them; each, and
+    each array down its ``.base`` chain, turns read-only for good.
     """
 
     def __init__(
@@ -224,33 +224,17 @@ class EmpiricalNoisePredictor:
         z_t = np.asarray(z_t, dtype=np.float64)
         if z_t.shape != self.grid_shape:
             raise ValueError(f"latent shape {z_t.shape} is not {self.grid_shape}")
-        indices = self._subset(cond)[0]
+        alpha_bar = float(self.schedule.alpha_bar[step])
+        indices, classes = self._subset(cond)[0], self.column_classes
         if indices.size > 1:
-            return self.evaluate_stack(z_t[None], step, [cond])[0]
+            x0 = self.posterior_plan([cond])(classes.sums(z_t.reshape(1, -1)), alpha_bar)
+            return implied_noise(x0[0, classes.inv].reshape(z_t.shape), z_t, alpha_bar)
         # weight 1: x0 is that image, bit for bit (``table[:, i][inv]``), and no
         # class sums; a stepped inversion's T calls share one condition and image
         if self._one_image[0] != cond.constraints:
-            classes = self.column_classes
             image = classes.table[:, indices[0]][classes.inv].reshape(self.grid_shape)
             self._one_image = (cond.constraints, image)
-        return implied_noise(self._one_image[1], z_t, float(self.schedule.alpha_bar[step]))
-
-    def evaluate_stack(self, z_t: np.ndarray, t, conds: Sequence[Condition]) -> np.ndarray:
-        """``evaluate`` of each latent of a stack (P, H, W, C), latent p under
-        ``conds[p]``, which keep equally many images, bit for bit: (P, H, W, C).
-
-        The stack takes one planned posterior mean with each latent a stack
-        of its own, so each makes a GEMV of a lone latent's shape, and a
-        one-image subset's mean is its image's class values, bit for bit.
-        """
-        step = _check_step(t, 1, self.schedule.T, self.schedule)
-        z_t = np.asarray(z_t, dtype=np.float64)
-        if z_t.shape[1:] != self.grid_shape or len(conds) != len(z_t):
-            raise ValueError(f"{len(conds)} conditions for latents {z_t.shape}")
-        alpha_bar = float(self.schedule.alpha_bar[step])
-        classes = self.column_classes
-        x0 = self.posterior_plan(conds)(classes.sums(z_t.reshape(len(z_t), -1)), alpha_bar)
-        return implied_noise(np.take(x0, classes.inv, axis=-1).reshape(z_t.shape), z_t, alpha_bar)
+        return implied_noise(self._one_image[1], z_t, alpha_bar)
 
     def posterior_plan(
         self, conds: Sequence[Condition]

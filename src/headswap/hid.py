@@ -1,17 +1,17 @@
 """End-to-end head swapping: invert, extract the edit mask, blend-denoise.
 
 Inverted under its own one-image condition, the body image x has the
-latents c[t] * x (``NoiseSchedule.inversion``).  ``swap_pairs``, the one
-chunk loop, runs and times two stages on each chunk of at most CHUNK_PAIRS
-pairs.  The mask stage (``mask_pairs``) makes every pair's and variant's
-edit map in one stacked pass at c[t_edit] * x, and its mask.  The denoise
+latents c[t] * x (``NoiseSchedule.inversion``), constant on the corpus's
+column classes as x is.  ``swap_pairs``, the one chunk loop, runs and
+times two stages on each chunk of at most CHUNK_PAIRS pairs.  Both work on
+class values and reach the predictor only through ``posterior_plan``.  The
+mask stage (``mask_pairs``) makes every pair's and variant's edit map in
+one stacked pass at c[t_edit] * x, and its mask.  The denoise
 (``blend_denoise``) takes that output as it is, and re-imposes c[t - 1] * x
 outside each mask after every step, each pair's variants one stack under
-its head condition.
-c[0] is exactly 1, so unmasked output pixels equal the body image exactly.
-Every posterior mean comes from the predictor's public API.  No stage
-takes a schedule: each reads the predictor's, whose T ``mask_pairs``
-checks against the config's.
+its head condition.  c[0] is exactly 1, so unmasked output pixels equal the
+body image exactly.  No stage takes a schedule: each reads the
+predictor's, whose T ``mask_pairs`` checks against the config's.
 """
 
 from __future__ import annotations

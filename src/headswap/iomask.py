@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .diffusion import EmpiricalNoisePredictor, NoiseSchedule, cfg_combine
+from .diffusion import EmpiricalNoisePredictor, NoiseSchedule, cfg_combine, implied_noise
 from .diffusion import _check_predictor, _check_step
 from .imaging import gaussian_filter, minmax_normalize, threshold
 from .synthgen import Condition, NULL_CONDITION
@@ -62,16 +62,35 @@ def edit_maps(
 ) -> np.ndarray:
     """Each pair's edit map per variant, (P, V, H, W), at latents z_t (P, H, W, C) of step t.
 
-    Latent p compares ``conds_head[p]`` with ``conds_body[p]``.  The body, the
-    null and the CFG-guided head predictions take one ``evaluate_stack`` call
-    each, and every variant's map (``variant_map``) is made from them.
+    Latent p compares ``conds_head[p]`` with ``conds_body[p]``.  Like the
+    denoise, it works on class values: the latents' class sums feed the
+    body, null and head ``posterior_plan``s, the implied noises and CFG act
+    per class, and the three predictions are gathered to pixels once for
+    every variant's map (``variant_map``).  Raises ValueError for a latent
+    that is not constant on the column classes, as c[t_edit] x is.
     """
-    eps_body = pred.evaluate_stack(z_t, t, conds_body)
-    eps_null = pred.evaluate_stack(z_t, t, [NULL_CONDITION] * len(conds_body))
-    eps_head = cfg_combine(eps_null, pred.evaluate_stack(z_t, t, conds_head), w)
+    sched, classes = pred.schedule, pred.column_classes
+    ab = float(sched.alpha_bar[_check_step(t, 1, sched.T, sched)])
+    z_t = np.asarray(z_t, dtype=np.float64)
+    if z_t.shape[1:] != pred.grid_shape or not len(z_t) == len(conds_head) == len(conds_body):
+        raise ValueError(f"{len(conds_head)}, {len(conds_body)} conditions for latents {z_t.shape}")
+    z = z_t.reshape(len(z_t), -1)
+    z_g = z[:, classes.first]
+    if not np.array_equal(z_g[:, classes.inv], z):
+        raise ValueError("every latent must be constant on the corpus's column classes")
+    sums = classes.sums(z)
+    eps_body, eps_null, eps_head = (
+        implied_noise(pred.posterior_plan(conds)(sums, ab), z_g, ab)
+        for conds in (conds_body, [NULL_CONDITION] * len(z), conds_head)
+    )
+    # ``take`` gathers C-ordered, so the projection's dot products keep their bits
+    predictions = [
+        np.take(eps, classes.inv, axis=-1).reshape(z_t.shape)
+        for eps in (eps_body, eps_null, cfg_combine(eps_null, eps_head, w))
+    ]
     maps = np.empty((len(z_t), len(variants)) + z_t.shape[1:3])
     for v, variant in enumerate(variants):
-        maps[:, v] = variant_map((eps_body, eps_null, eps_head), variant, w)
+        maps[:, v] = variant_map(predictions, variant, w)
     return maps
 
 

@@ -153,11 +153,6 @@ class Condition:
 NULL_CONDITION = Condition()
 
 
-def condition_match(cond: Condition, attrs: AttributeSpec) -> bool:
-    """True iff every constrained attribute equals the given value."""
-    return all(getattr(attrs, name) == value for name, value in cond.constraints)
-
-
 @dataclass(frozen=True, eq=False)
 class AvatarRender:
     """A rendered avatar plus its exact head and hair pixel masks."""

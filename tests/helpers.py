@@ -22,7 +22,7 @@ import numpy as np
 
 from headswap.diffusion import cfg_combine, ddim_sample_step
 from headswap import synthgen
-from headswap.synthgen import NULL_CONDITION, AttributeSpec, AvatarRender
+from headswap.synthgen import NULL_CONDITION, AttributeSpec, AvatarRender, Condition
 
 
 def dense_gaussian_reference(field: np.ndarray, sigma: float) -> np.ndarray:
@@ -81,6 +81,11 @@ def pixel_posterior_eps(images: np.ndarray, z_t: np.ndarray, alpha_bar: float) -
         x0 = (pixel_posterior_weights(images, z, alpha_bar)[:, None] * flat).sum(axis=0)
         rows.append((z - math.sqrt(alpha_bar) * x0) / math.sqrt(1.0 - alpha_bar))
     return np.stack(rows).reshape(z_t.shape)
+
+
+def condition_match(cond: Condition, attrs: AttributeSpec) -> bool:
+    """True iff every constrained attribute equals the given value."""
+    return all(getattr(attrs, name) == value for name, value in cond.constraints)
 
 
 def byte_key_classes(flat: np.ndarray) -> dict:

@@ -74,6 +74,12 @@ class TestConfigFile:
         with pytest.raises(UsageError, match="T"):
             read_config_file(str(path))
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# settings\nT = 40\nw 2.5\n")
+        with pytest.raises(UsageError, match=r"run.cfg:3: expected 'key = value', got 'w 2.5'"):
+            read_config_file(str(path))
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         with pytest.raises(RuntimeError):
             read_config_file(str(tmp_path / "absent.cfg"))
@@ -241,6 +247,16 @@ class TestSwapAndMask:
             assert (out / name).exists(), name
         mask = read_pnm(out / "mask.pgm")
         assert set(np.unique(mask)) <= {0, 255}
+
+    def test_identity_swap_warns_of_an_empty_mask(self, tmp_path, capsys):
+        # at w = 1 a swap of a body onto itself has no edit evidence
+        attrs = "0,2,0,1,0"
+        argv = ["swap", "--body", attrs, "--head", attrs, "--w", "1", "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert "warning: edit mask is empty; output equals the body image" in out.splitlines()
+        assert not read_pnm(tmp_path / "mask.pgm").any()
+        assert files_identical(tmp_path / "output.ppm", tmp_path / "body.ppm")
 
     def test_mask_subcommand_emits_map_mask_overlay(self, tmp_path):
         out = tmp_path / "mask"

@@ -20,6 +20,7 @@ from headswap.diffusion import (
     ddim_invert_step,
     ddim_sample_loop,
     ddim_sample_step,
+    implied_noise,
     invert_trajectory,
     make_schedule,
 )
@@ -29,11 +30,11 @@ from headswap.synthgen import (
     Condition,
     NULL_CONDITION,
     all_attribute_specs,
-    condition_match,
     render_avatars,
 )
 from helpers import (
     byte_key_classes,
+    condition_match,
     mp_posterior_eps,
     pixel_posterior_eps,
     pixel_posterior_weights,
@@ -96,8 +97,24 @@ class TestSchedule:
             make_schedule(1)
 
     def test_validation_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(T=2, alpha_bar=np.array([1.0, 0.5, 0.6]))
+        # the endpoints pass, so only the increase can be rejected
+        with pytest.raises(ValueError, match="alpha_bar must be non-increasing"):
+            NoiseSchedule(T=3, alpha_bar=np.array([1.0, 0.3, 0.5, 0.01]))
+
+    @pytest.mark.parametrize(
+        "T, alpha_bar, message",
+        [
+            (1, [1.0, 0.01], r"schedule needs T >= 2 and T\+1 entries, got T=1"),
+            (3, [1.0, 0.5, 0.01], r"schedule needs T >= 2 and T\+1 entries, got T=3"),
+            (2, [1.2, 0.5, 0.01], r"alpha_bar entries must lie in \(0, 1\]"),
+            (2, [1.0, 0.0, 0.0], r"alpha_bar entries must lie in \(0, 1\]"),
+        ],
+        ids=["T_one", "entry_count", "above_one", "zero"],
+    )
+    def test_each_check_raises_its_own_message(self, T, alpha_bar, message):
+        # the endpoints pass, so only the named check can reject these
+        with pytest.raises(ValueError, match=message):
+            NoiseSchedule(T=T, alpha_bar=np.array(alpha_bar))
 
     def test_validation_rejects_bad_endpoints(self):
         with pytest.raises(ValueError):
@@ -107,6 +124,15 @@ class TestSchedule:
 
 
 class TestEmpiricalEps:
+    def test_constructor_checks(self, rng):
+        sched = make_schedule(50)
+        images = rng.uniform(0, 1, (3,) + SHAPE)
+        for bad in ([images[0], images[1, :3]], images[:, 0], [images[0, 0]]):
+            with pytest.raises(ValueError, match=r"images must be \(N, H, W, C\)"):
+                EmpiricalNoisePredictor(bad, toy_attrs(len(bad)), sched)
+        with pytest.raises(ValueError, match="one AttributeSpec required per image"):
+            EmpiricalNoisePredictor(images, toy_attrs(2), sched)
+
     def test_singleton_recovers_injected_noise(self, rng):
         sched = make_schedule(50)
         x = rng.uniform(0, 1, SHAPE)
@@ -270,8 +296,6 @@ class TestStackedPredictor:
         for mixed in (conds[2:4], conds[3:], [conds[0], conds[4]]):
             with pytest.raises(ValueError, match="different numbers of images"):
                 predictor.posterior_plan(mixed)
-            with pytest.raises(ValueError, match="different numbers of images"):
-                predictor.evaluate_stack(z[: len(mixed)], 30, mixed)
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_evaluate_is_planned_mean_scattered(self, stack, predictor, t):
@@ -305,21 +329,21 @@ class TestStackedPredictor:
         assert x0.tobytes() == np.tile(classes.table[:, index], (len(latents), 1)).tobytes()
 
     @pytest.mark.parametrize("t", [1, 25, 50])
-    def test_evaluate_stack_bit_equals_each_evaluate(self, stack, predictor, t):
-        # the mask path's stacked predictions take the class path for every
-        # condition, while ``evaluate`` takes a one-image condition's image
-        # directly: two implementations that must agree bit for bit
+    def test_planned_stack_bit_equals_each_evaluate(self, stack, predictor, t):
+        # the stages' stacked plans take the class path for every condition,
+        # while ``evaluate`` takes a one-image condition's image directly:
+        # two implementations that must agree bit for bit
         z, conds = stack
+        classes = predictor.column_classes
+        ab = float(predictor.schedule.alpha_bar[t])
+        sums = classes.sums(z.reshape(len(z), -1))
         # one stack's conditions keep equally many images: 4, 324 or 1
         heads = conds[:3] * 2 + conds[:2]
         for stack_conds in (heads, [NULL_CONDITION] * len(z), [conds[4]] * len(z)):
-            eps = predictor.evaluate_stack(z, t, stack_conds)
-            assert eps.shape == z.shape
+            x0 = predictor.posterior_plan(stack_conds)(sums, ab)
+            eps = implied_noise(np.take(x0, classes.inv, axis=-1).reshape(z.shape), z, ab)
             for latent, cond, latent_eps in zip(z, stack_conds, eps):
                 assert latent_eps.tobytes() == predictor.evaluate(latent, t, cond).tobytes()
-        for bad_z, bad_conds in ((z, conds), (z[:, :-1], conds + conds[:3]), (z[0], conds[:1])):
-            with pytest.raises(ValueError, match="conditions for latents"):
-                predictor.evaluate_stack(bad_z, t, bad_conds)
 
     def test_one_image_evaluate_takes_no_class_sums(self, stack, predictor, monkeypatch):
         # one-image body evaluates run 50 times per inversion: they stay in pixels
@@ -333,7 +357,7 @@ class TestStackedPredictor:
             assert predictor.evaluate(latent, 30, conds[4]).shape == latent.shape
 
     def test_stack_shape_checked(self, stack, predictor):
-        # ``evaluate`` takes one latent; stacks go to ``evaluate_stack``
+        # ``evaluate`` takes one latent; stacks go to ``posterior_plan``
         z, conds = stack
         for bad in (z, z[:1], z[:, :-1], z[None], z.reshape(len(z), -1)):
             for cond in (NULL_CONDITION, conds[0], conds[4]):

@@ -129,13 +129,13 @@ class TestLockstep:
             if name.startswith("headswap") and hasattr(module, "invert_trajectory"):
                 monkeypatch.setattr(module, "invert_trajectory", refuse)
         conds = []
-        evaluate_stack = predictor.evaluate_stack
+        posterior_plan = predictor.posterior_plan
 
-        def spy(z, t, stack_conds):
-            conds.extend(stack_conds)
-            return evaluate_stack(z, t, stack_conds)
+        def spy(plan_conds):
+            conds.extend(plan_conds)
+            return posterior_plan(plan_conds)
 
-        monkeypatch.setattr(predictor, "evaluate_stack", spy)
+        monkeypatch.setattr(predictor, "posterior_plan", spy)
         pairs = sample_pairs(2, 2)
         results = list(swap_pairs(pairs, RunConfig(), VARIANTS, predictor))
         assert [len(per_pair) for per_pair in results] == [3, 3]
@@ -237,6 +237,24 @@ class TestSummaries:
         for variant, entry in by_file.items():
             for key, value in entry.items():
                 assert by_memory[variant][key] == pytest.approx(value, abs=1e-12)
+
+    def test_non_object_line_rejected(self, small_run, tmp_path):
+        _, _, records = small_run
+        path = tmp_path / METRICS_FILENAME
+        write_metrics(records[:1], path)
+        with open(path, "a") as fh:
+            fh.write("[1, 2]\n")
+        with pytest.raises(ValueError, match=":2: expected a JSON object, got list"):
+            read_metrics(path)
+
+    def test_blank_lines_skipped(self, small_run, tmp_path):
+        _, _, records = small_run
+        path = tmp_path / METRICS_FILENAME
+        write_metrics(records, path)
+        spaced = tmp_path / "spaced.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        spaced.write_text("\n" + " \t\n".join(lines) + "\n")
+        assert read_metrics(spaced) == read_metrics(path)
 
     def test_failed_write_leaves_existing_file(self, small_run, tmp_path):
         _, _, records = small_run

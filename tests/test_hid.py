@@ -42,11 +42,10 @@ from headswap.synthgen import (
     SHORT,
     Condition,
     all_attribute_specs,
-    condition_match,
     oracle_swap,
     render_avatar,
 )
-from helpers import per_latent_blend_denoise
+from helpers import condition_match, per_latent_blend_denoise, pixel_posterior_eps
 
 ROOT = Path(__file__).resolve().parents[1]
 BODY = AttributeSpec(0, LONG, 0, 1, 0)
@@ -171,34 +170,44 @@ class TestIdentitySwap:
             assert np.array_equal(result.output, render_avatar(spec).image)
 
 
-def reference_maps(pred, z_t, t, conds_head, conds_body, variants, w):
-    """Edit maps (P, V, H, W) made without ``edit_maps``: three
-    ``evaluate_stack`` calls, CFG and each variant's ``variant_map``."""
-    eps_body = pred.evaluate_stack(z_t, t, conds_body)
-    eps_null = pred.evaluate_stack(z_t, t, [NULL_CONDITION] * len(conds_body))
-    eps_head = cfg_combine(eps_null, pred.evaluate_stack(z_t, t, conds_head), w)
+def reference_maps(dataset, ab, z_t, conds_head, conds_body, variants, w):
+    """Edit maps (P, V, H, W) at signal level ab made without the predictor:
+    each prediction from the full pixel distances to its condition's images
+    (``pixel_posterior_eps``), then CFG and each variant's ``variant_map``."""
+
+    def predictions(conds):
+        return np.stack([
+            pixel_posterior_eps(
+                np.stack([r.image for r in dataset if condition_match(cond, r.attrs)]), z[None], ab
+            )[0]
+            for z, cond in zip(z_t, conds)
+        ])
+
+    eps_body, eps_null = predictions(conds_body), predictions([NULL_CONDITION] * len(z_t))
+    eps_head = cfg_combine(eps_null, predictions(conds_head), w)
     return np.stack([variant_map((eps_body, eps_null, eps_head), v, w) for v in variants], axis=1)
 
 
 class TestExtractMask:
-    def test_maps_are_taken_at_the_edit_step(self, predictor):
+    def test_maps_are_taken_at_the_edit_step(self, dataset, predictor):
+        # twelve sampled pairs, every variant, against pixel-space posteriors
         cfg = RunConfig()
-        z_edit = predictor.schedule.inversion[cfg.edit_start] * render_avatar(BODY).image[None]
-        conds = [compose_head_condition(HEAD, BODY)], [body_condition(BODY)]
+        pairs = sample_pairs(11, 12)
+        images, conds_head, maps, masks = mask_pairs(pairs, cfg, VARIANTS, predictor)
+        z_edit = predictor.schedule.inversion[cfg.edit_start] * images
+        conds = conds_head, [body_condition(body) for body, _ in pairs]
 
-        def maps_at(step):
-            return reference_maps(predictor, z_edit, step, *conds, VARIANTS, cfg.w)[0]
+        def reference_at(step):
+            ab = float(predictor.schedule.alpha_bar[step])
+            return reference_maps(dataset, ab, z_edit, *conds, VARIANTS, cfg.w)
 
-        expected = maps_at(cfg.edit_start)
-        # the step matters: one step earlier gives different maps
-        assert not any(np.array_equal(a, b) for a, b in zip(expected, maps_at(cfg.edit_start - 1)))
-        maps = edit_maps(z_edit, cfg.edit_start, *conds, VARIANTS, cfg.w, predictor)
-        masks = build_iomasks(maps, cfg.sigma, cfg.tau)
-        assert maps.shape == masks.shape == (1, len(VARIANTS), 32, 32)
+        assert maps.shape == masks.shape == (len(pairs), len(VARIANTS), 32, 32)
         assert maps.flags.c_contiguous
-        for want, edit_map, mask in zip(expected, maps[0], masks[0]):
-            assert np.array_equal(edit_map, want)
-            assert np.array_equal(mask, build_iomask(want, cfg.mask))
+        assert np.abs(maps - reference_at(cfg.edit_start)).max() <= 1e-12
+        # the step matters: one step earlier gives other maps
+        assert (np.abs(maps - reference_at(cfg.edit_start - 1)).max(axis=(2, 3)) > 1e-6).all()
+        for edit_map, mask in zip(maps.reshape(-1, 32, 32), masks.reshape(-1, 32, 32)):
+            assert np.array_equal(mask, build_iomask(edit_map, cfg.mask))
 
     @pytest.mark.parametrize("variants", [("full",), ("naive", "full"), VARIANTS], ids=len)
     def test_stacked_extraction_bit_equals_stacks_of_one(self, predictor, variants):
@@ -218,7 +227,7 @@ class TestExtractMask:
             assert conds_head[p] == compose_head_condition(head, body)
             z = c_edit * render_avatar(body).image
             conds = [conds_head[p]], [body_condition(body)]
-            alone = reference_maps(predictor, z[None], t, *conds, variants, cfg.w)
+            alone = edit_maps(z[None], t, *conds, variants, cfg.w, predictor)
             assert maps[p].tobytes() == alone[0].tobytes()
             assert masks[p].tobytes() == build_iomasks(alone, cfg.sigma, cfg.tau)[0].tobytes()
 

@@ -233,5 +233,8 @@ class TestOverlayHeatmap:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="field shape"):
             overlay_heatmap(np.zeros((4, 4, 3)), np.zeros((5, 4)))
+        for base in (np.zeros((4, 4)), np.zeros((4, 4, 4)), np.zeros((1, 4, 4, 3))):
+            with pytest.raises(ValueError, match=r"base must be \(H, W, 3\)"):
+                overlay_heatmap(base, np.zeros((4, 4)))

@@ -5,6 +5,7 @@ from headswap.diffusion import NoiseSchedule, cfg_combine, invert_trajectory, ma
 from headswap.hid import RunConfig, body_condition, compose_head_condition
 from headswap.imaging import gaussian_filter, minmax_normalize
 from headswap.iomask import (
+    VARIANTS,
     DegenerateReferenceError,
     build_iomask,
     edit_maps,
@@ -172,6 +173,30 @@ class TestIoMap:
         cond = body_condition(body)
         with pytest.raises(ValueError, match="different noise schedule"):
             io_map(traj, 40, cond, cond, RunConfig().mask, sched, predictor)
+
+    def test_latent_not_constant_on_classes_rejected(self, body_traj, sched50, predictor, rng):
+        # c[40] x plus a small random field is not constant on the column classes
+        body, _ = body_traj
+        cond = body_condition(body)
+        traj = sched50.inversion[:, None, None, None] * render_avatar(body).image
+        traj[40] += 1e-6 * rng.normal(size=traj[40].shape)
+        with pytest.raises(ValueError, match="constant on the corpus's column classes"):
+            io_map(traj, 40, cond, cond, RunConfig().mask, sched50, predictor)
+        for latents in (traj[40:41], traj[39:41]):
+            with pytest.raises(ValueError, match="constant on the corpus's column classes"):
+                conds = [cond] * len(latents)
+                edit_maps(latents, 40, conds, conds, VARIANTS, 3.0, predictor)
+        assert io_map(traj, 39, cond, cond, RunConfig().mask, sched50, predictor).shape == (32, 32)
+
+    def test_conditions_for_each_latent(self, body_traj, predictor):
+        body, traj = body_traj
+        cond = body_condition(body)
+        latents = traj[40:42]
+        for conds_head, conds_body in (([cond], [cond] * 2), ([cond] * 2, [cond]), ([cond],) * 2):
+            with pytest.raises(ValueError, match="conditions for latents"):
+                edit_maps(latents, 40, conds_head, conds_body, VARIANTS, 3.0, predictor)
+        with pytest.raises(ValueError, match="conditions for latents"):
+            edit_maps(latents[:, :-1], 40, [cond] * 2, [cond] * 2, VARIANTS, 3.0, predictor)
 
     def test_unknown_variant_rejected(self, body_traj, sched50, predictor):
         body, traj = body_traj

@@ -25,7 +25,6 @@ from headswap.synthgen import (
     Condition,
     NULL_CONDITION,
     all_attribute_specs,
-    condition_match,
     composite_spec,
     ground_truth_edit_mask,
     enumerate_dataset,
@@ -33,7 +32,7 @@ from headswap.synthgen import (
     render_avatar,
     render_avatars,
 )
-from helpers import paint_avatar
+from helpers import condition_match, paint_avatar
 
 RENDER_FIELDS = ("image", "head_mask", "hair_mask")
 
