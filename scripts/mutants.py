@@ -128,6 +128,18 @@ MUTANTS = {
         "(len(chunk) * len(variants))",
         "len(chunk)",
     ),
+    # a run's rows carry the swap's wall time beside the metrics.jsonl record
+    "rows_carry_runtime": (
+        "src/headswap/experiment.py",
+        '"attr_probe": {"matched": matched, "total": total},',
+        '"attr_probe": {"matched": matched, "total": total}, "runtime_ms": result.runtime_ms,',
+    ),
+    # a schedule whose later entries reach 1 builds, and every step after divides by 0
+    "schedule_accepts_one": (
+        "src/headswap/diffusion.py",
+        "if (arr[1:] == 1).any():",
+        "if False:",
+    ),
     # run_experiment swaps every chunk before it scores or writes the first pair
     "swap_all_before_writing": (
         "src/headswap/experiment.py",

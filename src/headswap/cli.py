@@ -201,7 +201,7 @@ def _cmd_swap(args) -> int:
     write_metrics([record], out_dir / METRICS_FILENAME)
     if result.degenerate_mask:
         print("warning: edit mask is empty; output equals the body image")
-    print(format_summary(summarize([record])))
+    print(f"{format_summary(summarize([record]))}  runtime_ms={result.runtime_ms:.6g}")
     return 0
 
 

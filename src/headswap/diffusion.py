@@ -48,6 +48,8 @@ class NoiseSchedule:
             raise ValueError(f"alpha_bar[T] must be <= 0.05, got {arr[-1]}")
         if not ((arr > 0).all() and (arr <= 1).all()):
             raise ValueError("alpha_bar entries must lie in (0, 1]")
+        if (arr[1:] == 1).any():  # every step t >= 1 divides by 1 - alpha_bar[t]
+            raise ValueError("alpha_bar[1:] must lie below 1")
         # Clamping at the floor may tie trailing entries for large T, so
         # only non-increase is enforced here; no step divides by a difference.
         if (np.diff(arr) > 0).any():
@@ -193,12 +195,6 @@ class EmpiricalNoisePredictor:
         classes = ColumnClasses.of(self._images)
         del self._images
         return classes
-
-    @property
-    def images(self) -> np.ndarray:
-        """The corpus (N, H, W, C), rebuilt from the column classes on each access."""
-        classes = self.column_classes
-        return classes.table.T[:, classes.inv].reshape((len(self),) + self.grid_shape)
 
     def _subset(self, cond: Condition):
         """The matching indices, their class columns (G, S) and squared norms (1, S)."""

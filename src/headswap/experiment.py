@@ -1,12 +1,10 @@
 """Batch swap runner: seeded pair sampling, per-pair metrics, JSONL records.
 
 One JSON object per line in metrics.jsonl keeps records independently
-parseable.  Wall-clock runtimes are kept on the in-memory rows (key
-``runtime_ms``) and in the printed summary but never written to
-metrics.jsonl, so repeated runs with the same seed produce byte-identical
-files.  A run's image files are created on one background thread, one
-chunk behind the denoise, and metrics.jsonl only after every image is
-written.
+parseable.  A run's rows are exactly those records, so repeated runs with
+the same seed return equal rows and write byte-identical files.  A run's
+image files are created on one background thread, one chunk behind the
+denoise, and metrics.jsonl only after every image is written.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ def sample_pairs(seed: int, count: int) -> list[tuple[AttributeSpec, AttributeSp
 
 
 def evaluate_swap(pair_id: str, ref: SwapReference, variant: str, result: SwapResult) -> dict:
-    """Reduce a finished swap to its metrics.jsonl row plus the result's ``runtime_ms``."""
+    """Reduce a finished swap to its metrics.jsonl row."""
     oracle = ref.oracle
     head_region = oracle.head_mask.astype(bool) | oracle.hair_mask.astype(bool)
     matched, total = attribute_probe(result.output, ref)
@@ -68,7 +66,6 @@ def evaluate_swap(pair_id: str, ref: SwapReference, variant: str, result: SwapRe
         "mse_head": region_mse(result.output, oracle.image, head_region.astype(np.uint8)),
         "mse_outside": region_mse(result.output, ref.body_image, 1 - result.mask),
         "attr_probe": {"matched": matched, "total": total},
-        "runtime_ms": result.runtime_ms,
     }
 
 
@@ -146,7 +143,7 @@ def read_metrics(path) -> list[dict]:
 
 
 def summarize(rows: Sequence[dict]) -> dict[str, dict[str, float]]:
-    """Per-variant means of metrics.jsonl rows, and of runtime_ms where rows carry it."""
+    """Per-variant means of metrics.jsonl rows."""
     grouped: dict[str, list[dict]] = {}
     for row in rows:
         grouped.setdefault(row["variant"], []).append(row)
@@ -159,23 +156,16 @@ def summarize(rows: Sequence[dict]) -> dict[str, dict[str, float]]:
         entry["probe_fraction"] = float(
             np.mean([m["attr_probe"]["matched"] / m["attr_probe"]["total"] for m in members])
         )
-        runtimes = [m["runtime_ms"] for m in members if "runtime_ms" in m]
-        if runtimes:
-            entry["runtime_ms"] = float(np.mean(runtimes))
         summary[variant] = entry
     return summary
 
 
 def format_summary(summary: dict[str, dict[str, float]]) -> str:
-    lines = []
-    for variant in sorted(summary):
-        entry = summary[variant]
-        parts = [f"{variant:8s} n={int(entry['count'])}"]
-        for key in ("iou", "mse_head", "mse_outside", "probe_fraction", "runtime_ms"):
-            if key in entry:
-                parts.append(f"{key}={entry[key]:.6g}")
-        lines.append("  ".join(parts))
-    return "\n".join(lines)
+    keys = ("iou", "mse_head", "mse_outside", "probe_fraction")
+    return "\n".join(
+        "  ".join([f"{variant:8s} n={int(entry['count'])}"] + [f"{k}={entry[k]:.6g}" for k in keys])
+        for variant, entry in sorted(summary.items())
+    )
 
 
 def _encode_pair_images(pair_id: str, ref: SwapReference, results) -> list[tuple[str, bytes]]:

@@ -5,7 +5,8 @@ reference is a direct dense 2-D convolution over an explicitly padded
 array, the denoiser references evaluate naive (unshifted) exponentials in
 50-digit arithmetic or the full pixel-space distances one latent at a
 time (``pixel_posterior_weights``), the column-class reference keys a
-dict by each column's bytes (``byte_key_classes``), and the
+dict by each column's bytes (``byte_key_classes``) and rebuilds a
+predictor's corpus one image gather at a time (``class_images``), and the
 blended-denoise reference steps one latent at a time with the
 single-latent predictor.
 ``files_identical`` compares written artifacts byte for byte, and
@@ -103,6 +104,14 @@ def byte_key_classes(flat: np.ndarray) -> dict:
         "starts": np.cumsum(counts) - counts,
         "counts": counts,
     }
+
+
+def class_images(pred) -> np.ndarray:
+    """A predictor's corpus (N, H, W, C) from its column classes, image i
+    gathered as ``table[:, i][inv]``."""
+    classes = pred.column_classes
+    images = [classes.table[:, i][classes.inv] for i in range(len(pred))]
+    return np.stack(images).reshape((len(pred),) + pred.grid_shape)
 
 
 def per_latent_blend_denoise(traj, mask, cond_head, cfg, sched, pred) -> np.ndarray:

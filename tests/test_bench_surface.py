@@ -3,10 +3,9 @@
 The benchmark under bench/ calls the package by name: ``invert_trajectory``,
 ``io_map`` and ``build_iomask`` with their positional arguments,
 ``RunConfig.swap_config``, ``cfg.mask`` (the config itself) and its
-``.variant``, ``evaluate(z_t, t, cond)`` and ``predictor.images``, and
-its tracer wraps functions such as ``hid.run_headswap``.  A renamed
-function or a reordered signature would otherwise only show when the
-benchmark runs.
+``.variant`` and ``evaluate(z_t, t, cond)``, and its tracer wraps
+functions such as ``hid.run_headswap``.  A renamed function or a
+reordered signature would otherwise only show when the benchmark runs.
 """
 
 import sys

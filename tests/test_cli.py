@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headswap.cli import ABLATE_KEYS, UsageError, cli_main, parse_attrs, read_config_file
+from headswap.cli import ABLATE_KEYS, UsageError, cli_main, main, parse_attrs, read_config_file
 from headswap.experiment import RECORD_FIELDS, sample_pairs
 from headswap.hid import RunConfig
 from helpers import files_identical, read_pnm
@@ -219,6 +219,17 @@ class TestExitCodes:
     def test_help_exit_zero(self, capsys):
         assert cli_main(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv, code", [(["--help"], 0), (["swap", "--bogus"], 1), (["eval", "--out", "."], 2)],
+        ids=["help", "usage", "runtime"],
+    )
+    def test_main_exits_with_cli_mains_code(self, tmp_path, capsys, monkeypatch, argv, code):
+        monkeypatch.chdir(tmp_path)  # which holds no metrics.jsonl
+        monkeypatch.setattr(sys, "argv", ["headswap"] + argv)
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert exit_info.value.code == code
+
 
 class TestGen:
     def test_writes_dataset_and_index(self, tmp_path):
@@ -290,6 +301,14 @@ class TestAblateAndEval:
         assert cli_main(["eval", "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "full" in printed and "naive" in printed and "no_orth" in printed
+
+    def test_ablate_prints_the_summary_eval_prints(self, tmp_path, capsys):
+        out = tmp_path / "ablate"
+        assert cli_main(["ablate", "--pairs", "2", "--seed", "3", "--out", str(out)]) == 0
+        *summary, wrote = capsys.readouterr().out.splitlines()
+        assert wrote == f"wrote records to {out / 'metrics.jsonl'}"
+        assert cli_main(["eval", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == summary
 
     def test_seeded_ablate_metrics_digest(self, tmp_path):
         # Pins the exact numerics end to end: any change to a prediction,

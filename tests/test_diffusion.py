@@ -34,6 +34,7 @@ from headswap.synthgen import (
 )
 from helpers import (
     byte_key_classes,
+    class_images,
     condition_match,
     mp_posterior_eps,
     pixel_posterior_eps,
@@ -85,7 +86,7 @@ class TestSchedule:
         assert ab[T] < 0.01
 
     def test_range_invariants(self):
-        for T in (2, 50, 200):
+        for T in (2, 50, 200, 1000):
             ab = make_schedule(T).alpha_bar
             assert ab[0] >= 0.999
             assert ab[-1] <= 0.05
@@ -108,8 +109,9 @@ class TestSchedule:
             (3, [1.0, 0.5, 0.01], r"schedule needs T >= 2 and T\+1 entries, got T=3"),
             (2, [1.2, 0.5, 0.01], r"alpha_bar entries must lie in \(0, 1\]"),
             (2, [1.0, 0.0, 0.0], r"alpha_bar entries must lie in \(0, 1\]"),
+            (3, [1.0, 1.0, 0.5, 0.01], r"alpha_bar\[1:\] must lie below 1"),
         ],
-        ids=["T_one", "entry_count", "above_one", "zero"],
+        ids=["T_one", "entry_count", "above_one", "zero", "one_after_zero"],
     )
     def test_each_check_raises_its_own_message(self, T, alpha_bar, message):
         # the endpoints pass, so only the named check can reject these
@@ -395,11 +397,8 @@ class TestColumnClasses:
     def test_rendered_corpus_has_121_classes_that_rebuild_every_image(self, dataset, predictor):
         # a structural fact of the renderer: the 3,072 pixel-channel
         # positions carry 121 distinct columns of 324 values
-        classes = predictor.column_classes
-        assert classes.table.shape == (121, len(predictor))
-        for i, render in enumerate(dataset):
-            assert classes.table[:, i][classes.inv].tobytes() == render.image.tobytes()
-        assert predictor.images.tobytes() == np.stack([r.image for r in dataset]).tobytes()
+        assert predictor.column_classes.table.shape == (121, len(predictor))
+        assert class_images(predictor).tobytes() == np.stack([r.image for r in dataset]).tobytes()
 
     def test_class_layout(self, predictor):
         classes = predictor.column_classes
@@ -439,7 +438,7 @@ class TestColumnClasses:
         flat[-1, -1] += 1.0
         pred = toy_predictor(flat.reshape((count,) + shape), make_schedule(50))
         assert_classes_equal(pred.column_classes, byte_key_classes(flat))
-        assert len(pred) == count and pred.images.tobytes() == flat.tobytes()
+        assert len(pred) == count and class_images(pred).tobytes() == flat.tobytes()
 
     def test_signed_zeros_are_two_classes(self, rng):
         # 0.0 == -0.0, but their bytes differ, and so do the images they make
@@ -468,7 +467,7 @@ class TestColumnClasses:
         pred = toy_predictor(images, sched50)
         with pytest.raises(ValueError, match="read-only"):
             images[0] = 5.0
-        assert pred.images.tobytes() == images.tobytes()
+        assert class_images(pred).tobytes() == images.tobytes()
 
     def test_borrowed_views_turn_their_array_read_only(self, rng, sched50):
         # a list of an array's views borrows the array too, before and after
@@ -480,7 +479,7 @@ class TestColumnClasses:
             with pytest.raises(ValueError, match="read-only"):
                 images[0] = 5.0
             pred.column_classes
-        assert pred.images.tobytes() == want
+        assert class_images(pred).tobytes() == want
 
     def test_grouping_makes_no_copy_of_the_corpus(self, dataset, sched50):
         # the corpus is 8 MB; the grouping's blocks take under 1 MB at a time

@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,9 +61,13 @@ class TestRunExperiment:
         _, _, records = small_run
         assert all(r["mse_outside"] == 0.0 for r in records)
 
-    def test_records_carry_runtime(self, small_run):
-        _, _, records = small_run
-        assert all(r["runtime_ms"] > 0 for r in records)
+    def test_rows_are_the_metrics_file_records(self, small_run):
+        _, out_dir, records = small_run
+        assert read_metrics(out_dir / METRICS_FILENAME) == records
+
+    def test_two_runs_return_equal_rows(self, small_run, predictor):
+        cfg, _, records = small_run
+        assert run_experiment(replace(cfg, out_dir=None), pred=predictor) == records
 
     def test_metrics_file_lines_parse_independently(self, small_run):
         _, out_dir, _ = small_run
