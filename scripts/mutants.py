@@ -80,11 +80,20 @@ MUTANTS = {
         "pred.posterior_plan(conds)",
         "pred.posterior_plan([cond for cond in conds for _ in range(len(z) // len(conds))])",
     ),
-    # every one-image evaluate through the class sums
-    "evaluate_via_stack": (
+    # a body under its own condition is stepped: the same latents within
+    # 1e-12, through 50 predictor calls
+    "inversion_always_steps": (
         "src/headswap/diffusion.py",
-        "if indices.size > 1:",
-        "if True:",
+        "if indices.size == 1 and np.array_equal(",
+        "if False and np.array_equal(",
+    ),
+    # any image under a one-image condition is taken for that image
+    "inversion_skips_image_check": (
+        "src/headswap/diffusion.py",
+        "if indices.size == 1 and np.array_equal(\n"
+        "        image, classes.table[classes.inv, indices[0]].reshape(pred.grid_shape)\n"
+        "    ):",
+        "if indices.size == 1:",
     ),
     # a caller's write into a render changes the corpus before grouping
     "writable_borrow": (
@@ -140,6 +149,24 @@ MUTANTS = {
         "if (arr[1:] == 1).any():",
         "if False:",
     ),
+    # a config line without "=" is read as a key with an empty value
+    "config_line_without_equals": (
+        "src/headswap/cli.py",
+        'if "=" not in line:',
+        "if False:",
+    ),
+    # a metrics line that is not a JSON object is checked for keys as if it were
+    "row_not_object": (
+        "src/headswap/experiment.py",
+        "if not isinstance(row, dict):",
+        "if False:",
+    ),
+    # a heatmap base of any shape is blended by broadcasting
+    "overlay_any_base": (
+        "src/headswap/imaging.py",
+        "if base_arr.ndim != 3 or base_arr.shape[2] != 3:",
+        "if False:",
+    ),
     # run_experiment swaps every chunk before it scores or writes the first pair
     "swap_all_before_writing": (
         "src/headswap/experiment.py",
@@ -188,7 +215,7 @@ def main() -> int:
         started = time.perf_counter()
         outcomes[name], detail = run_mutant(name)
         seconds = time.perf_counter() - started
-        print(f"{name:20s} {outcomes[name]:9s} {seconds:6.1f} s  {detail}", flush=True)
+        print(f"{name:28s} {outcomes[name]:9s} {seconds:6.1f} s  {detail}", flush=True)
     kinds = ("killed", "survived", "stale")
     counts = {kind: sum(o == kind for o in outcomes.values()) for kind in kinds}
     print(", ".join(f"{count} {kind}" for kind, count in counts.items()))

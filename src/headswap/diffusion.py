@@ -6,6 +6,7 @@ process: a softmax-weighted posterior mean over the images matching a
 condition.  Conditioning is dataset-subset restriction, so the null
 condition is the marginal over the whole corpus.  Both stages of a swap
 reach it by one path, ``posterior_plan``, on the corpus's column classes.
+An image inverted under a condition keeping only it calls no predictor.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ class NoiseSchedule:
 
     @cached_property
     def inversion(self) -> np.ndarray:
-        """c[0..T] with ``invert_trajectory(x, cond, ...)[t] = c[t] x`` whenever
-        ``cond`` keeps one image x: the posterior mean is then x, so at z = c x
-        the noise is (c - sqrt(ab_t)) / sqrt(1 - ab_t) x.  c runs the inversion
+        """c[0..T], the inversion of an image x under a condition that keeps
+        only x: the posterior mean is then x, so at z = c x the noise is
+        (c - sqrt(ab_t)) / sqrt(1 - ab_t) x and every latent is c[t] x, which
+        ``invert_trajectory`` returns without stepping.  c runs the inversion
         steps on the scalar 1, so c[0] is exactly 1.  Made once, read-only."""
         c = np.ones(self.T + 1)
         for t in range(self.T):
@@ -151,12 +153,11 @@ class EmpiricalNoisePredictor:
     The posterior is formed in one place, the plans of ``posterior_plan``,
     on the corpus's ``ColumnClasses``: z_t . x_i needs only z_t's class
     sums, and the mean is formed per class.  Both stages of a swap run the
-    plans on class values.  ``evaluate`` runs one on a pixel latent's class
-    sums, except when one image matches: its weight is 1, and the
-    prediction uses that image, gathered from its classes and kept until a
-    call under another condition.  The N images (H, W, C) are borrowed, not
-    copied, and dropped once the first condition groups them; each, and
-    each array down its ``.base`` chain, turns read-only for good.
+    plans on class values, and ``evaluate`` runs one on a pixel latent's
+    class sums.  No pixel image is kept: the N images (H, W, C) are
+    borrowed, not copied, and dropped once the first condition groups
+    them; each, and each array down its ``.base`` chain, turns read-only
+    for good.
     """
 
     def __init__(
@@ -179,7 +180,6 @@ class EmpiricalNoisePredictor:
         self.grid_shape = images[0].shape
         self._attr_matrix = np.array([a.to_ints() for a in attrs], dtype=np.int64)
         self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._one_image: tuple = (None, None)  # the last one-image condition and its image
 
     @classmethod
     def from_renders(cls, renders, schedule: NoiseSchedule) -> "EmpiricalNoisePredictor":
@@ -221,16 +221,9 @@ class EmpiricalNoisePredictor:
         if z_t.shape != self.grid_shape:
             raise ValueError(f"latent shape {z_t.shape} is not {self.grid_shape}")
         alpha_bar = float(self.schedule.alpha_bar[step])
-        indices, classes = self._subset(cond)[0], self.column_classes
-        if indices.size > 1:
-            x0 = self.posterior_plan([cond])(classes.sums(z_t.reshape(1, -1)), alpha_bar)
-            return implied_noise(x0[0, classes.inv].reshape(z_t.shape), z_t, alpha_bar)
-        # weight 1: x0 is that image, bit for bit (``table[:, i][inv]``), and no
-        # class sums; a stepped inversion's T calls share one condition and image
-        if self._one_image[0] != cond.constraints:
-            image = classes.table[:, indices[0]][classes.inv].reshape(self.grid_shape)
-            self._one_image = (cond.constraints, image)
-        return implied_noise(self._one_image[1], z_t, alpha_bar)
+        classes = self.column_classes
+        x0 = self.posterior_plan([cond])(classes.sums(z_t.reshape(1, -1)), alpha_bar)
+        return implied_noise(x0[0, classes.inv].reshape(z_t.shape), z_t, alpha_bar)
 
     def posterior_plan(
         self, conds: Sequence[Condition]
@@ -356,14 +349,20 @@ def invert_trajectory(
     sched: NoiseSchedule,
     pred: EmpiricalNoisePredictor,
 ) -> np.ndarray:
-    """Run DDIM inversion from a clean image, storing every latent.
+    """Run DDIM inversion from a clean image, storing every latent: (T+1, H, W, C).
 
-    Returns an array of shape (T+1, H, W, C) whose entry 0 is the input
-    image exactly.  The first step evaluates the predictor at step 1
-    because the noise estimate is undefined at t = 0.
+    Entry 0 is the input image exactly.  If ``cond`` keeps one corpus image
+    and ``image`` is it bit for bit, the latents are c[t] * image
+    (``NoiseSchedule.inversion``) and no predictor is called.  Otherwise
+    each step calls it, the first at step 1 as the noise is undefined at t = 0.
     """
     _check_predictor(sched, pred)
     image = np.asarray(image, dtype=np.float64)
+    indices, classes = pred._subset(cond)[0], pred.column_classes
+    if indices.size == 1 and np.array_equal(
+        image, classes.table[classes.inv, indices[0]].reshape(pred.grid_shape)
+    ):
+        return sched.inversion[:, None, None, None] * image
     latents = np.empty((sched.T + 1,) + image.shape, dtype=np.float64)
     latents[0] = image
     z = image

@@ -8,7 +8,8 @@ time (``pixel_posterior_weights``), the column-class reference keys a
 dict by each column's bytes (``byte_key_classes``) and rebuilds a
 predictor's corpus one image gather at a time (``class_images``), and the
 blended-denoise reference steps one latent at a time with the
-single-latent predictor.
+single-latent predictor, as the inversion reference (``stepped_inversion``)
+does with one ``evaluate`` call per step.
 ``files_identical`` compares written artifacts byte for byte, and
 ``read_pnm`` reads a written P5/P6 file's raster bytes back.  The avatar
 reference (``paint_avatar``) paints one avatar layer by layer from its
@@ -21,7 +22,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 
-from headswap.diffusion import cfg_combine, ddim_sample_step
+from headswap.diffusion import cfg_combine, ddim_invert_step, ddim_sample_step
 from headswap import synthgen
 from headswap.synthgen import NULL_CONDITION, AttributeSpec, AvatarRender, Condition
 
@@ -112,6 +113,17 @@ def class_images(pred) -> np.ndarray:
     classes = pred.column_classes
     images = [classes.table[:, i][classes.inv] for i in range(len(pred))]
     return np.stack(images).reshape((len(pred),) + pred.grid_shape)
+
+
+def stepped_inversion(image, cond, sched, pred) -> np.ndarray:
+    """Every latent (T+1, H, W, C) of the DDIM inversion of ``image`` under
+    ``cond``, one ``evaluate`` call per step, the first at step 1."""
+    z = np.asarray(image, dtype=np.float64)
+    latents = [z]
+    for t in range(sched.T):
+        z = ddim_invert_step(z, pred.evaluate(z, max(t, 1), cond), t, sched)
+        latents.append(z)
+    return np.stack(latents)
 
 
 def per_latent_blend_denoise(traj, mask, cond_head, cfg, sched, pred) -> np.ndarray:

@@ -39,6 +39,7 @@ from helpers import (
     mp_posterior_eps,
     pixel_posterior_eps,
     pixel_posterior_weights,
+    stepped_inversion,
 )
 
 SHAPE = (4, 4, 3)
@@ -332,9 +333,8 @@ class TestStackedPredictor:
 
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_planned_stack_bit_equals_each_evaluate(self, stack, predictor, t):
-        # the stages' stacked plans take the class path for every condition,
-        # while ``evaluate`` takes a one-image condition's image directly:
-        # two implementations that must agree bit for bit
+        # a stacked plan's rows keep the bits of one ``evaluate`` call each,
+        # for conditions keeping 4, 324 or 1 images
         z, conds = stack
         classes = predictor.column_classes
         ab = float(predictor.schedule.alpha_bar[t])
@@ -346,17 +346,6 @@ class TestStackedPredictor:
             eps = implied_noise(np.take(x0, classes.inv, axis=-1).reshape(z.shape), z, ab)
             for latent, cond, latent_eps in zip(z, stack_conds, eps):
                 assert latent_eps.tobytes() == predictor.evaluate(latent, t, cond).tobytes()
-
-    def test_one_image_evaluate_takes_no_class_sums(self, stack, predictor, monkeypatch):
-        # one-image body evaluates run 50 times per inversion: they stay in pixels
-        z, conds = stack
-
-        def refuse(*args):
-            raise AssertionError("a one-image evaluate went through the posterior plan")
-
-        monkeypatch.setattr(predictor, "posterior_plan", refuse)
-        for latent in z:
-            assert predictor.evaluate(latent, 30, conds[4]).shape == latent.shape
 
     def test_stack_shape_checked(self, stack, predictor):
         # ``evaluate`` takes one latent; stacks go to ``posterior_plan``
@@ -622,7 +611,8 @@ class TestTrajectories:
         # Only the body itself matches its body condition, so the posterior
         # mean is the body image x at every step and every latent stays a
         # multiple of x: traj[t] = c_t x, c_t = sqrt(ab_t) + k sqrt(1 - ab_t),
-        # k = (1 - sqrt(ab_1)) / sqrt(1 - ab_1), while ab_0 = 1.
+        # k = (1 - sqrt(ab_1)) / sqrt(1 - ab_1), while ab_0 = 1.  The stepped
+        # inversion checks the closed form that ``invert_trajectory`` returns.
         ab = sched50.alpha_bar
         k = (1.0 - np.sqrt(ab[1])) / np.sqrt(1.0 - ab[1])
         formula = np.sqrt(ab) + k * np.sqrt(1.0 - ab)
@@ -632,9 +622,46 @@ class TestTrajectories:
             coefficients = sched.inversion
             assert coefficients.shape == (T + 1,) and coefficients[0] == 1.0
             for render in dataset[::81]:
-                traj = invert_trajectory(render.image, body_condition(render.attrs), sched, pred)
+                cond = body_condition(render.attrs)
+                closed = coefficients[:, None, None, None] * render.image
+                assert np.array_equal(invert_trajectory(render.image, cond, sched, pred), closed)
+                stepped = stepped_inversion(render.image, cond, sched, pred)
                 for c in [coefficients] + [formula] * (T == 50):
-                    assert np.abs(traj - c[:, None, None, None] * render.image).max() <= 1e-12
+                    assert np.abs(stepped - c[:, None, None, None] * render.image).max() <= 1e-12
+
+    def test_body_inversion_calls_no_predictor(self, dataset, sched50, predictor, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a body inversion called the predictor")
+
+        monkeypatch.setattr(predictor, "evaluate", refuse)
+        monkeypatch.setattr(predictor, "posterior_plan", refuse)
+        for render in dataset[::53]:
+            closed = sched50.inversion[:, None, None, None] * render.image
+            traj = invert_trajectory(render.image, body_condition(render.attrs), sched50, predictor)
+            assert traj.tobytes() == closed.tobytes()
+
+    def test_one_image_condition_on_another_image_steps(self, rng):
+        # clothing_color 2 keeps image 2 alone: image 1 is pulled toward it
+        sched = make_schedule(50)
+        images = rng.uniform(0, 1, (4,) + SHAPE)
+        pred = toy_predictor(images, sched)
+        cond = Condition.of(clothing_color=2)
+        traj = invert_trajectory(images[1], cond, sched, pred)
+        assert np.array_equal(traj, stepped_inversion(images[1], cond, sched, pred))
+        assert not np.allclose(traj, sched.inversion[:, None, None, None] * images[1])
+
+    def test_one_image_condition_checks_shape_and_subset(self, rng):
+        # the image's values under another shape take the stepped path, whose
+        # evaluate rejects them; a condition keeping no image raises
+        sched = make_schedule(50)
+        images = rng.uniform(0, 1, (4,) + SHAPE)
+        pred = toy_predictor(images, sched)
+        cond = Condition.of(clothing_color=2)
+        for bad in (images[2].reshape(4, -1), images[2][:2], images[2][None]):
+            with pytest.raises(ValueError, match="latent shape"):
+                invert_trajectory(bad, cond, sched, pred)
+        with pytest.raises(NoMatchingConditionError):
+            invert_trajectory(images[2], Condition.of(skin_tone=1), sched, pred)
 
     @pytest.mark.parametrize("T", [2, 50, 1000])
     def test_inversion_is_computed_once_and_read_only(self, T):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from headswap import experiment, hid
-from headswap.diffusion import invert_trajectory
 from headswap.experiment import (
     CHUNK_PAIRS,
     METRICS_FILENAME,
@@ -29,7 +28,7 @@ from headswap.hid import (
 )
 from headswap.iomask import VARIANTS
 from headswap.synthgen import render_avatar
-from helpers import per_latent_blend_denoise
+from helpers import per_latent_blend_denoise, stepped_inversion
 
 
 class TestSamplePairs:
@@ -111,7 +110,7 @@ class TestLockstep:
         assert len(seen) == len(rows) == cfg.pairs * len(VARIANTS)
         for index, (body, head) in enumerate(sample_pairs(cfg.seed, cfg.pairs)):
             # the stepped inversion: the reference for the closed-form latents
-            traj = invert_trajectory(
+            traj = stepped_inversion(
                 render_avatar(body).image, body_condition(body), sched50, predictor
             )
             for variant in VARIANTS:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from headswap.diffusion import NoiseSchedule, cfg_combine, invert_trajectory, make_schedule
-from headswap.hid import RunConfig, body_condition, compose_head_condition
+from headswap.experiment import sample_pairs
+from headswap.hid import RunConfig, body_condition, compose_head_condition, mask_pairs
 from headswap.imaging import gaussian_filter, minmax_normalize
 from headswap.iomask import (
     VARIANTS,
@@ -15,7 +16,7 @@ from headswap.iomask import (
 )
 from headswap.metrics import mask_iou
 from headswap.synthgen import AttributeSpec, BALD, LONG, ground_truth_edit_mask, render_avatar
-from helpers import dense_gaussian_reference
+from helpers import dense_gaussian_reference, stepped_inversion
 
 
 class TestConfig:
@@ -156,6 +157,23 @@ class TestIoMap:
         diff = orthogonal_component(eps_h, eps_b)
         inner = abs(diff.ravel() @ eps_b.ravel())
         assert inner <= 1e-10 * np.linalg.norm(diff) * np.linalg.norm(eps_b)
+
+    def test_public_inversion_gives_the_mask_stage_maps(self, sched50, predictor):
+        # io_map at the public inversion's t_edit latent is the product's mask
+        # stage bit for bit, every variant; the stepped inversion's latents
+        # move the maps' bits but not the masks
+        cfg = RunConfig()
+        pairs = sample_pairs(3, 6)
+        _, conds_head, maps, masks = mask_pairs(pairs, cfg, VARIANTS, predictor)
+        for p, (body, _) in enumerate(pairs):
+            image, cond_b = render_avatar(body).image, body_condition(body)
+            traj = invert_trajectory(image, cond_b, sched50, predictor)
+            stepped = stepped_inversion(image, cond_b, sched50, predictor)
+            for v, variant in enumerate(VARIANTS):
+                args = (cfg.edit_start, conds_head[p], cond_b, cfg.swap_config(variant))
+                assert io_map(traj, *args, sched50, predictor).tobytes() == maps[p, v].tobytes()
+                stepped_map = io_map(stepped, *args, sched50, predictor)
+                assert np.array_equal(build_iomask(stepped_map, args[-1]), masks[p, v])
 
     def test_step_out_of_range(self, body_traj, sched50, predictor):
         body, traj = body_traj
