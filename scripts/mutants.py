@@ -122,8 +122,26 @@ MUTANTS = {
     # a posterior plan deals the rows to its stacks round-robin
     "plan_rows_dealt": (
         "src/headswap/diffusion.py",
-        "sums.reshape(len(columns), -1, sums.shape[1])",
-        "sums.reshape(-1, len(columns), sums.shape[1]).swapaxes(0, 1)",
+        "sums.reshape(len(subsets), -1, sums.shape[1])",
+        "sums.reshape(-1, len(subsets), sums.shape[1]).swapaxes(0, 1)",
+    ),
+    # a plan under mixed conditions runs every stack on the first one's table
+    "plan_shares_mixed_tables": (
+        "src/headswap/diffusion.py",
+        "if all(subset is subsets[0] for subset in subsets):",
+        "if True:",
+    ),
+    # the blur's cached plan is made for sigma 2 whatever sigma is asked
+    "blur_plan_ignores_sigma": (
+        "src/headswap/imaging.py",
+        "_blur_plan(float(sigma), *arr.shape[-2:])",
+        "_blur_plan(2.0, *arr.shape[-2:])",
+    ),
+    # the blur's cached kernel and indices stay writable
+    "writable_blur_plan": (
+        "src/headswap/imaging.py",
+        "array.setflags(write=False)",
+        "pass",
     ),
     # the grouping misses the last block of positions
     "positions_one_block_short": (

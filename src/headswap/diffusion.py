@@ -233,17 +233,24 @@ class EmpiricalNoisePredictor:
         ``mean`` maps the rows' class sums (B, G) at signal level ab to their
         means (B, G) in one kernel call, the rows forming ``len(conds)`` stacks
         of equal height, stack r under ``conds[r]``.  The conditions must keep
-        equally many images.  numpy makes one BLAS call per stack, of its own
-        shape, so a stack's bits do not depend on the stacks beside it.
+        equally many images.  When they all resolve to one subset, its columns
+        (G, S) and norms (1, S) are shared as one broadcast view, not copied
+        per stack.  numpy makes one BLAS call per stack, of its own shape, so
+        a stack's bits do not depend on the stacks beside it.
         """
+        if not conds:
+            raise ValueError("a posterior plan needs at least one condition")
         subsets = [self._subset(cond) for cond in conds]
         sizes = [subset[0].size for subset in subsets]
         if len(set(sizes)) > 1:
             raise ValueError(f"conditions keep different numbers of images: {sizes}")
-        columns, norms = (np.stack([subset[k] for subset in subsets]) for k in (1, 2))
+        if all(subset is subsets[0] for subset in subsets):
+            columns, norms = subsets[0][1][None], subsets[0][2][None]
+        else:
+            columns, norms = (np.stack([subset[k] for subset in subsets]) for k in (1, 2))
 
         def mean(sums: np.ndarray, ab: float) -> np.ndarray:
-            stacks = sums.reshape(len(columns), -1, sums.shape[1])
+            stacks = sums.reshape(len(subsets), -1, sums.shape[1])
             return _stacked_posterior_mean(stacks, columns, norms, ab).reshape(sums.shape)
 
         return mean
@@ -286,7 +293,8 @@ def _posterior_weights(sums: np.ndarray, columns: np.ndarray, norms: np.ndarray,
 
 
 def _stacked_posterior_mean(sums, columns, norms, ab: float) -> np.ndarray:
-    """The posterior means (R, M, G) of (R, M, G) class sums, stack r under ``columns[r]``."""
+    """The posterior means (R, M, G) of (R, M, G) class sums, stack r under
+    ``columns[r]``; columns (1, G, S) and norms (1, 1, S) serve every stack."""
     return _posterior_weights(sums, columns, norms, ab) @ columns.swapaxes(-1, -2)
 
 

@@ -61,6 +61,10 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, (bool, float)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("w", "tau", "sigma", "edit_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         # upper bounds on work: the denoise loop runs up to T steps per swap,
         # and the mask blur pads the map by 3 sigma per side
         if not 2 <= self.T <= 1000:

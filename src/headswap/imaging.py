@@ -14,11 +14,12 @@ so written bytes are reproducible across platforms.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 HEAT_ALPHA = 0.6
 _HEAT_RED = np.array([1.0, 0.0, 0.0])
@@ -57,6 +58,25 @@ def _reflect_index(size: int, radius: int) -> np.ndarray:
     return np.minimum(index, period - index)
 
 
+@functools.lru_cache(maxsize=16)
+def _blur_plan(sigma: float, height: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel and the row and column reflect indices of a sigma blur of
+    height x width maps, made once per (sigma, height, width), read-only."""
+    kernel = gaussian_kernel_1d(sigma)
+    radius = (kernel.size - 1) // 2
+    plan = (kernel, _reflect_index(height, radius), _reflect_index(width, radius))
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
+def _windows(arr: np.ndarray, size: int, axis: int) -> np.ndarray:
+    """The read-only windows of ``size`` samples along ``axis``, on a new last
+    axis: ``sliding_window_view(arr, size, axis=axis)``, without its checks."""
+    shape = arr.shape[:axis] + (arr.shape[axis] - size + 1,) + arr.shape[axis + 1 :] + (size,)
+    return as_strided(arr, shape, arr.strides + arr.strides[axis : axis + 1], writeable=False)
+
+
 def gaussian_filter(field, sigma: float) -> np.ndarray:
     """Blur a scalar field, or each of a (..., H, W) stack, with a truncated, normalized Gaussian.
 
@@ -67,15 +87,12 @@ def gaussian_filter(field, sigma: float) -> np.ndarray:
     blurred each on its own, bit for bit as one at a time.
     """
     arr = _as_finite_maps(field)
-    kernel = gaussian_kernel_1d(sigma)
-    radius = (kernel.size - 1) // 2
-    height, width = arr.shape[-2:]
+    kernel, rows_index, columns_index = _blur_plan(float(sigma), *arr.shape[-2:])
     # np.pad(mode="reflect") of the last two axes, as two gathers: a 32 x 32
     # map's padding took ~10 us instead of ~45 us
-    padded = np.take(arr, _reflect_index(height, radius), axis=-2)
-    padded = np.take(padded, _reflect_index(width, radius), axis=-1)
-    rows = sliding_window_view(padded, kernel.size, axis=arr.ndim - 2) @ kernel
-    return sliding_window_view(rows, kernel.size, axis=arr.ndim - 1) @ kernel
+    padded = np.take(np.take(arr, rows_index, axis=-2), columns_index, axis=-1)
+    rows = _windows(padded, kernel.size, arr.ndim - 2) @ kernel
+    return _windows(rows, kernel.size, arr.ndim - 1) @ kernel
 
 
 def minmax_normalize(field) -> np.ndarray:

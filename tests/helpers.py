@@ -1,10 +1,12 @@
 """Independent reference implementations used to pin expected test values.
 
 These deliberately avoid the library's computational paths: the blur
-reference is a direct dense 2-D convolution over an explicitly padded
-array, the denoiser references evaluate naive (unshifted) exponentials in
-50-digit arithmetic or the full pixel-space distances one latent at a
-time (``pixel_posterior_weights``), the column-class reference keys a
+references are a direct dense 2-D convolution over an explicitly padded
+array and, to the bit, ``np.pad`` and two ``sliding_window_view`` passes
+one map at a time (``sliding_window_blur``), the denoiser references
+evaluate naive (unshifted) exponentials in 50-digit arithmetic or the
+full pixel-space distances one latent at a time
+(``pixel_posterior_weights``), the column-class reference keys a
 dict by each column's bytes (``byte_key_classes``) and rebuilds a
 predictor's corpus one image gather at a time (``class_images``), and the
 blended-denoise reference steps one latent at a time with the
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import mpmath
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from headswap.diffusion import cfg_combine, ddim_invert_step, ddim_sample_step
 from headswap import synthgen
@@ -42,6 +45,22 @@ def dense_gaussian_reference(field: np.ndarray, sigma: float) -> np.ndarray:
         for j in range(width):
             window = padded[i : i + size, j : j + size]
             out[i, j] = float((kernel * window).sum())
+    return out
+
+
+def sliding_window_blur(field: np.ndarray, sigma: float) -> np.ndarray:
+    """The separable blur of each (H, W) map of a (..., H, W) stack on its
+    own: ``np.pad`` reflect, then a row and a column pass, each a matmul of
+    the kernel over ``sliding_window_view`` windows."""
+    radius = math.ceil(3.0 * sigma)
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
+    kernel /= kernel.sum()
+    out = np.empty(field.shape)
+    for index in np.ndindex(field.shape[:-2]):
+        padded = np.pad(field[index], radius, mode="reflect")
+        rows = sliding_window_view(padded, kernel.size, axis=0) @ kernel
+        out[index] = sliding_window_view(rows, kernel.size, axis=1) @ kernel
     return out
 
 

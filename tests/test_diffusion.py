@@ -300,6 +300,32 @@ class TestStackedPredictor:
             with pytest.raises(ValueError, match="different numbers of images"):
                 predictor.posterior_plan(mixed)
 
+    def test_empty_plan_rejected(self, predictor):
+        with pytest.raises(ValueError, match="at least one condition"):
+            predictor.posterior_plan([])
+
+    def test_one_condition_plan_shares_its_table(self, stack, predictor):
+        # 32 null stacks view the one (G, 324) table; a copy per stack
+        # would allocate 32 tables
+        z, conds = stack
+        predictor.posterior_plan([NULL_CONDITION])  # caches the null subset before tracing
+        table = predictor.column_classes.table  # the null condition keeps every image
+        tracemalloc.start()
+        try:
+            mean = predictor.posterior_plan([NULL_CONDITION] * 32)
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated < table.nbytes
+        ab = float(predictor.schedule.alpha_bar[25])
+        sums = predictor.column_classes.sums(z.reshape(len(z), -1))
+        sums = np.concatenate([sums * (1.0 + k / 8.0) for k in range(8)])  # 32 stacks of 2 rows
+        x0 = mean(sums, ab)
+        for k in range(32):
+            rows = slice(2 * k, 2 * k + 2)
+            alone = predictor.posterior_plan([NULL_CONDITION])(sums[rows], ab)
+            assert x0[rows].tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("t", [1, 25, 50])
     def test_evaluate_is_planned_mean_scattered(self, stack, predictor, t):
         # the one predictor path: pixels -> class sums -> class-space mean -> pixels

@@ -113,6 +113,12 @@ class TestSwapConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["w", "tau", "sigma", "edit_fraction"])
+    def test_float_settings_reject_bools(self, field):
+        # True lies in every one of their ranges, and would run as 1
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got True$"):
+            RunConfig(**{field: True})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
             RunConfig(seed=-1)

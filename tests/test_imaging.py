@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headswap.imaging import (
+    _blur_plan,
     _reflect_index,
     encode_gray,
     gaussian_filter,
@@ -16,7 +17,7 @@ from headswap.imaging import (
     write_image,
     write_mask,
 )
-from helpers import dense_gaussian_reference, read_pnm
+from helpers import dense_gaussian_reference, read_pnm, sliding_window_blur
 
 # center weight of the normalized radius-3 kernel for sigma=1, squared for 2-D
 CENTER_WEIGHT_SIGMA1 = 0.3990502796524549**2
@@ -88,6 +89,23 @@ class TestGaussianFilter:
         field[1, 1] = np.nan
         with pytest.raises(ValueError):
             gaussian_filter(field, 1.0)
+
+    @pytest.mark.parametrize("sigma", [0.3, 2.0, 20.0, 100.0])
+    @pytest.mark.parametrize("grid", [(1, 1), (1, 32), (32, 7)])
+    def test_bit_equals_sliding_window_reference(self, rng, sigma, grid):
+        # radius 300 at sigma 100 reflects many times across every grid here
+        for shape in (grid, (2, 3) + grid):
+            field = rng.normal(size=shape)
+            want = sliding_window_blur(field, sigma)
+            for _ in range(2):  # the cached plan gives the same bits again
+                assert gaussian_filter(field, sigma).tobytes() == want.tobytes()
+
+    def test_plan_is_made_once_and_read_only(self):
+        plan = _blur_plan(2.0, 32, 7)
+        assert _blur_plan(2.0, 32, 7) is plan
+        for array in plan:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestMinmaxNormalize:
