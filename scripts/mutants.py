@@ -95,23 +95,11 @@ MUTANTS = {
         "    ):",
         "if indices.size == 1:",
     ),
-    # a caller's write into a render changes the corpus before grouping
-    "writable_borrow": (
-        "src/headswap/diffusion.py",
-        "image.setflags(write=False)",
-        "pass",
-    ),
     # the schedule's cached inversion coefficients stay writable
     "writable_inversion": (
         "src/headswap/diffusion.py",
         "c.setflags(write=False)",
         "pass",
-    ),
-    # the borrow walk stops at the image: a list of views leaves their array writable
-    "borrow_stops_at_view": (
-        "src/headswap/diffusion.py",
-        "while isinstance(image, np.ndarray):",
-        "if isinstance(image, np.ndarray):",
     ),
     # the noise divided by the reciprocal's product: the same value, other bits
     "noise_by_reciprocal": (
@@ -143,11 +131,18 @@ MUTANTS = {
         "array.setflags(write=False)",
         "pass",
     ),
-    # the grouping misses the last block of positions
-    "positions_one_block_short": (
+    # every (pixel group, channel) value column is its own class: equal
+    # columns, such as the background's three channels, are not merged
+    "classes_by_index_only": (
         "src/headswap/diffusion.py",
-        "for lo in range(0, flats[0].size, _GROUP_POSITIONS)",
-        "for lo in range(0, flats[0].size - _GROUP_POSITIONS, _GROUP_POSITIONS)",
+        "_, column, merged = np.unique(_rows(columns), return_index=True, return_inverse=True)",
+        "column = merged = np.arange(len(columns))",
+    ),
+    # the classes are numbered by pixel group and channel, not by first position
+    "classes_numbered_by_group": (
+        "src/headswap/diffusion.py",
+        "at = (heads[:, None] * channels",
+        "at = (np.arange(heads.size)[:, None] * channels",
     ),
     # each swap carries its chunk's time split among the pairs, not the swaps
     "runtime_per_pair": (

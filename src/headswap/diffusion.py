@@ -92,8 +92,11 @@ def _check_step(t, lo: int, hi: int, sched: NoiseSchedule) -> int:
     return step
 
 
-# positions per block of the grouping (650 KB of the 324-image corpus)
-_GROUP_POSITIONS = 256
+def _rows(array: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array as one void scalar each, which compare and
+    sort by their bytes (so 0.0 and -0.0 differ)."""
+    array = np.ascontiguousarray(array)
+    return array.view(np.dtype((np.void, array.shape[1] * array.itemsize)))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -114,23 +117,43 @@ class ColumnClasses:
     counts: np.ndarray  # (G,): positions per class
 
     @classmethod
-    def of(cls, images: Sequence[np.ndarray]) -> "ColumnClasses":
-        """Group the positions of N same-shape float64 images by their N-value
-        columns' exact bytes, ``_GROUP_POSITIONS`` positions at a time: no
-        (N, D) copy of the images is made."""
-        flats = [image.reshape(-1) for image in images]
-        groups: dict[bytes, int] = {}
-        inv = np.array([
-            groups.setdefault(column.tobytes(), len(groups))
-            for lo in range(0, flats[0].size, _GROUP_POSITIONS)
-            for column in np.array([flat[lo : lo + _GROUP_POSITIONS] for flat in flats]).T
-        ])
-        first = np.unique(inv, return_index=True)[1]
+    def of(cls, palettes: np.ndarray, maps: np.ndarray) -> "ColumnClasses":
+        """The classes of N indexed images, image i's pixel p being the
+        float64 palette row ``palettes[i, maps[i, p]]`` (palettes (N, K, C),
+        index maps (N, H, W)).  No pixel image is made.
+
+        1. Pixels whose N indices agree form a group.  The images that share
+           a map share its columns, so the pixels are grouped over the
+           distinct maps; groups are numbered by their index columns' bytes.
+        2. Each group has one value column (N,) per channel, each value
+           held as the code of its bytes among the palettes' values.
+        3. Value columns with equal bytes merge into one class: the
+           background's three channels, for one.
+        4. Classes are numbered by their first position.
+        """
+        n, _, channels = palettes.shape
+        index = maps.reshape(n, -1)
+        distinct = np.array(list({row.tobytes(): row for row in index}.values()))
+        _, heads, group = np.unique(_rows(distinct.T), return_index=True, return_inverse=True)
+        bits, codes = np.unique(np.ascontiguousarray(palettes).view(np.uint64), return_inverse=True)
+        # one-byte codes on the corpus: the columns and the table's gather
+        # index take an eighth of the float64 table's memory
+        codes = codes.astype(np.min_scalar_type(codes.max())).reshape(palettes.shape)
+        # (group, channel, image): one value column per (group, channel)
+        columns = codes[np.arange(n), index[:, heads].T[:, None], np.arange(channels)[:, None]]
+        columns = columns.reshape(-1, n)
+        _, column, merged = np.unique(_rows(columns), return_index=True, return_inverse=True)
+        # value column (g, c) first appears at position heads[g] * C + c
+        at = (heads[:, None] * channels + np.arange(channels)).reshape(-1)
+        first = np.full(column.size, at.max())
+        np.minimum.at(first, merged, at)
+        rank = np.argsort(first)
+        inv = rank.argsort()[merged].reshape(-1, channels)[group].reshape(-1)
         counts = np.bincount(inv)
         return cls(
-            table=np.stack([flat[first] for flat in flats], axis=1),
+            table=bits.view(np.float64)[columns[column[rank]]],
             inv=inv,
-            first=first,
+            first=first[rank],
             order=np.argsort(inv, kind="stable"),
             starts=np.cumsum(counts) - counts,
             counts=counts,
@@ -154,10 +177,12 @@ class EmpiricalNoisePredictor:
     on the corpus's ``ColumnClasses``: z_t . x_i needs only z_t's class
     sums, and the mean is formed per class.  Both stages of a swap run the
     plans on class values, and ``evaluate`` runs one on a pixel latent's
-    class sums.  No pixel image is kept: the N images (H, W, C) are
-    borrowed, not copied, and dropped once the first condition groups
-    them; each, and each array down its ``.base`` chain, turns read-only
-    for good.
+    class sums.  No pixel image is kept.  The corpus is held indexed, as
+    palettes (N, K, C) and index maps (N, H, W): ``from_renders`` copies the
+    renders' palettes and layer maps, and N images (H, W, C) passed directly
+    are copied as their own palettes of H * W colours, through one shared
+    ``arange`` index map.  So the predictor borrows nothing of the caller's,
+    and it drops the indexed corpus once the first condition groups it.
     """
 
     def __init__(
@@ -166,25 +191,41 @@ class EmpiricalNoisePredictor:
         attrs: Sequence[AttributeSpec],
         schedule: NoiseSchedule,
     ):
-        images = [np.ascontiguousarray(image, dtype=np.float64) for image in images]
+        images = [np.asarray(image, dtype=np.float64) for image in images]
         if len({image.shape for image in images}) != 1 or images[0].ndim != 3:
             raise ValueError(f"images must be (N, H, W, C), got {set(map(np.shape, images))}")
-        if len(images) != len(attrs):
-            raise ValueError("one AttributeSpec required per image")
-        for image in images:
-            while isinstance(image, np.ndarray):
-                image.setflags(write=False)
-                image = image.base
-        self._images = images
-        self.schedule = schedule
-        self.grid_shape = images[0].shape
-        self._attr_matrix = np.array([a.to_ints() for a in attrs], dtype=np.int64)
-        self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        height, width, channels = images[0].shape
+        pixels = np.arange(height * width).reshape(height, width)
+        self._index(
+            np.stack(images).reshape(len(images), -1, channels),
+            np.broadcast_to(pixels, (len(images), height, width)),
+            attrs,
+            schedule,
+        )
 
     @classmethod
     def from_renders(cls, renders, schedule: NoiseSchedule) -> "EmpiricalNoisePredictor":
-        """A predictor that borrows the renders' images and marks them read-only."""
-        return cls([r.image for r in renders], [r.attrs for r in renders], schedule)
+        """A predictor over copies of the renders' palettes and layer maps; no
+        render's image is read."""
+        pred = cls.__new__(cls)
+        pred._index(
+            np.array([r.palette for r in renders]),
+            np.array([r.layers for r in renders]),
+            [r.attrs for r in renders],
+            schedule,
+        )
+        return pred
+
+    def _index(self, palettes, maps, attrs, schedule: NoiseSchedule) -> None:
+        """Keep the indexed corpus, palettes (N, K, C) and maps (N, H, W):
+        arrays made for the predictor, which no caller holds."""
+        if len(palettes) != len(attrs):
+            raise ValueError("one AttributeSpec required per image")
+        self._palettes, self._maps = palettes, maps
+        self.schedule = schedule
+        self.grid_shape = maps.shape[1:] + palettes.shape[2:]
+        self._attr_matrix = np.array([a.to_ints() for a in attrs], dtype=np.int64)
+        self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self._attr_matrix)
@@ -192,8 +233,8 @@ class EmpiricalNoisePredictor:
     @cached_property
     def column_classes(self) -> ColumnClasses:
         """The corpus's column classes, grouped on first use."""
-        classes = ColumnClasses.of(self._images)
-        del self._images
+        classes = ColumnClasses.of(self._palettes, self._maps)
+        del self._palettes, self._maps
         return classes
 
     def _subset(self, cond: Condition):

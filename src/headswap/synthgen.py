@@ -4,7 +4,9 @@ Every avatar is a 32x32 RGB sprite drawn from five discrete attributes
 (skin tone, hair style, hair color, clothing color, head tilt).  The
 renderer is integer-only geometry over fixed palettes, so renders are
 bit-identical across runs and platforms, and per-render head/hair masks
-provide exact edit-region ground truth.  Clothing is painted as a
+provide exact edit-region ground truth.  A render is kept indexed, as its
+4-colour palette and its kind's shared read-only layer map; its float
+image is gathered only when it is read.  Clothing is painted as a
 half-density checkerboard rather than a solid block so that the residual
 clothing ambiguity of partially constrained conditions cannot saturate a
 smoothed, thresholded edit map (see render_avatars).
@@ -155,12 +157,29 @@ NULL_CONDITION = Condition()
 
 @dataclass(frozen=True, eq=False)
 class AvatarRender:
-    """A rendered avatar plus its exact head and hair pixel masks."""
+    """A rendered avatar, kept indexed: its 4-colour palette (4, 3) and its
+    kind's paint-layer map (H, W), plus its exact head and hair pixel masks.
 
-    image: np.ndarray
+    ``image`` (H, W, 3) is each pixel's palette row, gathered on first read
+    and kept; it is the render's own writable array.  The layer map is the
+    shared read-only table entry of the avatar's hair style and head tilt.
+    """
+
+    palette: np.ndarray
+    layers: np.ndarray
     head_mask: np.ndarray
     hair_mask: np.ndarray
     attrs: AttributeSpec
+
+    @property
+    def image(self) -> np.ndarray:
+        # kept in the instance dict by hand: functools.cached_property takes
+        # a lock on every first read (Python 3.11)
+        try:
+            return self.__dict__["_image"]
+        except KeyError:
+            image = self.__dict__["_image"] = self.palette.take(self.layers, axis=0)
+            return image
 
 
 # the clothing checkerboard: every other pixel of the torso rectangle
@@ -218,7 +237,7 @@ _LAYERS, _DISCS, _HAIRS = _paint_tables()
 
 
 def render_avatars(specs: Iterable[AttributeSpec]) -> list[AvatarRender]:
-    """Render a batch of avatars deterministically, each one palette gather.
+    """Render a batch of avatars deterministically, each one palette and one layer map.
 
     Layout: flat light background; clothing as a checkerboard over the
     torso rectangle; a radius-6 head disc in the skin color, shifted
@@ -227,10 +246,12 @@ def render_avatars(specs: Iterable[AttributeSpec]) -> list[AvatarRender]:
     cap arc above the disc for short hair; cap plus two side columns
     reaching 8 rows below the disc bottom for long hair.  That geometry
     depends on hair style and tilt only, so it is painted once per pair of
-    them, into read-only layer maps; each avatar's image takes its
-    palette's row for every pixel's layer.  Each image is its own array;
-    each render's masks are its own rows of the batch's two mask arrays,
-    so writing into one render changes no table and no other render.
+    them, into read-only layer maps; each render keeps its kind's map and
+    its palette, and its image, on first read, takes its palette's row for
+    every pixel's layer.  No image is gathered here.  Each render's
+    palette and masks are its own rows of the batch's palette and mask
+    arrays, and each image is its own array, so writing into one render
+    changes no table and no other render.
     """
     specs = list(specs)
     ints = np.array([attrs.to_ints() for attrs in specs], dtype=np.intp).reshape(len(specs), 5)
@@ -241,10 +262,11 @@ def render_avatars(specs: Iterable[AttributeSpec]) -> list[AvatarRender]:
     palettes[:, CLOTHING_LAYER] = CLOTHING_PALETTE[clothing]
     palettes[:, HAIR_LAYER] = HAIR_PALETTE[hair_color]
     palettes[:, SKIN_LAYER] = SKIN_PALETTE[skin]
-    images = [palette.take(_LAYERS[k], axis=0) for palette, k in zip(palettes, kinds.tolist())]
     return [
-        AvatarRender(image=image, head_mask=head, hair_mask=hair, attrs=attrs)
-        for image, head, hair, attrs in zip(images, _DISCS[kinds], _HAIRS[kinds], specs)
+        AvatarRender(palette=palette, layers=_LAYERS[k], head_mask=head, hair_mask=hair, attrs=attrs)
+        for palette, k, head, hair, attrs in zip(
+            palettes, kinds.tolist(), _DISCS[kinds], _HAIRS[kinds], specs
+        )
     ]
 
 

@@ -14,8 +14,9 @@ single-latent predictor, as the inversion reference (``stepped_inversion``)
 does with one ``evaluate`` call per step.
 ``files_identical`` compares written artifacts byte for byte, and
 ``read_pnm`` reads a written P5/P6 file's raster bytes back.  The avatar
-reference (``paint_avatar``) paints one avatar layer by layer from its
-attributes, as the renderer did before it gathered from shared layer maps.
+reference (``paint_avatar``) paints one avatar's colours layer by layer
+from its attributes, as the renderer did before it gathered from shared
+layer maps, and keeps the painted image as a render of its own pixels.
 """
 
 import math
@@ -190,8 +191,11 @@ def paint_avatar(attrs: AttributeSpec) -> AvatarRender:
     for dy, dx in g.BROW_OFFSETS:
         image[cy + dy, cx + dx] = g.HAIR_PALETTE[attrs.hair_color]
 
+    # each pixel its own palette row, through an identity index map, so the
+    # render's image is the painted one bit for bit
     return AvatarRender(
-        image=image,
+        palette=image.reshape(-1, 3),
+        layers=np.arange(g.SIZE * g.SIZE).reshape(g.SIZE, g.SIZE),
         head_mask=disc.astype(np.uint8),
         hair_mask=hair.astype(np.uint8),
         attrs=attrs,

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headswap.diffusion import (
-    _GROUP_POSITIONS,
     ALPHA_BAR_FLOOR,
     COSINE_OFFSET,
     ColumnClasses,
@@ -30,6 +28,7 @@ from headswap.synthgen import (
     Condition,
     NULL_CONDITION,
     all_attribute_specs,
+    enumerate_dataset,
     render_avatars,
 )
 from helpers import (
@@ -442,11 +441,9 @@ class TestColumnClasses:
 
     @pytest.mark.parametrize("count", [1, 7, 29])
     def test_grouping_equals_byte_keys_with_duplicated_columns(self, rng, count):
-        # about 8 distinct columns over 432 positions, more than one block and
-        # not a multiple of it, and the last position a copy of the first
-        # that differs in the last image only
+        # about 8 distinct columns over 432 positions, and the last position a
+        # copy of the first that differs in the last image only
         shape = (12, 12, 3)
-        assert np.prod(shape) % _GROUP_POSITIONS and np.prod(shape) > _GROUP_POSITIONS
         picks = rng.integers(0, 8, np.prod(shape))
         picks[-1] = picks[0]
         flat = rng.uniform(0, 1, (count, 8))[:, picks]
@@ -459,52 +456,65 @@ class TestColumnClasses:
         # 0.0 == -0.0, but their bytes differ, and so do the images they make
         flat = rng.uniform(0, 1, (3, np.prod(SHAPE)))
         flat[:, 0], flat[:, 1] = 0.0, -0.0
-        classes = ColumnClasses.of(list(flat.reshape((3,) + SHAPE)))
+        pixels = np.broadcast_to(np.arange(16).reshape(4, 4), (3, 4, 4))
+        classes = ColumnClasses.of(flat.reshape(3, 16, 3), pixels)
         assert_classes_equal(classes, byte_key_classes(flat))
         assert len(classes.table) == flat.shape[1]
 
-    def test_borrowed_renders_stay_read_only_and_are_dropped_once_grouped(self, sched50):
-        renders = render_avatars(all_attribute_specs()[:5])
-        image = weakref.ref(renders[0].image)
-        pred = EmpiricalNoisePredictor.from_renders(renders, sched50)
-        with pytest.raises(ValueError, match="read-only"):
-            renders[0].image[0, 0, 0] = 1.0
-        pred.column_classes
-        with pytest.raises(ValueError, match="read-only"):
-            renders[0].image[0, 0, 0] = 1.0
-        del renders
-        assert image() is None
+    def test_distinct_index_columns_with_equal_values_merge(self, rng):
+        # palette entries 1 and 2 are one colour in every image, and entry 0
+        # is grey, so index columns that differ only by 1 <-> 2 swaps, and the
+        # channels of an all-grey group, each take one class; -0.0 in entry 3
+        # against 0.0 in entry 4 keeps two classes apart
+        palettes = rng.uniform(0, 1, (6, 5, 3))
+        palettes[:, 2] = palettes[:, 1]
+        palettes[:, 0] = 0.5
+        palettes[:, 3], palettes[:, 4] = 0.0, -0.0
+        maps = rng.integers(0, 5, (6, 5, 7))
+        maps[:, 0, :3] = 0
+        maps[:3, 1, :3], maps[3:, 1, :3] = 1, 2
+        maps[:3, 2, :3], maps[3:, 2, :3] = 2, 1
+        maps[:, 3, :2] = 3
+        maps[:, 4, :2] = 4
+        images = np.stack([palette.take(index, axis=0) for palette, index in zip(palettes, maps)])
+        flat = images.reshape(len(images), -1)
+        classes = ColumnClasses.of(palettes, maps)
+        assert_classes_equal(classes, byte_key_classes(flat))
+        index_columns = {column.tobytes() for column in maps.reshape(6, -1).T}
+        assert len(classes.table) < 3 * len(index_columns)
+        inv = classes.inv.reshape(5, 7, 3)
+        assert (inv[1, :3] == inv[2, :3]).all() and (inv[0, :3] == inv[0, 0, 0]).all()
+        assert inv[3, 0, 0] != inv[4, 0, 0]
 
-    def test_borrowed_array_turns_read_only(self, rng, sched50):
-        # an (N, H, W, C) array is borrowed whole: a write into it would
-        # change the corpus that the first condition groups
-        images = rng.uniform(0, 1, (5,) + SHAPE)
-        pred = toy_predictor(images, sched50)
-        with pytest.raises(ValueError, match="read-only"):
-            images[0] = 5.0
-        assert class_images(pred).tobytes() == images.tobytes()
-
-    def test_borrowed_views_turn_their_array_read_only(self, rng, sched50):
-        # a list of an array's views borrows the array too, before and after
-        # the grouping drops the views
+    def test_writes_after_construction_leave_the_classes_unchanged(self, rng, sched50):
+        # the predictor copies its indexed corpus: a caller's array, and the
+        # renders' palettes, stay writable, and writing into them before the
+        # first grouping changes no class
         images = rng.uniform(0, 1, (5,) + SHAPE)
         want = images.tobytes()
-        pred = EmpiricalNoisePredictor(list(images), toy_attrs(len(images)), sched50)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="read-only"):
-                images[0] = 5.0
-            pred.column_classes
+        pred = toy_predictor(images, sched50)
+        images[0] = 5.0
+        assert class_images(pred).tobytes() == want
+        renders = render_avatars(all_attribute_specs()[:5])
+        want = np.stack([render.image for render in renders]).tobytes()
+        pred = EmpiricalNoisePredictor.from_renders(renders, sched50)
+        for render in renders:
+            render.palette[...] = 5.0
+            render.image[...] = 5.0
         assert class_images(pred).tobytes() == want
 
-    def test_grouping_makes_no_copy_of_the_corpus(self, dataset, sched50):
-        # the corpus is 8 MB; the grouping's blocks take under 1 MB at a time
+    def test_grouping_makes_no_copy_of_the_corpus(self):
+        # rendering and grouping the corpus never makes its 8 MB of pixels,
+        # and no render's image is gathered
         tracemalloc.start()
         try:
-            EmpiricalNoisePredictor.from_renders(dataset, sched50).column_classes
+            renders = enumerate_dataset()
+            EmpiricalNoisePredictor.from_renders(renders, make_schedule(50)).column_classes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+        assert not any("_image" in render.__dict__ for render in renders)
 
     def test_one_image_conditions_keep_one_image(self, dataset, sched50):
         # every body condition keeps one image; a pixel image kept for each

@@ -35,6 +35,8 @@ from headswap.synthgen import (
 from helpers import condition_match, paint_avatar
 
 RENDER_FIELDS = ("image", "head_mask", "hair_mask")
+# the arrays a render owns; its layer map is a shared read-only table entry
+OWN_FIELDS = ("image", "palette", "head_mask", "hair_mask")
 
 
 def spec(skin=0, style=SHORT, color=0, cloth=0, tilt=0):
@@ -133,16 +135,36 @@ class TestBatchRenderer:
     def test_renders_share_no_memory(self):
         a, b = spec(1, LONG, 2, 3, 1), spec(0, BALD, 1, 0, -1)
         renders = render_avatars([a, b, a]) + [render_avatar(a)]
-        arrays = [getattr(r, field) for r in renders for field in RENDER_FIELDS]
+        arrays = [getattr(r, field) for r in renders for field in OWN_FIELDS]
         for table in (synthgen._LAYERS, synthgen._DISCS, synthgen._HAIRS):
             assert not any(np.shares_memory(array, table) for array in arrays)
         for first, second in itertools.combinations(arrays, 2):
             assert not np.shares_memory(first, second)
 
+    def test_a_render_keeps_its_palette_and_its_kinds_read_only_map(self):
+        a = spec(2, LONG, 1, 3, -1)
+        render = render_avatar(a)
+        np.testing.assert_array_equal(
+            render.palette, [BACKGROUND, CLOTHING_PALETTE[3], HAIR_PALETTE[1], SKIN_PALETTE[2]]
+        )
+        kind = LONG * 3 + a.head_tilt + 1
+        assert render.layers.base is synthgen._LAYERS and not render.layers.flags.writeable
+        assert render.layers.tobytes() == synthgen._LAYERS[kind].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            render.layers[0, 0] = 1
+
+    def test_the_image_is_gathered_on_first_read_and_kept(self):
+        renders = enumerate_dataset()
+        assert not any("_image" in r.__dict__ for r in renders)
+        image = renders[7].image
+        assert image is renders[7].image and image.flags.writeable
+        assert image.tobytes() == paint_avatar(renders[7].attrs).image.tobytes()
+        assert ["_image" in r.__dict__ for r in renders].count(True) == 1
+
     def test_writing_into_a_render_leaves_later_renders_unchanged(self):
         a = spec(1, LONG, 2, 3, 1)
         first, twin = render_avatars([a, a])
-        for field in RENDER_FIELDS:
+        for field in OWN_FIELDS:
             getattr(first, field)[...] = 7
         in_corpus = enumerate_dataset()[all_attribute_specs().index(a)]
         later = [twin, render_avatar(a), *render_avatars([a]), in_corpus]
