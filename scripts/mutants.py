@@ -131,6 +131,12 @@ MUTANTS = {
         "array.setflags(write=False)",
         "pass",
     ),
+    # a predictor builds with fewer attribute rows, or index maps, than palettes
+    "predictor_n_unchecked": (
+        "src/headswap/diffusion.py",
+        "if not len(palettes) == len(maps) == len(attrs):",
+        "if False:",
+    ),
     # every (pixel group, channel) value column is its own class: equal
     # columns, such as the background's three channels, are not merged
     "classes_by_index_only": (
@@ -143,6 +149,18 @@ MUTANTS = {
         "src/headswap/diffusion.py",
         "at = (heads[:, None] * channels",
         "at = (np.arange(heads.size)[:, None] * channels",
+    ),
+    # the denoise guides away from the head condition, towards the null one
+    "denoise_plans_swapped": (
+        "src/headswap/hid.py",
+        "means = pred.posterior_plan([NULL_CONDITION]), pred.posterior_plan(conds)",
+        "means = pred.posterior_plan(conds), pred.posterior_plan([NULL_CONDITION])",
+    ),
+    # the denoise stops at step 1: its output is the step-1 latent, still noisy
+    "denoise_stops_at_one": (
+        "src/headswap/hid.py",
+        "for t in range(cfg.edit_start, 0, -1):",
+        "for t in range(cfg.edit_start, 1, -1):",
     ),
     # each swap carries its chunk's time split among the pairs, not the swaps
     "runtime_per_pair": (
@@ -172,6 +190,12 @@ MUTANTS = {
     "row_not_object": (
         "src/headswap/experiment.py",
         "if not isinstance(row, dict):",
+        "if False:",
+    ),
+    # a blank metrics line is parsed as JSON, and reading the file fails
+    "metrics_blank_line_parsed": (
+        "src/headswap/experiment.py",
+        "if not line.strip():",
         "if False:",
     ),
     # a heatmap base of any shape is blended by broadcasting

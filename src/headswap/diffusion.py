@@ -177,55 +177,37 @@ class EmpiricalNoisePredictor:
     on the corpus's ``ColumnClasses``: z_t . x_i needs only z_t's class
     sums, and the mean is formed per class.  Both stages of a swap run the
     plans on class values, and ``evaluate`` runs one on a pixel latent's
-    class sums.  No pixel image is kept.  The corpus is held indexed, as
-    palettes (N, K, C) and index maps (N, H, W): ``from_renders`` copies the
-    renders' palettes and layer maps, and N images (H, W, C) passed directly
-    are copied as their own palettes of H * W colours, through one shared
-    ``arange`` index map.  So the predictor borrows nothing of the caller's,
-    and it drops the indexed corpus once the first condition groups it.
+    class sums.  No pixel image is kept.  The corpus is held indexed, image
+    i's pixel p being ``palettes[i, maps[i, p]]`` (palettes (N, K, C), index
+    maps (N, H, W)), as copies: the predictor borrows nothing of the
+    caller's, and it drops the indexed corpus once the first condition
+    groups it.
     """
 
-    def __init__(
-        self,
-        images: Sequence[np.ndarray],
-        attrs: Sequence[AttributeSpec],
-        schedule: NoiseSchedule,
-    ):
-        images = [np.asarray(image, dtype=np.float64) for image in images]
-        if len({image.shape for image in images}) != 1 or images[0].ndim != 3:
-            raise ValueError(f"images must be (N, H, W, C), got {set(map(np.shape, images))}")
-        height, width, channels = images[0].shape
-        pixels = np.arange(height * width).reshape(height, width)
-        self._index(
-            np.stack(images).reshape(len(images), -1, channels),
-            np.broadcast_to(pixels, (len(images), height, width)),
-            attrs,
-            schedule,
-        )
-
-    @classmethod
-    def from_renders(cls, renders, schedule: NoiseSchedule) -> "EmpiricalNoisePredictor":
-        """A predictor over copies of the renders' palettes and layer maps; no
-        render's image is read."""
-        pred = cls.__new__(cls)
-        pred._index(
-            np.array([r.palette for r in renders]),
-            np.array([r.layers for r in renders]),
-            [r.attrs for r in renders],
-            schedule,
-        )
-        return pred
-
-    def _index(self, palettes, maps, attrs, schedule: NoiseSchedule) -> None:
-        """Keep the indexed corpus, palettes (N, K, C) and maps (N, H, W):
-        arrays made for the predictor, which no caller holds."""
-        if len(palettes) != len(attrs):
-            raise ValueError("one AttributeSpec required per image")
+    def __init__(self, palettes, maps, attrs: Sequence[AttributeSpec], schedule: NoiseSchedule):
+        palettes, maps = np.array(palettes, dtype=np.float64), np.array(maps)  # copies
+        if palettes.ndim != 3 or maps.ndim != 3:
+            raise ValueError(
+                f"need palettes (N, K, C) and maps (N, H, W), got {palettes.shape}, {maps.shape}"
+            )
+        if not len(palettes) == len(maps) == len(attrs):
+            raise ValueError(
+                f"N differs: {len(palettes)} palettes, {len(maps)} maps, {len(attrs)} attrs"
+            )
         self._palettes, self._maps = palettes, maps
         self.schedule = schedule
         self.grid_shape = maps.shape[1:] + palettes.shape[2:]
         self._attr_matrix = np.array([a.to_ints() for a in attrs], dtype=np.int64)
         self._subsets: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def from_renders(cls, renders, schedule: NoiseSchedule) -> "EmpiricalNoisePredictor":
+        """A predictor over the renders' palettes and layer maps; no render's
+        image is read."""
+        return cls(
+            [r.palette for r in renders], [r.layers for r in renders], [r.attrs for r in renders],
+            schedule,
+        )
 
     def __len__(self) -> int:
         return len(self._attr_matrix)

@@ -17,6 +17,8 @@ does with one ``evaluate`` call per step.
 reference (``paint_avatar``) paints one avatar's colours layer by layer
 from its attributes, as the renderer did before it gathered from shared
 layer maps, and keeps the painted image as a render of its own pixels.
+``pixel_predictor`` builds a predictor over toy pixel images the same way,
+each image its own palette through an identity index map.
 """
 
 import math
@@ -26,7 +28,12 @@ import mpmath
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from headswap.diffusion import cfg_combine, ddim_invert_step, ddim_sample_step
+from headswap.diffusion import (
+    EmpiricalNoisePredictor,
+    cfg_combine,
+    ddim_invert_step,
+    ddim_sample_step,
+)
 from headswap import synthgen
 from headswap.synthgen import NULL_CONDITION, AttributeSpec, AvatarRender, Condition
 
@@ -200,6 +207,16 @@ def paint_avatar(attrs: AttributeSpec) -> AvatarRender:
         hair_mask=hair.astype(np.uint8),
         attrs=attrs,
     )
+
+
+def pixel_predictor(images, attrs, sched) -> EmpiricalNoisePredictor:
+    """A predictor over N pixel images (H, W, C): each image is its own
+    palette of H * W colours, read through one identity index map."""
+    images = np.asarray(images, dtype=np.float64)
+    count, height, width, channels = images.shape
+    pixels = np.arange(height * width).reshape(height, width)
+    maps = np.broadcast_to(pixels, (count, height, width))
+    return EmpiricalNoisePredictor(images.reshape(count, -1, channels), maps, attrs, sched)
 
 
 def read_pnm(path) -> np.ndarray:

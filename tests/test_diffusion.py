@@ -38,6 +38,7 @@ from helpers import (
     mp_posterior_eps,
     pixel_posterior_eps,
     pixel_posterior_weights,
+    pixel_predictor,
     stepped_inversion,
 )
 
@@ -50,8 +51,7 @@ def toy_attrs(count):
 
 
 def toy_predictor(images, sched):
-    images = np.asarray(images, dtype=np.float64)
-    return EmpiricalNoisePredictor(images, toy_attrs(len(images)), sched)
+    return pixel_predictor(images, toy_attrs(len(images)), sched)
 
 
 def assert_classes_equal(classes, want: dict) -> None:
@@ -128,12 +128,20 @@ class TestSchedule:
 class TestEmpiricalEps:
     def test_constructor_checks(self, rng):
         sched = make_schedule(50)
+        palettes = rng.uniform(0, 1, (3, 5, 3))
+        maps = rng.integers(0, 5, (3,) + SHAPE[:2])
+        pred = EmpiricalNoisePredictor(palettes, maps, toy_attrs(3), sched)
+        assert len(pred) == 3 and pred.grid_shape == SHAPE
+        # pixel images are not palettes, and a flat map is not (N, H, W)
         images = rng.uniform(0, 1, (3,) + SHAPE)
-        for bad in ([images[0], images[1, :3]], images[:, 0], [images[0, 0]]):
-            with pytest.raises(ValueError, match=r"images must be \(N, H, W, C\)"):
-                EmpiricalNoisePredictor(bad, toy_attrs(len(bad)), sched)
-        with pytest.raises(ValueError, match="one AttributeSpec required per image"):
-            EmpiricalNoisePredictor(images, toy_attrs(2), sched)
+        for bad_palettes, bad_maps in ((images, maps), (palettes, maps.reshape(3, -1)),
+                                       (palettes[0], maps)):
+            with pytest.raises(ValueError, match=r"need palettes \(N, K, C\) and maps \(N, H, W\)"):
+                EmpiricalNoisePredictor(bad_palettes, bad_maps, toy_attrs(3), sched)
+        for args in ((palettes[:2], maps, toy_attrs(3)), (palettes, maps[:2], toy_attrs(3)),
+                     (palettes, maps, toy_attrs(2))):
+            with pytest.raises(ValueError, match="N differs"):
+                EmpiricalNoisePredictor(*args, sched)
 
     def test_singleton_recovers_injected_noise(self, rng):
         sched = make_schedule(50)

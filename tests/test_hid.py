@@ -46,10 +46,16 @@ from headswap.synthgen import (
     Condition,
     all_attribute_specs,
     enumerate_dataset,
+    ground_truth_edit_mask,
     oracle_swap,
     render_avatar,
 )
-from helpers import condition_match, per_latent_blend_denoise, pixel_posterior_eps
+from helpers import (
+    condition_match,
+    per_latent_blend_denoise,
+    pixel_posterior_eps,
+    pixel_predictor,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 BODY = AttributeSpec(0, LONG, 0, 1, 0)
@@ -360,7 +366,7 @@ class TestClassSpaceBlend:
         gen = np.random.default_rng(1234)
         images = gen.uniform(0, 1, (12, 4, 4, 3))
         attrs = [AttributeSpec.from_ints((0, 0, 0, i % 4, -1)) for i in range(12)]
-        pred = EmpiricalNoisePredictor(images, attrs, sched)
+        pred = pixel_predictor(images, attrs, sched)
         assert len(pred.column_classes.table) == images[0].size
         cfg = RunConfig(T=sched.T)
         bodies = images[[0, 5, 5, 7, 9]]
@@ -523,14 +529,19 @@ class TestCensusSlice:
     BODIES = [(0, 0, 0, 0, 0), (1, 1, 1, 1, -1), (2, 2, 2, 2, 1), (0, 2, 1, 3, 0)]
     PINNED = "94f60167dd17cc4f50287d390f1a6827a0d96225e803a6167b475dcce9984ea8"
 
-    def test_four_bodies_against_every_head_triple(self, predictor):
-        pairs = [
+    @classmethod
+    def pairs(cls) -> list[tuple[AttributeSpec, AttributeSpec]]:
+        """Each body against every head triple, heads in sorted triple order."""
+        return [
             (body, AttributeSpec(skin, style, colour, body.clothing_color, body.head_tilt))
-            for body in (AttributeSpec(*attrs) for attrs in self.BODIES)
+            for body in (AttributeSpec(*attrs) for attrs in cls.BODIES)
             for skin in ATTRIBUTE_VALUES["skin_tone"]
             for style in ATTRIBUTE_VALUES["hair_style"]
             for colour in ATTRIBUTE_VALUES["hair_color"]
         ]
+
+    def test_four_bodies_against_every_head_triple(self, predictor):
+        pairs = self.pairs()
         assert len(pairs) == 108 and sum(body == head for body, head in pairs) == 4
         digest = hashlib.sha256()
         swaps = swap_pairs(pairs, RunConfig(), VARIANTS, predictor)
@@ -545,6 +556,25 @@ class TestCensusSlice:
                     digest.update(array.tobytes())
                 digest.update(json.dumps([record[key] for key in RECORD_FIELDS]).encode())
         assert digest.hexdigest() == self.PINNED
+
+    @pytest.mark.parametrize("T", [50, 200])
+    def test_the_true_edit_mask_gives_the_oracle_bit_for_bit(self, T):
+        # Given the true edit region as its mask, the denoise renders the
+        # ideal swap exactly: one equality against the renderer checks the
+        # guided denoise, the class-space carry and the closed-form
+        # inversion, with no pinned digest.  It cannot tell which c[t] is
+        # re-imposed outside the mask: with c[t - 1] in its place every
+        # output still equals the oracle, and only the digests tell.
+        pairs = [(body, head) for body, head in self.pairs() if body != head]
+        assert len(pairs) == 104
+        images = np.stack([render_avatar(body).image for body, _ in pairs])
+        masks = np.stack([ground_truth_edit_mask(body, head) for body, head in pairs])[:, None]
+        conds = [compose_head_condition(head, body) for body, head in pairs]
+        oracles = np.stack([oracle_swap(body, head).image for body, head in pairs])
+        for w in (1.0, 3.0, 10.0):
+            outputs = blend_denoise(images, masks, conds, RunConfig(T=T, w=w), sweep_predictor(T))
+            exact = [a.tobytes() == b.tobytes() for a, b in zip(outputs[:, 0], oracles)]
+            assert sum(exact) == len(pairs), (w, sum(exact))
 
 
 def rolled_spec(spec: AttributeSpec) -> AttributeSpec:
