@@ -162,6 +162,13 @@ MUTANTS = {
         "for t in range(cfg.edit_start, 0, -1):",
         "for t in range(cfg.edit_start, 1, -1):",
     ),
+    # outside the masks each step's class sums carry the body's next latent,
+    # c[t - 1] x, where the current one, c[t] x, belongs
+    "denoise_outside_step_ahead": (
+        "src/headswap/hid.py",
+        "n_out * (c[t] * x_g)",
+        "n_out * (c[t - 1] * x_g)",
+    ),
     # each swap carries its chunk's time split among the pairs, not the swaps
     "runtime_per_pair": (
         "src/headswap/hid.py",
@@ -197,6 +204,18 @@ MUTANTS = {
         "src/headswap/experiment.py",
         "if not line.strip():",
         "if False:",
+    ),
+    # a NaN or infinite metric is written as a token that read_metrics rejects
+    "metrics_allow_nan": (
+        "src/headswap/experiment.py",
+        "allow_nan=False",
+        "allow_nan=True",
+    ),
+    # a non-finite image is quantized by an undefined NaN-to-uint8 cast
+    "image_accepts_non_finite": (
+        "src/headswap/imaging.py",
+        'if not np.isfinite(arr).all():\n        raise ValueError("grid contains',
+        'if False:\n        raise ValueError("grid contains',
     ),
     # a heatmap base of any shape is blended by broadcasting
     "overlay_any_base": (

@@ -101,7 +101,7 @@ def _merge_run_config(args, keys: tuple[str, ...] = CONFIG_KEYS) -> RunConfig:
         if flag is not None:
             values[key] = flag
     try:
-        return RunConfig(out_dir=Path(args.out), **values)
+        return RunConfig(**values)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
 
@@ -173,8 +173,9 @@ def _swap_setup(args):
     head = parse_attrs(args.head, "--head")
     cfg = _merge_run_config(args)
     pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(cfg.T))
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return body, head, cfg, pred
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return body, head, cfg, pred, out_dir
 
 
 def _write_mask_files(out_dir: Path, body_image, edit_map, mask) -> None:
@@ -186,8 +187,7 @@ def _write_mask_files(out_dir: Path, body_image, edit_map, mask) -> None:
 
 
 def _cmd_swap(args) -> int:
-    body, head, cfg, pred = _swap_setup(args)
-    out_dir = cfg.out_dir
+    body, head, cfg, pred, out_dir = _swap_setup(args)
     result = run_headswap(body, head, cfg, pred)
 
     ref = swap_reference(body, head)
@@ -206,16 +206,16 @@ def _cmd_swap(args) -> int:
 
 
 def _cmd_mask(args) -> int:
-    body, head, cfg, pred = _swap_setup(args)
+    body, head, cfg, pred, out_dir = _swap_setup(args)
     images, _, maps, masks = mask_pairs([(body, head)], cfg, (cfg.variant,), pred)
-    _write_mask_files(cfg.out_dir, images[0], maps[0, 0], masks[0, 0])
+    _write_mask_files(out_dir, images[0], maps[0, 0], masks[0, 0])
     print(f"mask covers {int(masks.sum())} pixels at t={cfg.edit_start}")
     return 0
 
 
 def _cmd_ablate(args) -> int:
     cfg = _merge_run_config(args, ABLATE_KEYS)
-    print(format_summary(summarize(run_experiment(cfg))))
+    print(format_summary(summarize(run_experiment(cfg, args.out))))
     print(f"wrote records to {Path(args.out) / METRICS_FILENAME}")
     return 0
 

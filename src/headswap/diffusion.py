@@ -366,11 +366,7 @@ def ddim_invert_step(z_t: np.ndarray, eps: np.ndarray, t, sched: NoiseSchedule) 
 
 
 def _check_predictor(sched: NoiseSchedule, pred: EmpiricalNoisePredictor) -> None:
-    if pred.schedule is sched:
-        return
-    if pred.schedule.T != sched.T or not np.array_equal(
-        pred.schedule.alpha_bar, sched.alpha_bar
-    ):
+    if not np.array_equal(pred.schedule.alpha_bar, sched.alpha_bar):
         raise ValueError("predictor was built for a different noise schedule")
 
 

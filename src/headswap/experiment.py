@@ -1,10 +1,11 @@
 """Batch swap runner: seeded pair sampling, per-pair metrics, JSONL records.
 
-One JSON object per line in metrics.jsonl keeps records independently
-parseable.  A run's rows are exactly those records, so repeated runs with
-the same seed return equal rows and write byte-identical files.  A run's
-image files are created on one background thread, one chunk behind the
-denoise, and metrics.jsonl only after every image is written.
+``run_experiment(cfg, out_dir)`` builds its own predictor and always writes:
+one JSON object per line in metrics.jsonl keeps records independently
+parseable.  A run's rows are exactly those records, so repeated runs
+with the same seed return equal rows and write byte-identical files.  A
+run's image files are created on one background thread, one chunk behind
+the denoise, and metrics.jsonl only after every image is written.
 """
 
 from __future__ import annotations
@@ -73,14 +74,15 @@ def write_metrics(rows: Sequence[dict], path) -> None:
     """Write the RECORD_FIELDS of each row, one object per line.
 
     The lines go to a temporary file beside ``path`` that then replaces it
-    in one step, so a failed write leaves an existing file as it was.
+    in one step, so a failed write leaves an existing file as it was.  A
+    NaN or infinite value raises ValueError: ``read_metrics`` rejects it.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="ascii") as fh:
             for row in rows:
-                fh.write(json.dumps({key: row[key] for key in RECORD_FIELDS}) + "\n")
+                fh.write(json.dumps({k: row[k] for k in RECORD_FIELDS}, allow_nan=False) + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -193,14 +195,12 @@ def _write_pair_images(out_dir: Path, files: Sequence[tuple[str, bytes]]) -> Non
         (out_dir / name).write_bytes(data)
 
 
-def run_experiment(cfg: RunConfig, pred: EmpiricalNoisePredictor | None = None) -> list[dict]:
-    """Run seeded swap pairs under every mask variant and collect metric rows.
+def run_experiment(cfg: RunConfig, out_dir) -> list[dict]:
+    """Run seeded pairs under every mask variant, write them into out_dir and return the rows.
 
-    The pairs go through ``swap_pairs``, so every pair x variant of a
-    chunk is denoised in lockstep.  A shared predictor, whose schedule must
-    have cfg.T steps, may be injected to amortize dataset setup across calls.
-
-    When cfg.out_dir is set, each pair's images are encoded here once its
+    Builds its predictor on a cfg.T-step schedule and creates out_dir.  The
+    pairs go through ``swap_pairs``, so every pair x variant of a chunk is
+    denoised in lockstep.  Each pair's images are encoded here once its
     rows are scored, and one background writer thread creates their files,
     in pair order, while this thread denoises the next chunk; at most
     CHUNK_PAIRS pairs wait to be written.  metrics.jsonl is written last,
@@ -208,13 +208,9 @@ def run_experiment(cfg: RunConfig, pred: EmpiricalNoisePredictor | None = None) 
     re-raises its error here.  However this returns or raises, pending
     writes are cancelled and the writer thread is joined first.
     """
-    if pred is None:
-        pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(cfg.T))
-
-    out_dir = None
-    if cfg.out_dir is not None:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(cfg.T))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     # imported here, because a cold swap would pay ~5 ms for a module it never uses
     from concurrent.futures import ThreadPoolExecutor
@@ -229,8 +225,6 @@ def run_experiment(cfg: RunConfig, pred: EmpiricalNoisePredictor | None = None) 
         ):
             pair_id, ref = f"pair{index:03d}", swap_reference(body, head)
             rows += [evaluate_swap(pair_id, ref, v, r) for v, r in zip(VARIANTS, results)]
-            if out_dir is None:
-                continue
             files = _encode_pair_images(pair_id, ref, results)
             if len(pending) == CHUNK_PAIRS:
                 pending.popleft().result()
@@ -240,6 +234,5 @@ def run_experiment(cfg: RunConfig, pred: EmpiricalNoisePredictor | None = None) 
     finally:
         writer.shutdown(cancel_futures=True)  # also waits for the write in progress
 
-    if out_dir is not None:
-        write_metrics(rows, out_dir / METRICS_FILENAME)
+    write_metrics(rows, out_dir / METRICS_FILENAME)
     return rows

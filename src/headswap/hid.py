@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -41,7 +40,7 @@ CHUNK_PAIRS = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every run setting, each checked once, when the config is built.
+    """Every run setting (no output path), each checked once, when the config is built.
 
     The one guidance scale ``w`` drives both denoising and mask extraction.
     """
@@ -54,7 +53,6 @@ class RunConfig:
     variant: str = "full"
     seed: int = 0
     pairs: int = 5
-    out_dir: Path | None = None
 
     def __post_init__(self):
         for name in ("T", "seed", "pairs"):

@@ -124,10 +124,12 @@ def quantize_bytes(values) -> np.ndarray:
 
 
 def encode_image(grid) -> bytes:
-    """An (H, W, 3) grid as the bytes of a binary PPM (P6, maxval 255)."""
+    """A finite (H, W, 3) grid as the bytes of a binary PPM (P6, maxval 255)."""
     arr = np.asarray(grid, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"color output requires an (H, W, 3) grid, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("grid contains non-finite values")
     height, width = arr.shape[:2]
     return b"P6\n%d %d\n255\n" % (width, height) + quantize_bytes(arr).tobytes()
 

@@ -2,7 +2,6 @@ import json
 import sys
 import threading
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,10 +42,10 @@ class TestSamplePairs:
 
 
 @pytest.fixture(scope="module")
-def small_run(tmp_path_factory, predictor):
+def small_run(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("exp")
-    cfg = RunConfig(seed=5, pairs=2, out_dir=out_dir)
-    records = run_experiment(cfg, pred=predictor)
+    cfg = RunConfig(seed=5, pairs=2)
+    records = run_experiment(cfg, out_dir)
     return cfg, out_dir, records
 
 
@@ -64,9 +63,9 @@ class TestRunExperiment:
         _, out_dir, records = small_run
         assert read_metrics(out_dir / METRICS_FILENAME) == records
 
-    def test_two_runs_return_equal_rows(self, small_run, predictor):
+    def test_two_runs_return_equal_rows(self, small_run, tmp_path):
         cfg, _, records = small_run
-        assert run_experiment(replace(cfg, out_dir=None), pred=predictor) == records
+        assert run_experiment(cfg, tmp_path) == records
 
     def test_metrics_file_lines_parse_independently(self, small_run):
         _, out_dir, _ = small_run
@@ -84,18 +83,17 @@ class TestRunExperiment:
         assert "pair000_full_output.ppm" in names
         assert "pair001_naive_mask.pgm" in names
 
-    def test_metrics_file_deterministic(self, tmp_path, predictor):
+    def test_metrics_file_deterministic(self, tmp_path):
         dirs = [tmp_path / "a", tmp_path / "b"]
         for d in dirs:
-            cfg = RunConfig(seed=5, pairs=2, out_dir=d)
-            run_experiment(cfg, pred=predictor)
+            run_experiment(RunConfig(seed=5, pairs=2), d)
         assert (dirs[0] / METRICS_FILENAME).read_bytes() == (
             dirs[1] / METRICS_FILENAME
         ).read_bytes()
 
 
 class TestLockstep:
-    def test_batch_independence(self, sched50, predictor, monkeypatch):
+    def test_batch_independence(self, sched50, predictor, monkeypatch, tmp_path):
         # one full chunk and one partial chunk, against a batch of one per swap
         cfg = RunConfig(seed=4, pairs=CHUNK_PAIRS + 1)
         seen = {}
@@ -106,7 +104,7 @@ class TestLockstep:
             return score(pair_id, ref, variant, result)
 
         monkeypatch.setattr(experiment, "evaluate_swap", capture)
-        rows = run_experiment(cfg, pred=predictor)
+        rows = run_experiment(cfg, tmp_path)
         assert len(seen) == len(rows) == cfg.pairs * len(VARIANTS)
         for index, (body, head) in enumerate(sample_pairs(cfg.seed, cfg.pairs)):
             # the stepped inversion: the reference for the closed-form latents
@@ -148,8 +146,8 @@ class TestLockstep:
 
 
 class TestImageWriter:
-    def test_writes_run_off_the_main_thread_in_pair_order(self, tmp_path, predictor, monkeypatch):
-        cfg = RunConfig(seed=6, pairs=2 * CHUNK_PAIRS + 1, out_dir=tmp_path)
+    def test_writes_run_off_the_main_thread_in_pair_order(self, tmp_path, monkeypatch):
+        cfg = RunConfig(seed=6, pairs=2 * CHUNK_PAIRS + 1)
         write = experiment._write_pair_images
         written: list[tuple[str, threading.Thread]] = []
         backlogs: list[int] = []  # pairs submitted but not yet written, as each chunk starts
@@ -170,7 +168,7 @@ class TestImageWriter:
         monkeypatch.setattr(experiment, "_write_pair_images", slow_write)
         monkeypatch.setattr(hid, "mask_pairs", counting_mask_pairs)
         threads_before = threading.active_count()
-        run_experiment(cfg, pred=predictor)
+        run_experiment(cfg, tmp_path)
         assert threading.active_count() == threads_before
         assert [pair_id for pair_id, _ in written] == [f"pair{i:03d}" for i in range(cfg.pairs)]
         assert all(thread is not threading.main_thread() for _, thread in written)
@@ -184,8 +182,8 @@ class TestImageWriter:
         }
         assert {path.name for path in tmp_path.iterdir()} == names
 
-    def test_failed_write_cancels_waiting_writes_and_joins(self, tmp_path, predictor, monkeypatch):
-        cfg = RunConfig(seed=6, pairs=2 * CHUNK_PAIRS + 1, out_dir=tmp_path)
+    def test_failed_write_cancels_waiting_writes_and_joins(self, tmp_path, monkeypatch):
+        cfg = RunConfig(seed=6, pairs=2 * CHUNK_PAIRS + 1)
         write = experiment._write_pair_images
         started: list[str] = []
         finished: list[str] = []
@@ -204,7 +202,7 @@ class TestImageWriter:
 
         monkeypatch.setattr(experiment, "_write_pair_images", failing_write)
         with pytest.raises(OSError, match="disk full"):
-            run_experiment(cfg, pred=predictor)
+            run_experiment(cfg, tmp_path)
         # the write in progress finished before the error surfaced, the writes
         # still waiting never started, and the thread is gone
         expected = [f"pair{i:03d}" for i in range(CHUNK_PAIRS + 2)]
@@ -268,6 +266,17 @@ class TestSummaries:
         broken = [records[0], {**records[1], "iou": object()}]  # second row cannot serialize
         with pytest.raises(TypeError):
             write_metrics(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [METRICS_FILENAME]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_row_raises_and_leaves_existing_file(self, small_run, tmp_path, value):
+        _, _, records = small_run
+        path = tmp_path / METRICS_FILENAME
+        write_metrics(records, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_metrics([records[0], {**records[1], "mse_head": value}], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [METRICS_FILENAME]
 

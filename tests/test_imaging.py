@@ -233,6 +233,14 @@ class TestPnmIO:
         with pytest.raises(ValueError):
             write_image(np.zeros((4, 4, 1)), tmp_path / "bad.ppm")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_write_image_rejects_non_finite(self, tmp_path, value):
+        grid = np.zeros((4, 4, 3))
+        grid[1, 2, 0] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            write_image(grid, tmp_path / "bad.ppm")
+        assert not (tmp_path / "bad.ppm").exists()
+
 
 class TestOverlayHeatmap:
     def test_zero_field_is_identity(self, rng):
