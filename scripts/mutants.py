@@ -217,6 +217,13 @@ MUTANTS = {
         'if not np.isfinite(arr).all():\n        raise ValueError("grid contains',
         'if False:\n        raise ValueError("grid contains',
     ),
+    # swap creates its body, head and oracle files before it encodes the output
+    "swap_writes_references_first": (
+        "src/headswap/cli.py",
+        'files = pair_files("", ref, [("", result)])',
+        'write_files(out_dir, pair_files("", ref, []))\n'
+        '    files = pair_files("", ref, [("", result)])',
+    ),
     # a heatmap base of any shape is blended by broadcasting
     "overlay_any_base": (
         "src/headswap/imaging.py",

@@ -18,16 +18,18 @@ from .experiment import (
     RunConfig,
     evaluate_swap,
     format_summary,
+    map_files,
+    pair_files,
     read_metrics,
     run_experiment,
     summarize,
     write_metrics,
 )
 from .hid import mask_pairs, run_headswap
-from .imaging import minmax_normalize, overlay_heatmap, write_gray, write_image, write_mask
+from .imaging import encode_gray, encode_image, minmax_normalize, write_files
 from .iomask import VARIANTS
 from .metrics import swap_reference
-from .synthgen import AttributeSpec, enumerate_dataset, render_avatar
+from .synthgen import AttributeSpec, enumerate_dataset
 
 # swap and mask run one variant and sample nothing, so they take no seed
 CONFIG_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "variant")
@@ -156,14 +158,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
+    files, lines = [], []
     for index, render in enumerate(enumerate_dataset()):
         name = f"avatar_{index:03d}.ppm"
-        write_image(render.image, out_dir / name)
+        files.append((name, encode_image(render.image)))
         fields = "\t".join(str(v) for v in render.attrs.to_ints())
         lines.append(f"{name}\t{fields}\n")
-    (out_dir / "dataset.tsv").write_text("".join(lines), encoding="ascii")
+    write_files(out_dir, files + [("dataset.tsv", "".join(lines).encode("ascii"))])
     print(f"wrote {len(lines)} avatars and dataset.tsv to {out_dir}")
     return 0
 
@@ -173,31 +174,17 @@ def _swap_setup(args):
     head = parse_attrs(args.head, "--head")
     cfg = _merge_run_config(args)
     pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(cfg.T))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return body, head, cfg, pred, out_dir
-
-
-def _write_mask_files(out_dir: Path, body_image, edit_map, mask) -> None:
-    """iomap.pgm, mask.pgm and overlay.ppm (the normalized map over the body image)."""
-    normalized = minmax_normalize(edit_map)
-    write_gray(normalized, out_dir / "iomap.pgm")
-    write_mask(mask, out_dir / "mask.pgm")
-    write_image(overlay_heatmap(body_image, normalized), out_dir / "overlay.ppm")
+    return body, head, cfg, pred, Path(args.out)
 
 
 def _cmd_swap(args) -> int:
     body, head, cfg, pred, out_dir = _swap_setup(args)
     result = run_headswap(body, head, cfg, pred)
-
     ref = swap_reference(body, head)
-    write_image(ref.body_image, out_dir / "body.ppm")
-    write_image(render_avatar(head).image, out_dir / "head.ppm")
-    write_image(ref.oracle.image, out_dir / "oracle.ppm")
-    write_image(result.output, out_dir / "output.ppm")
-    _write_mask_files(out_dir, ref.body_image, result.io_map, result.mask)
-
+    files = pair_files("", ref, [("", result)])
+    files.append(("iomap.pgm", encode_gray(minmax_normalize(result.io_map))))
     record = evaluate_swap("pair000", ref, cfg.variant, result)
+    write_files(out_dir, files)
     write_metrics([record], out_dir / METRICS_FILENAME)
     if result.degenerate_mask:
         print("warning: edit mask is empty; output equals the body image")
@@ -208,7 +195,8 @@ def _cmd_swap(args) -> int:
 def _cmd_mask(args) -> int:
     body, head, cfg, pred, out_dir = _swap_setup(args)
     images, _, maps, masks = mask_pairs([(body, head)], cfg, (cfg.variant,), pred)
-    _write_mask_files(out_dir, images[0], maps[0, 0], masks[0, 0])
+    files = map_files("", images[0], maps[0, 0], masks[0, 0])
+    write_files(out_dir, files + [("iomap.pgm", encode_gray(minmax_normalize(maps[0, 0])))])
     print(f"mask covers {int(masks.sum())} pixels at t={cfg.edit_start}")
     return 0
 

@@ -6,6 +6,8 @@ parseable.  A run's rows are exactly those records, so repeated runs
 with the same seed return equal rows and write byte-identical files.  A
 run's image files are created on one background thread, one chunk behind
 the denoise, and metrics.jsonl only after every image is written.
+``pair_files`` and ``map_files`` encode a swap's files for this runner and
+for the CLI's swap and mask alike.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .diffusion import EmpiricalNoisePredictor, make_schedule
 from .hid import CHUNK_PAIRS, RunConfig, SwapResult, swap_pairs
-from .imaging import encode_image, encode_mask, minmax_normalize, overlay_heatmap
+from .imaging import encode_image, encode_mask, minmax_normalize, overlay_heatmap, write_files
 from .iomask import VARIANTS
 from .metrics import SwapReference, attribute_probe, mask_iou, region_mse, swap_reference
 from .synthgen import AttributeSpec, all_attribute_specs, enumerate_dataset, render_avatar
@@ -170,47 +172,42 @@ def format_summary(summary: dict[str, dict[str, float]]) -> str:
     )
 
 
-def _encode_pair_images(pair_id: str, ref: SwapReference, results) -> list[tuple[str, bytes]]:
-    """File names and bytes of the pair's body, head and oracle, and of each
-    variant's output, mask and map overlay."""
+def map_files(stem: str, body_image, edit_map, mask) -> list[tuple[str, bytes]]:
+    """File names and bytes of a swap's mask and of its normalized edit map over the body image."""
+    overlay = overlay_heatmap(body_image, minmax_normalize(edit_map))
+    return [(f"{stem}mask.pgm", encode_mask(mask)), (f"{stem}overlay.ppm", encode_image(overlay))]
+
+
+def pair_files(prefix: str, ref: SwapReference, results) -> list[tuple[str, bytes]]:
+    """File names and bytes of a pair's body, head and oracle, and of each
+    ``(stem, result)``'s output, mask and map overlay."""
     files = [
-        (f"{pair_id}_body.ppm", encode_image(ref.body_image)),
-        (f"{pair_id}_head.ppm", encode_image(render_avatar(ref.head).image)),
-        (f"{pair_id}_oracle.ppm", encode_image(ref.oracle.image)),
+        (f"{prefix}body.ppm", encode_image(ref.body_image)),
+        (f"{prefix}head.ppm", encode_image(render_avatar(ref.head).image)),
+        (f"{prefix}oracle.ppm", encode_image(ref.oracle.image)),
     ]
-    for variant, result in zip(VARIANTS, results):
-        stem = f"{pair_id}_{variant}"
-        overlay = overlay_heatmap(ref.body_image, minmax_normalize(result.io_map))
-        files += [
-            (f"{stem}_output.ppm", encode_image(result.output)),
-            (f"{stem}_mask.pgm", encode_mask(result.mask)),
-            (f"{stem}_overlay.ppm", encode_image(overlay)),
-        ]
+    for stem, result in results:
+        files.append((f"{stem}output.ppm", encode_image(result.output)))
+        files += map_files(stem, ref.body_image, result.io_map, result.mask)
     return files
-
-
-def _write_pair_images(out_dir: Path, files: Sequence[tuple[str, bytes]]) -> None:
-    """Write one pair's encoded images into out_dir, in order."""
-    for name, data in files:
-        (out_dir / name).write_bytes(data)
 
 
 def run_experiment(cfg: RunConfig, out_dir) -> list[dict]:
     """Run seeded pairs under every mask variant, write them into out_dir and return the rows.
 
-    Builds its predictor on a cfg.T-step schedule and creates out_dir.  The
-    pairs go through ``swap_pairs``, so every pair x variant of a chunk is
-    denoised in lockstep.  Each pair's images are encoded here once its
-    rows are scored, and one background writer thread creates their files,
-    in pair order, while this thread denoises the next chunk; at most
-    CHUNK_PAIRS pairs wait to be written.  metrics.jsonl is written last,
+    Builds its predictor on a cfg.T-step schedule.  The pairs go through
+    ``swap_pairs``, so every pair x variant of a chunk is denoised in
+    lockstep.  Each pair's images are encoded here (``pair_files``) once
+    its rows are scored, and one background writer thread creates their
+    files through ``write_files`` (out_dir with the first pair's), in pair
+    order, while this thread denoises the next chunk; at most CHUNK_PAIRS
+    pairs wait to be written.  metrics.jsonl is written last,
     and only after every image write has succeeded.  A failed image write
     re-raises its error here.  However this returns or raises, pending
     writes are cancelled and the writer thread is joined first.
     """
     pred = EmpiricalNoisePredictor.from_renders(enumerate_dataset(), make_schedule(cfg.T))
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # imported here, because a cold swap would pay ~5 ms for a module it never uses
     from concurrent.futures import ThreadPoolExecutor
@@ -225,10 +222,11 @@ def run_experiment(cfg: RunConfig, out_dir) -> list[dict]:
         ):
             pair_id, ref = f"pair{index:03d}", swap_reference(body, head)
             rows += [evaluate_swap(pair_id, ref, v, r) for v, r in zip(VARIANTS, results)]
-            files = _encode_pair_images(pair_id, ref, results)
+            stems = [f"{pair_id}_{v}_" for v in VARIANTS]
+            files = pair_files(f"{pair_id}_", ref, zip(stems, results))
             if len(pending) == CHUNK_PAIRS:
                 pending.popleft().result()
-            pending.append(writer.submit(_write_pair_images, out_dir, files))
+            pending.append(writer.submit(write_files, out_dir, files))
         for future in pending:
             future.result()
     finally:

@@ -153,6 +153,17 @@ def encode_mask(mask) -> bytes:
     return encode_gray(_mask_field(mask))
 
 
+def write_files(out_dir, files) -> None:
+    """Create out_dir (with its parents) if missing, then write each
+    ``(name, bytes)`` of ``files`` into it, in order."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in files:
+        (out_dir / name).write_bytes(data)
+
+
+# The package creates its files through write_files; these three stay
+# because the benchmark's tracer (bench/spans.py) wraps them by name.
 def write_image(grid, path) -> None:
     """Write an (H, W, 3) grid as a binary PPM (P6, maxval 255)."""
     Path(path).write_bytes(encode_image(grid))

@@ -271,14 +271,15 @@ class TestSwapAndMask:
 
     def test_overflowing_swap_exits_two_without_output_or_metrics(self, tmp_path):
         # w = 1e308 is a valid setting, but the denoise overflows to NaN: the
-        # writers refuse its image and its record, which eval would reject
+        # encoder refuses its image, which eval would reject, before any
+        # file of the swap (or its directory) is created
+        out = tmp_path / "swap"
         pair = ["--body", "0,2,0,0,-1", "--head", "1,0,1,0,1"]
         with np.errstate(all="ignore"):
-            code, err = run_cli(["swap", *pair, "--w", "1e308", "--out", str(tmp_path)])
+            code, err = run_cli(["swap", *pair, "--w", "1e308", "--out", str(out)])
         assert code == 2
         assert "error: grid contains non-finite values" in err
-        assert not (tmp_path / "output.ppm").exists()
-        assert not (tmp_path / "metrics.jsonl").exists()
+        assert not out.exists()
 
     def test_mask_subcommand_emits_map_mask_overlay(self, tmp_path):
         out = tmp_path / "mask"

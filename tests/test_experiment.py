@@ -148,7 +148,7 @@ class TestLockstep:
 class TestImageWriter:
     def test_writes_run_off_the_main_thread_in_pair_order(self, tmp_path, monkeypatch):
         cfg = RunConfig(seed=6, pairs=2 * CHUNK_PAIRS + 1)
-        write = experiment._write_pair_images
+        write = experiment.write_files
         written: list[tuple[str, threading.Thread]] = []
         backlogs: list[int] = []  # pairs submitted but not yet written, as each chunk starts
         pairs_swapped = 0
@@ -165,7 +165,7 @@ class TestImageWriter:
             pairs_swapped += len(chunk)
             return mask_pairs(chunk, *args)
 
-        monkeypatch.setattr(experiment, "_write_pair_images", slow_write)
+        monkeypatch.setattr(experiment, "write_files", slow_write)
         monkeypatch.setattr(hid, "mask_pairs", counting_mask_pairs)
         threads_before = threading.active_count()
         run_experiment(cfg, tmp_path)
@@ -184,7 +184,7 @@ class TestImageWriter:
 
     def test_failed_write_cancels_waiting_writes_and_joins(self, tmp_path, monkeypatch):
         cfg = RunConfig(seed=6, pairs=2 * CHUNK_PAIRS + 1)
-        write = experiment._write_pair_images
+        write = experiment.write_files
         started: list[str] = []
         finished: list[str] = []
         threads: set[threading.Thread] = set()
@@ -200,7 +200,7 @@ class TestImageWriter:
             write(out_dir, files)
             finished.append(pair_id)
 
-        monkeypatch.setattr(experiment, "_write_pair_images", failing_write)
+        monkeypatch.setattr(experiment, "write_files", failing_write)
         with pytest.raises(OSError, match="disk full"):
             run_experiment(cfg, tmp_path)
         # the write in progress finished before the error surfaced, the writes

@@ -13,6 +13,7 @@ from headswap.imaging import (
     overlay_heatmap,
     quantize_bytes,
     threshold,
+    write_files,
     write_gray,
     write_image,
     write_mask,
@@ -240,6 +241,13 @@ class TestPnmIO:
         with pytest.raises(ValueError, match="non-finite"):
             write_image(grid, tmp_path / "bad.ppm")
         assert not (tmp_path / "bad.ppm").exists()
+
+    def test_write_files_creates_its_directory_and_writes_in_order(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        write_files(out, [("x.bin", b"1"), ("y.bin", b""), ("x.bin", b"2")])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {"x.bin": b"2", "y.bin": b""}
+        write_files(out, [])  # an existing directory is kept as it is
+        assert len(list(out.iterdir())) == 2
 
 
 class TestOverlayHeatmap:
