@@ -187,6 +187,29 @@ MUTANTS = {
         "if (arr[1:] == 1).any():",
         "if False:",
     ),
+    # the grid states skin tone after hair colour: the same values, so only
+    # the names' order against AttributeSpec's fields tells
+    "attribute_grid_reordered": (
+        "src/headswap/synthgen.py",
+        '    "skin_tone": (0, 1, 2),\n'
+        '    "hair_style": (BALD, SHORT, LONG),\n'
+        '    "hair_color": (0, 1, 2),\n',
+        '    "hair_color": (0, 1, 2),\n'
+        '    "hair_style": (BALD, SHORT, LONG),\n'
+        '    "skin_tone": (0, 1, 2),\n',
+    ),
+    # a render gathers a new image on every read: writes into it are lost
+    "render_image_uncached": (
+        "src/headswap/synthgen.py",
+        "@cached_property\n    def image(self)",
+        "@property\n    def image(self)",
+    ),
+    # a schedule's T counts its alpha_bar entries, one too many
+    "schedule_T_is_length": (
+        "src/headswap/diffusion.py",
+        "return len(self.alpha_bar) - 1",
+        "return len(self.alpha_bar)",
+    ),
     # a config line without "=" is read as a key with an empty value
     "config_line_without_equals": (
         "src/headswap/cli.py",

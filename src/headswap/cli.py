@@ -12,6 +12,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .diffusion import EmpiricalNoisePredictor, make_schedule
 from .experiment import (
     METRICS_FILENAME,
@@ -29,7 +31,7 @@ from .hid import mask_pairs, run_headswap
 from .imaging import encode_gray, encode_image, minmax_normalize, write_files
 from .iomask import VARIANTS
 from .metrics import swap_reference
-from .synthgen import AttributeSpec, enumerate_dataset
+from .synthgen import ATTRIBUTE_NAMES, AttributeSpec, enumerate_dataset
 
 # swap and mask run one variant and sample nothing, so they take no seed
 CONFIG_KEYS = ("T", "w", "tau", "sigma", "edit_fraction", "variant")
@@ -45,11 +47,10 @@ class UsageError(Exception):
 
 def parse_attrs(text: str, flag: str) -> AttributeSpec:
     parts = text.split(",")
-    if len(parts) != 5:
+    if len(parts) != len(ATTRIBUTE_NAMES):
         raise UsageError(
-            f"{flag}: expected 5 comma-separated integers "
-            "(skin_tone,hair_style,hair_color,clothing_color,head_tilt), "
-            f"got {text!r}"
+            f"{flag}: expected {len(ATTRIBUTE_NAMES)} comma-separated integers "
+            f"({','.join(ATTRIBUTE_NAMES)}), got {text!r}"
         )
     try:
         values = [int(p) for p in parts]
@@ -233,7 +234,8 @@ def cli_main(argv=None) -> int:
         # argparse uses exit code 2 for usage problems; remap per our contract
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(over="ignore", invalid="ignore"):  # the writers refuse inf and nan
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

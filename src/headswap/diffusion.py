@@ -34,15 +34,18 @@ class NoMatchingConditionError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Cumulative signal levels alpha_bar[0..T], shared by all step math."""
+    """Cumulative signal levels alpha_bar[0..T], whose length states T, for all step math."""
 
-    T: int
     alpha_bar: np.ndarray
+
+    @property
+    def T(self) -> int:
+        return len(self.alpha_bar) - 1
 
     def __post_init__(self):
         arr = np.asarray(self.alpha_bar, dtype=np.float64)
-        if self.T < 2 or arr.shape != (self.T + 1,):
-            raise ValueError(f"schedule needs T >= 2 and T+1 entries, got T={self.T}")
+        if arr.ndim != 1 or len(arr) < 3:
+            raise ValueError(f"schedule needs a 1-D alpha_bar of T+1 >= 3 entries, got {arr.shape}")
         if arr[0] < 0.999:
             raise ValueError(f"alpha_bar[0] must be >= 0.999, got {arr[0]}")
         if arr[-1] > 0.05:
@@ -82,7 +85,7 @@ def make_schedule(T: int) -> NoiseSchedule:
     t = np.arange(T + 1, dtype=np.float64) / T
     signal = np.cos((t + COSINE_OFFSET) / (1.0 + COSINE_OFFSET) * np.pi / 2.0) ** 2
     alpha_bar = np.clip(signal / signal[0], ALPHA_BAR_FLOOR, 1.0)
-    return NoiseSchedule(T=T, alpha_bar=alpha_bar)
+    return NoiseSchedule(alpha_bar)
 
 
 def _check_step(t, lo: int, hi: int, sched: NoiseSchedule) -> int:

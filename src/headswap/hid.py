@@ -32,7 +32,7 @@ from .synthgen import NULL_CONDITION, AttributeSpec, Condition, composite_spec, 
 # wait for its image writer.  The denoise holds one value per (row, column
 # class), so stack temporaries do not bound the chunk, but larger chunks
 # bought no measured speed on a 2-core machine, and 30 pairs raised the
-# benchmark's ablate peak RSS from 62 to 67 MB.  A fixed height also keeps
+# benchmark's ablate peak RSS from 42.7 to 50.3 MB.  A fixed height also keeps
 # the null posterior's GEMM small enough that OpenBLAS does not split it
 # across threads, whose count would otherwise move output bits.
 CHUNK_PAIRS = 4

@@ -75,7 +75,7 @@ def swap_reference(body: AttributeSpec, head: AttributeSpec) -> SwapReference:
     body_render = render_avatar(body)
     oracle = oracle_swap(body, head)
     long_variant = render_avatar(replace(composite_spec(body, head), hair_style=LONG))
-    rows = np.arange(long_variant.image.shape[0])[:, None]
+    rows = np.arange(long_variant.layers.shape[0])[:, None]
     return SwapReference(
         body=body,
         head=head,

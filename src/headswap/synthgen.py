@@ -1,7 +1,7 @@
 """Deterministic procedural avatar corpus with renderable ground truth.
 
-Every avatar is a 32x32 RGB sprite drawn from five discrete attributes
-(skin tone, hair style, hair color, clothing color, head tilt).  The
+Every avatar is a 32x32 RGB sprite drawn from discrete attributes, stated
+once in ATTRIBUTE_VALUES (names in AttributeSpec's field order).  The
 renderer is integer-only geometry over fixed palettes, so renders are
 bit-identical across runs and platforms, and per-render head/hair masks
 provide exact edit-region ground truth.  A render is kept indexed, as its
@@ -14,7 +14,9 @@ smoothed, thresholded edit map (see render_avatars).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -26,7 +28,6 @@ BALD, SHORT, LONG = 0, 1, 2
 
 TILT_VALUES = (-1, 0, 1)
 
-ATTRIBUTE_NAMES = ("skin_tone", "hair_style", "hair_color", "clothing_color", "head_tilt")
 ATTRIBUTE_VALUES = {
     "skin_tone": (0, 1, 2),
     "hair_style": (BALD, SHORT, LONG),
@@ -34,6 +35,7 @@ ATTRIBUTE_VALUES = {
     "clothing_color": (0, 1, 2, 3),
     "head_tilt": TILT_VALUES,
 }
+ATTRIBUTE_NAMES = tuple(ATTRIBUTE_VALUES)
 
 # Palette geometry carries the benchmark's contrast budget.  Edit-region
 # extraction normalizes per-pixel contrast and applies a fixed threshold, so
@@ -105,9 +107,7 @@ class AttributeSpec:
         for name in ATTRIBUTE_NAMES:
             value = getattr(self, name)
             if value not in ATTRIBUTE_VALUES[name]:
-                raise ValueError(
-                    f"{name}={value!r} not in allowed values {ATTRIBUTE_VALUES[name]}"
-                )
+                raise ValueError(f"{name}={value!r} not in allowed values {ATTRIBUTE_VALUES[name]}")
 
     def to_ints(self) -> tuple[int, int, int, int, int]:
         return (
@@ -121,8 +121,8 @@ class AttributeSpec:
     @classmethod
     def from_ints(cls, values: Iterable[int]) -> "AttributeSpec":
         values = tuple(int(v) for v in values)
-        if len(values) != 5:
-            raise ValueError(f"expected 5 attribute integers, got {len(values)}")
+        if len(values) != len(ATTRIBUTE_NAMES):
+            raise ValueError(f"expected {len(ATTRIBUTE_NAMES)} attribute integers, got {values}")
         return cls(*values)
 
 
@@ -161,7 +161,7 @@ class AvatarRender:
     kind's paint-layer map (H, W), plus its exact head and hair pixel masks.
 
     ``image`` (H, W, 3) is each pixel's palette row, gathered on first read
-    and kept; it is the render's own writable array.  The layer map is the
+    and cached; it is the render's own writable array.  The layer map is the
     shared read-only table entry of the avatar's hair style and head tilt.
     """
 
@@ -171,15 +171,9 @@ class AvatarRender:
     hair_mask: np.ndarray
     attrs: AttributeSpec
 
-    @property
+    @cached_property
     def image(self) -> np.ndarray:
-        # kept in the instance dict by hand: functools.cached_property takes
-        # a lock on every first read (Python 3.11)
-        try:
-            return self.__dict__["_image"]
-        except KeyError:
-            image = self.__dict__["_image"] = self.palette.take(self.layers, axis=0)
-            return image
+        return self.palette.take(self.layers, axis=0)
 
 
 # the clothing checkerboard: every other pixel of the torso rectangle
@@ -254,8 +248,8 @@ def render_avatars(specs: Iterable[AttributeSpec]) -> list[AvatarRender]:
     changes no table and no other render.
     """
     specs = list(specs)
-    ints = np.array([attrs.to_ints() for attrs in specs], dtype=np.intp).reshape(len(specs), 5)
-    skin, style, hair_color, clothing, tilt = ints.T
+    ints = np.array([attrs.to_ints() for attrs in specs], dtype=np.intp)
+    skin, style, hair_color, clothing, tilt = ints.reshape(-1, len(ATTRIBUTE_NAMES)).T
     kinds = style * len(TILT_VALUES) + tilt - TILT_VALUES[0]
     palettes = np.empty((len(specs), 4, 3))
     palettes[:, BACKGROUND_LAYER] = BACKGROUND
@@ -277,14 +271,7 @@ def render_avatar(attrs: AttributeSpec) -> AvatarRender:
 
 def all_attribute_specs() -> list[AttributeSpec]:
     """All 324 attribute combinations in lexicographic attribute order."""
-    return [
-        AttributeSpec(skin, style, color, cloth, tilt)
-        for skin in ATTRIBUTE_VALUES["skin_tone"]
-        for style in ATTRIBUTE_VALUES["hair_style"]
-        for color in ATTRIBUTE_VALUES["hair_color"]
-        for cloth in ATTRIBUTE_VALUES["clothing_color"]
-        for tilt in ATTRIBUTE_VALUES["head_tilt"]
-    ]
+    return [AttributeSpec(*v) for v in itertools.product(*ATTRIBUTE_VALUES.values())]
 
 
 def enumerate_dataset() -> list[AvatarRender]:

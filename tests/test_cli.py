@@ -39,8 +39,12 @@ class TestAttributeParsing:
         assert spec.to_ints() == (2, 1, 0, 3, -1)
 
     def test_wrong_arity(self):
-        with pytest.raises(UsageError, match="--body"):
+        with pytest.raises(UsageError) as exc:
             parse_attrs("1,2,3", "--body")
+        assert str(exc.value) == (
+            "--body: expected 5 comma-separated integers "
+            "(skin_tone,hair_style,hair_color,clothing_color,head_tilt), got '1,2,3'"
+        )
 
     def test_non_integer(self):
         with pytest.raises(UsageError, match="non-integer"):
@@ -275,8 +279,7 @@ class TestSwapAndMask:
         # file of the swap (or its directory) is created
         out = tmp_path / "swap"
         pair = ["--body", "0,2,0,0,-1", "--head", "1,0,1,0,1"]
-        with np.errstate(all="ignore"):
-            code, err = run_cli(["swap", *pair, "--w", "1e308", "--out", str(out)])
+        code, err = run_cli(["swap", *pair, "--w", "1e308", "--out", str(out)])
         assert code == 2
         assert "error: grid contains non-finite values" in err
         assert not out.exists()
@@ -397,17 +400,24 @@ class TestAblateAndEval:
     def test_ablate_is_clean_under_dev_mode_and_warnings_as_errors(self, tmp_path):
         # an unclosed file or an exception lost in a thread or finalizer only
         # prints a warning, which -X dev -W error turns into stderr output
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-        )
         argv = ["ablate", "--pairs", "5", "--seed", "7", "--out", str(tmp_path / "dev")]
-        done = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "headswap.cli"] + argv,
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = run_dev_mode(argv)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["swap", "--body", "0,2,0,0,-1", "--head", "1,0,1,0,1"], ["ablate", "--pairs", "2"]],
+        ids=["swap", "ablate"],
+    )
+    def test_overflow_is_one_error_under_dev_mode_and_warnings_as_errors(self, tmp_path, argv):
+        # w = 1e308 overflows the denoise to inf and nan: numpy's warnings,
+        # raised as errors here, must not pre-empt the writers' finiteness check
+        out = tmp_path / "out"
+        done = run_dev_mode([*argv, "--w", "1e308", "--out", str(out)])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "error: grid contains non-finite values\n"
+        assert not out.exists()
 
 
 class TestThreadDeterminism:
@@ -430,6 +440,16 @@ class TestThreadDeterminism:
         assert len(names) == 1 + 8 * (3 + 3 * 3)  # metrics, 3 renders + 3 per variant
         assert names == sorted(path.name for path in outs[1].iterdir())
         assert [name for name in names if not files_identical(outs[0] / name, outs[1] / name)] == []
+
+
+def run_dev_mode(argv) -> subprocess.CompletedProcess:
+    """A CLI run in a fresh ``python -X dev -W error`` interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "headswap.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=300,
+    )
 
 
 def run_cli(argv) -> tuple[int, str]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -100,29 +101,35 @@ class TestSchedule:
     def test_validation_rejects_increasing(self):
         # the endpoints pass, so only the increase can be rejected
         with pytest.raises(ValueError, match="alpha_bar must be non-increasing"):
-            NoiseSchedule(T=3, alpha_bar=np.array([1.0, 0.3, 0.5, 0.01]))
+            NoiseSchedule(np.array([1.0, 0.3, 0.5, 0.01]))
 
     @pytest.mark.parametrize(
-        "T, alpha_bar, message",
+        "alpha_bar, message",
         [
-            (1, [1.0, 0.01], r"schedule needs T >= 2 and T\+1 entries, got T=1"),
-            (3, [1.0, 0.5, 0.01], r"schedule needs T >= 2 and T\+1 entries, got T=3"),
-            (2, [1.2, 0.5, 0.01], r"alpha_bar entries must lie in \(0, 1\]"),
-            (2, [1.0, 0.0, 0.0], r"alpha_bar entries must lie in \(0, 1\]"),
-            (3, [1.0, 1.0, 0.5, 0.01], r"alpha_bar\[1:\] must lie below 1"),
+            ([1.0, 0.01], r"schedule needs a 1-D alpha_bar of T\+1 >= 3 entries, got \(2,\)"),
+            ([1.2, 0.5, 0.01], r"alpha_bar entries must lie in \(0, 1\]"),
+            ([1.0, 0.0, 0.0], r"alpha_bar entries must lie in \(0, 1\]"),
+            ([1.0, 1.0, 0.5, 0.01], r"alpha_bar\[1:\] must lie below 1"),
         ],
-        ids=["T_one", "entry_count", "above_one", "zero", "one_after_zero"],
+        ids=["T_one", "above_one", "zero", "one_after_zero"],
     )
-    def test_each_check_raises_its_own_message(self, T, alpha_bar, message):
+    def test_each_check_raises_its_own_message(self, alpha_bar, message):
         # the endpoints pass, so only the named check can reject these
         with pytest.raises(ValueError, match=message):
-            NoiseSchedule(T=T, alpha_bar=np.array(alpha_bar))
+            NoiseSchedule(np.array(alpha_bar))
+
+    @pytest.mark.parametrize("T", [2, 50, 1000])
+    def test_length_states_T(self, T):
+        assert make_schedule(T).T == T
+
+    def test_alpha_bar_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(NoiseSchedule)] == ["alpha_bar"]
 
     def test_validation_rejects_bad_endpoints(self):
         with pytest.raises(ValueError):
-            NoiseSchedule(T=2, alpha_bar=np.array([0.9, 0.5, 0.01]))
+            NoiseSchedule(np.array([0.9, 0.5, 0.01]))
         with pytest.raises(ValueError):
-            NoiseSchedule(T=2, alpha_bar=np.array([1.0, 0.5, 0.2]))
+            NoiseSchedule(np.array([1.0, 0.5, 0.2]))
 
 
 class TestEmpiricalEps:
@@ -522,7 +529,7 @@ class TestColumnClasses:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
-        assert not any("_image" in render.__dict__ for render in renders)
+        assert not any("image" in render.__dict__ for render in renders)
 
     def test_one_image_conditions_keep_one_image(self, dataset, sched50):
         # every body condition keeps one image; a pixel image kept for each
@@ -606,7 +613,7 @@ class TestDdimSteps:
         np.testing.assert_allclose(out, ratio * z, atol=1e-12)
 
     def test_equal_alpha_bar_is_identity(self, rng):
-        sched = NoiseSchedule(T=3, alpha_bar=np.array([1.0, 0.5, 0.5, 0.04]))
+        sched = NoiseSchedule(np.array([1.0, 0.5, 0.5, 0.04]))
         z = rng.normal(size=SHAPE)
         eps = rng.normal(size=SHAPE)
         np.testing.assert_allclose(ddim_sample_step(z, eps, 2, sched), z, atol=1e-12)

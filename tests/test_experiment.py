@@ -279,7 +279,3 @@ class TestSummaries:
             write_metrics([records[0], {**records[1], "mse_head": value}], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [METRICS_FILENAME]
-
-    def test_config_rejects_nonpositive_pairs(self):
-        with pytest.raises(ValueError):
-            RunConfig(pairs=0)

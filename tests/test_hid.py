@@ -96,6 +96,27 @@ class TestConditions:
 
 
 class TestSwapConfig:
+    """Every RunConfig setting check, made once, when the config is built."""
+
+    def test_defaults(self):
+        cfg = RunConfig().mask
+        assert cfg.tau == 0.6
+        assert cfg.sigma == 2.0
+        assert cfg.variant == "full"
+        assert cfg.w == 3.0
+        assert cfg.mask is cfg  # the benchmark's spelling of the run config
+
+    def test_mask_validation(self):
+        # mask settings are checked once, by the RunConfig the mask stage reads
+        with pytest.raises(ValueError):
+            RunConfig(tau=1.5)
+        with pytest.raises(ValueError):
+            RunConfig(sigma=0.0)
+        with pytest.raises(ValueError):
+            RunConfig(variant="fancy")
+        with pytest.raises(ValueError):
+            RunConfig(w=-1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(T=1)
@@ -128,6 +149,10 @@ class TestSwapConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
             RunConfig(seed=-1)
+
+    def test_nonpositive_pairs_rejected(self):
+        with pytest.raises(ValueError):
+            RunConfig(pairs=0)
 
     def test_edit_start_rounding(self):
         assert RunConfig(T=50, edit_fraction=0.8).edit_start == 40
@@ -267,7 +292,7 @@ class TestSwapPipeline:
         # every valid schedule, not only those with alpha_bar[0] == 1
         alpha_bar = sched50.alpha_bar.copy()
         alpha_bar[0] = 0.9995
-        sched = NoiseSchedule(T=50, alpha_bar=alpha_bar)
+        sched = NoiseSchedule(alpha_bar)
         pred = EmpiricalNoisePredictor.from_renders(dataset, sched)
         result = run_headswap(BODY, HEAD, RunConfig(), pred)
         outside = ~result.mask.astype(bool)
@@ -358,7 +383,7 @@ class TestClassSpaceBlend:
         "sched",
         # at T = 50 the last steps snap onto corpus images; the short schedule
         # keeps the posterior mixed to the end, so every step's sums matter
-        [make_schedule(50), NoiseSchedule(T=4, alpha_bar=np.array([1.0, 0.3, 0.2, 0.1, 0.04]))],
+        [make_schedule(50), NoiseSchedule(np.array([1.0, 0.3, 0.2, 0.1, 0.04]))],
         ids=["T50", "mixed"],
     )
     def test_random_corpus_matches_per_latent_reference(self, sched):

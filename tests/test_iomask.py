@@ -19,27 +19,6 @@ from headswap.synthgen import AttributeSpec, BALD, LONG, ground_truth_edit_mask,
 from helpers import dense_gaussian_reference, stepped_inversion
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = RunConfig().mask
-        assert cfg.tau == 0.6
-        assert cfg.sigma == 2.0
-        assert cfg.variant == "full"
-        assert cfg.w == 3.0
-        assert cfg.mask is cfg  # the benchmark's spelling of the run config
-
-    def test_validation(self):
-        # mask settings are checked once, by the RunConfig the mask stage reads
-        with pytest.raises(ValueError):
-            RunConfig(tau=1.5)
-        with pytest.raises(ValueError):
-            RunConfig(sigma=0.0)
-        with pytest.raises(ValueError):
-            RunConfig(variant="fancy")
-        with pytest.raises(ValueError):
-            RunConfig(w=-1.0)
-
-
 class TestOrthogonalComponent:
     def test_self_projection_is_exactly_zero(self, rng):
         v = rng.normal(size=(6, 6, 3))
@@ -183,7 +162,7 @@ class TestIoMap:
 
     @pytest.mark.parametrize(
         "sched",
-        [NoiseSchedule(T=50, alpha_bar=np.linspace(1.0, 0.01, 51)), make_schedule(100)],
+        [NoiseSchedule(np.linspace(1.0, 0.01, 51)), make_schedule(100)],
         ids=["same_T", "T100"],
     )
     def test_foreign_schedule_rejected(self, body_traj, sched, predictor):

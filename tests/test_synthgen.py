@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from headswap import synthgen
 from headswap.synthgen import (
+    ATTRIBUTE_NAMES,
     ATTRIBUTE_VALUES,
     BACKGROUND,
     BALD,
@@ -57,6 +59,10 @@ class TestAttributeSpec:
     def test_from_ints_length(self):
         with pytest.raises(ValueError):
             AttributeSpec.from_ints([0, 0, 0])
+
+    def test_the_grid_names_the_fields_in_order(self):
+        # all_attribute_specs builds AttributeSpec(*values) from ATTRIBUTE_VALUES's order
+        assert ATTRIBUTE_NAMES == tuple(f.name for f in dataclasses.fields(AttributeSpec))
 
 
 class TestRenderer:
@@ -155,11 +161,11 @@ class TestBatchRenderer:
 
     def test_the_image_is_gathered_on_first_read_and_kept(self):
         renders = enumerate_dataset()
-        assert not any("_image" in r.__dict__ for r in renders)
+        assert not any("image" in r.__dict__ for r in renders)
         image = renders[7].image
         assert image is renders[7].image and image.flags.writeable
         assert image.tobytes() == paint_avatar(renders[7].attrs).image.tobytes()
-        assert ["_image" in r.__dict__ for r in renders].count(True) == 1
+        assert ["image" in r.__dict__ for r in renders].count(True) == 1
 
     def test_writing_into_a_render_leaves_later_renders_unchanged(self):
         a = spec(1, LONG, 2, 3, 1)
