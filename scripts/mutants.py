@@ -259,6 +259,18 @@ MUTANTS = {
         "zip(pairs, swap_pairs(pairs, cfg, VARIANTS, pred))",
         "zip(pairs, list(swap_pairs(pairs, cfg, VARIANTS, pred)))",
     ),
+    # masks come out of the threshold as {0, 1} bytes, whose ~ is 254 or 255
+    "threshold_uint8": (
+        "src/headswap/imaging.py",
+        "return arr >= tau",
+        "return (arr >= tau).astype(np.uint8)",
+    ),
+    # mse_outside scores the pixels inside the mask
+    "outside_not_inverted": (
+        "src/headswap/experiment.py",
+        "ref.body_image, ~result.mask)",
+        "ref.body_image, result.mask)",
+    ),
 }
 
 

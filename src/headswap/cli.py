@@ -65,9 +65,14 @@ def parse_attrs(text: str, flag: str) -> AttributeSpec:
 def read_config_file(path: str, keys: tuple[str, ...] = CONFIG_KEYS) -> dict:
     """Parse flat 'key = value' lines; unknown or repeated keys and bad values are usage errors."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = Path(path).read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise RuntimeError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one (after any BOM) decode; numbered as below,
+        # with a stand-in for the bad byte so that its line counts
+        line = len((exc.object[: exc.start].decode() + ".").splitlines())
+        raise UsageError(f"{path}:{line}: not UTF-8 text") from None
     values, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

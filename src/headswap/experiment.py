@@ -58,7 +58,6 @@ def sample_pairs(seed: int, count: int) -> list[tuple[AttributeSpec, AttributeSp
 def evaluate_swap(pair_id: str, ref: SwapReference, variant: str, result: SwapResult) -> dict:
     """Reduce a finished swap to its metrics.jsonl row."""
     oracle = ref.oracle
-    head_region = oracle.head_mask.astype(bool) | oracle.hair_mask.astype(bool)
     matched, total = attribute_probe(result.output, ref)
     return {
         "pair_id": pair_id,
@@ -66,8 +65,8 @@ def evaluate_swap(pair_id: str, ref: SwapReference, variant: str, result: SwapRe
         "head_attrs": list(ref.head.to_ints()),
         "variant": variant,
         "iou": mask_iou(result.mask, ref.truth),
-        "mse_head": region_mse(result.output, oracle.image, head_region.astype(np.uint8)),
-        "mse_outside": region_mse(result.output, ref.body_image, 1 - result.mask),
+        "mse_head": region_mse(result.output, oracle.image, oracle.head_mask | oracle.hair_mask),
+        "mse_outside": region_mse(result.output, ref.body_image, ~result.mask),
         "attr_probe": {"matched": matched, "total": total},
     }
 

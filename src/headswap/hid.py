@@ -187,7 +187,7 @@ def blend_denoise(
     if not np.array_equal(x_g[:, classes.inv], x):
         raise ValueError("every body must be constant on the corpus's column classes")
     shape = masks.shape + images.shape[-1:]
-    inside = np.broadcast_to(masks.astype(bool)[..., None], shape).reshape(pairs, variants, -1)
+    inside = np.broadcast_to(masks[..., None], shape).reshape(pairs, variants, -1)
     # one row per pair x variant, pair-major
     n_in = classes.sums(inside.astype(np.int64)).reshape(pairs * variants, -1)
     n_out = classes.counts - n_in

@@ -5,7 +5,7 @@ Conventions used across the package:
 * images / latents / noise fields: float64 arrays of shape (H, W, C)
 * per-pixel scalar fields: float64 arrays of shape (H, W); the blur,
   normalization and threshold also take (..., H, W) stacks of them
-* binary masks: uint8 arrays of shape (H, W) with values in {0, 1}
+* binary masks: bool arrays of shape (H, W), or (..., H, W) stacks of them
 
 Color files are binary PPM (P6), grayscale files binary PGM (P5), always
 with maxval 255 and quantization byte = floor(clip(v, 0, 1) * 255 + 0.5),
@@ -107,11 +107,11 @@ def minmax_normalize(field) -> np.ndarray:
 
 
 def threshold(field, tau: float) -> np.ndarray:
-    """Binarize a field, or a (..., H, W) stack: mask pixel is 1 iff the field value is >= tau."""
+    """Binarize a field, or a (..., H, W) stack: a pixel is True iff its value is >= tau."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     arr = _as_finite_maps(field)
-    return (arr >= tau).astype(np.uint8)
+    return arr >= tau
 
 
 def quantize_bytes(values) -> np.ndarray:
@@ -149,7 +149,7 @@ def _mask_field(mask) -> np.ndarray:
 
 
 def encode_mask(mask) -> bytes:
-    """A {0, 1} mask as the bytes of a PGM; set pixels map to byte 255."""
+    """A bool mask (or {0, 1} integers) as the bytes of a PGM; set pixels map to byte 255."""
     return encode_gray(_mask_field(mask))
 
 
@@ -175,7 +175,7 @@ def write_gray(field, path) -> None:
 
 
 def write_mask(mask, path) -> None:
-    """Write a {0, 1} mask as a PGM; set pixels map to byte 255."""
+    """Write a bool mask (or {0, 1} integers) as a PGM; set pixels map to byte 255."""
     write_gray(_mask_field(mask), path)
 
 

@@ -26,12 +26,10 @@ HAIR_DETECT_FRACTION = 0.25
 
 def mask_iou(a, b) -> float:
     """Intersection over union of two binary masks; 1.0 when both are empty."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
     if a.shape != b.shape:
         raise ValueError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    a = a.astype(bool)
-    b = b.astype(bool)
     union = (a | b).sum()
     if union == 0:
         return 1.0
@@ -42,15 +40,14 @@ def region_mse(x, y, region) -> float:
     """Mean squared difference over a masked region (0.0 for an empty region)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    region = np.asarray(region)
+    region = np.asarray(region, dtype=bool)
     if x.shape != y.shape or region.shape != x.shape[:2]:
         raise ValueError(
             f"shape mismatch: x {x.shape}, y {y.shape}, region {region.shape}"
         )
-    selected = region.astype(bool)
-    if not selected.any():
+    if not region.any():
         return 0.0
-    diff = x[selected] - y[selected]
+    diff = x[region] - y[region]
     return float(np.mean(diff**2))
 
 
@@ -66,7 +63,7 @@ class SwapReference:
     head: AttributeSpec
     body_image: np.ndarray
     oracle: AvatarRender
-    truth: np.ndarray  # the ground-truth edit region, ground_truth_edit_mask(body, head)
+    truth: np.ndarray  # the bool ground-truth edit region, ground_truth_edit_mask(body, head)
     long_hair: np.ndarray  # below-disc pixels where a long-haired composite draws hair
 
 
@@ -82,7 +79,7 @@ def swap_reference(body: AttributeSpec, head: AttributeSpec) -> SwapReference:
         body_image=body_render.image,
         oracle=oracle,
         truth=edit_region(body_render, oracle),
-        long_hair=long_variant.hair_mask.astype(bool) & (rows > HEAD_CY + HEAD_RADIUS),
+        long_hair=long_variant.hair_mask & (rows > HEAD_CY + HEAD_RADIUS),
     )
 
 
@@ -100,12 +97,12 @@ def attribute_probe(image, ref: SwapReference) -> tuple[int, int]:
     image = np.asarray(image, dtype=np.float64)
     head = ref.head
 
-    disc = ref.oracle.head_mask.astype(bool)
+    disc = ref.oracle.head_mask
     skin_ok = (
         _nearest_palette(image[disc].mean(axis=0), SKIN_PALETTE) == head.skin_tone
     )
 
-    hair_region = ref.oracle.hair_mask.astype(bool)
+    hair_region = ref.oracle.hair_mask
     if hair_region.any():
         hair_ok = (
             _nearest_palette(image[hair_region].mean(axis=0), HAIR_PALETTE)

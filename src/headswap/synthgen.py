@@ -158,7 +158,7 @@ NULL_CONDITION = Condition()
 @dataclass(frozen=True, eq=False)
 class AvatarRender:
     """A rendered avatar, kept indexed: its 4-colour palette (4, 3) and its
-    kind's paint-layer map (H, W), plus its exact head and hair pixel masks.
+    kind's paint-layer map (H, W), plus its exact bool head and hair pixel masks.
 
     ``image`` (H, W, 3) is each pixel's palette row, gathered on first read
     and cached; it is the render's own writable array.  The layer map is the
@@ -210,7 +210,7 @@ def _paint_layers(style: int, tilt: int) -> tuple[np.ndarray, np.ndarray, np.nda
     layers[disc] = SKIN_LAYER
     for dy, dx in BROW_OFFSETS:
         layers[cy + dy, cx + dx] = HAIR_LAYER
-    return layers, disc.astype(np.uint8), hair.astype(np.uint8)
+    return layers, disc, hair
 
 
 def _paint_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,10 +301,4 @@ def ground_truth_edit_mask(body: AttributeSpec, head: AttributeSpec) -> np.ndarr
 
 def edit_region(body_render: AvatarRender, oracle: AvatarRender) -> np.ndarray:
     """``ground_truth_edit_mask`` from renders already at hand."""
-    union = (
-        body_render.head_mask.astype(bool)
-        | body_render.hair_mask.astype(bool)
-        | oracle.head_mask.astype(bool)
-        | oracle.hair_mask.astype(bool)
-    )
-    return union.astype(np.uint8)
+    return body_render.head_mask | body_render.hair_mask | oracle.head_mask | oracle.hair_mask

@@ -155,7 +155,7 @@ def stepped_inversion(image, cond, sched, pred) -> np.ndarray:
 
 def per_latent_blend_denoise(traj, mask, cond_head, cfg, sched, pred) -> np.ndarray:
     """One swap's blended denoise, one latent and two evaluate calls per step."""
-    inside = mask.astype(bool)[..., None]
+    inside = mask[..., None]
     z = traj[cfg.edit_start]
     for t in range(cfg.edit_start, 0, -1):
         guided = cfg_combine(
@@ -203,8 +203,8 @@ def paint_avatar(attrs: AttributeSpec) -> AvatarRender:
     return AvatarRender(
         palette=image.reshape(-1, 3),
         layers=np.arange(g.SIZE * g.SIZE).reshape(g.SIZE, g.SIZE),
-        head_mask=disc.astype(np.uint8),
-        hair_mask=hair.astype(np.uint8),
+        head_mask=disc,
+        hair_mask=hair,
         attrs=attrs,
     )
 

@@ -7,6 +7,7 @@ they stay visible under pytest's output capture.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def ablation_run(predictor):
     for index, (body, head) in enumerate(pairs):
         ref = swap_reference(body, head)
         for variant in ("full", "naive"):
-            result = hs.run_headswap(body, head, cfg.swap_config(variant), predictor)
+            result = hs.run_headswap(body, head, replace(cfg, variant=variant), predictor)
             record = evaluate_swap(f"pair{index:03d}", ref, variant, result)
             out[variant].append((body, head, result, record))
     out["elapsed"] = time.perf_counter() - started
@@ -135,11 +136,11 @@ def test_criterion_6_outside_mask_exactness(predictor):
     for body, head in sample_pairs(23, 25):
         result = hs.run_headswap(body, head, cfg, predictor)
         body_image = render_avatar(body).image
-        outside = ~result.mask.astype(bool)
+        outside = ~result.mask
         diff = np.abs(result.output - body_image)
         clean += diff[outside].max() == 0.0
         changed = diff.max(axis=2) > 0
-        contained += bool((changed <= result.mask.astype(bool)).all())
+        contained += bool((changed <= result.mask).all())
     report(6, clean == 25 and contained == 25, time.perf_counter() - started, 60.0,
            f"max|output - body| outside mask exactly 0 on {clean}/25, "
            f"changed pixels inside mask on {contained}/25")
@@ -175,7 +176,7 @@ def test_criterion_8_end_to_end(ablation_run, predictor):
             cfg = hs.RunConfig(seed=7, pairs=50, w=w)
             hits = 0
             for body, head in ablation_run["pairs"]:
-                result = hs.run_headswap(body, head, cfg.swap_config("full"), predictor)
+                result = hs.run_headswap(body, head, replace(cfg, variant="full"), predictor)
                 record = evaluate_swap("sweep", swap_reference(body, head), "full", result)
                 hits += record["attr_probe"]["matched"] >= 2
             probe_rates[w] = hits / 50
@@ -212,8 +213,8 @@ def test_criterion_10_long_hair_removal(ablation_run):
     coverages = []
     for body, head, result, _ in ablation_run["full"]:
         if body.hair_style == LONG and head.hair_style == BALD:
-            hair = render_avatar(body).hair_mask.astype(bool)
-            coverages.append((result.mask.astype(bool) & hair).sum() / hair.sum())
+            hair = render_avatar(body).hair_mask
+            coverages.append((result.mask & hair).sum() / hair.sum())
     ok = len(coverages) > 0 and all(c >= 0.5 for c in coverages)
     report(10, ok, time.perf_counter() - started, 300.0,
            f"mask covers {', '.join(f'{c:.0%}' for c in coverages)} of the body's "

@@ -121,6 +121,17 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_config_not_utf8_exit_one(self, tmp_path, capsys, eol, bom):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(bom + b"T = 50" + eol + b"w = \xff" + eol)
+        out = tmp_path / "out"
+        argv = ["swap", "--body", "0,2,0,1,0", "--head", "2,0,1,3,-1", "--config", str(cfg)]
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {cfg}:2: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     @pytest.mark.parametrize(
         "key,value",

@@ -2,6 +2,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,7 +113,7 @@ class TestLockstep:
                 render_avatar(body).image, body_condition(body), sched50, predictor
             )
             for variant in VARIANTS:
-                alone = run_headswap(body, head, cfg.swap_config(variant), predictor)
+                alone = run_headswap(body, head, replace(cfg, variant=variant), predictor)
                 batched = seen[f"pair{index:03d}", variant]
                 assert np.array_equal(batched.mask, alone.mask)
                 assert np.array_equal(batched.io_map, alone.io_map)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from headswap import cli, diffusion, hid
+from headswap import cli, diffusion, hid, synthgen
 from headswap.diffusion import (
     EmpiricalNoisePredictor,
     NoiseSchedule,
@@ -24,6 +24,7 @@ from headswap.diffusion import (
     make_schedule,
 )
 from headswap.experiment import RECORD_FIELDS, evaluate_swap, sample_pairs
+from headswap.imaging import threshold
 from headswap.hid import (
     CHUNK_PAIRS,
     RunConfig,
@@ -99,7 +100,7 @@ class TestSwapConfig:
     """Every RunConfig setting check, made once, when the config is built."""
 
     def test_defaults(self):
-        cfg = RunConfig().mask
+        cfg = RunConfig()
         assert cfg.tau == 0.6
         assert cfg.sigma == 2.0
         assert cfg.variant == "full"
@@ -265,7 +266,7 @@ class TestExtractMask:
         t = cfg.edit_start
         images, conds_head, maps, masks = mask_pairs(pairs, cfg, variants, predictor)
         assert maps.shape == masks.shape == (len(pairs), len(variants), 32, 32)
-        assert masks.dtype == np.uint8 and masks.any()
+        assert masks.dtype == np.bool_ and masks.any()
         c_edit = predictor.schedule.inversion[t]
         for p, (body, head) in enumerate(pairs):
             assert np.array_equal(images[p], render_avatar(body).image)
@@ -285,7 +286,7 @@ def swap_result(predictor):
 class TestSwapPipeline:
     def test_outside_mask_pixels_exact(self, swap_result):
         body_image = render_avatar(BODY).image
-        outside = ~swap_result.mask.astype(bool)
+        outside = ~swap_result.mask
         assert np.abs(swap_result.output - body_image)[outside].max() == 0.0
 
     def test_outside_mask_exact_when_alpha_bar_zero_is_below_one(self, dataset, sched50):
@@ -295,19 +296,39 @@ class TestSwapPipeline:
         sched = NoiseSchedule(alpha_bar)
         pred = EmpiricalNoisePredictor.from_renders(dataset, sched)
         result = run_headswap(BODY, HEAD, RunConfig(), pred)
-        outside = ~result.mask.astype(bool)
+        outside = ~result.mask
         assert outside.any() and result.mask.any()
         assert np.array_equal(result.output[outside], render_avatar(BODY).image[outside])
 
     def test_changed_pixels_inside_mask(self, swap_result):
         body_image = render_avatar(BODY).image
         changed = np.abs(swap_result.output - body_image).max(axis=2) > 0
-        assert (changed <= swap_result.mask.astype(bool)).all()
+        assert (changed <= swap_result.mask).all()
 
     def test_result_shapes(self, swap_result):
         assert swap_result.output.shape == (32, 32, 3)
         assert swap_result.mask.shape == (32, 32)
         assert swap_result.io_map.shape == (32, 32)
+
+    def test_every_mask_producer_returns_bool(self, predictor, swap_result):
+        # one mask type from the renderer to the scorer: ~mask is the complement
+        render = render_avatar(BODY)
+        ref = swap_reference(BODY, HEAD)
+        _, _, maps, stage_masks = mask_pairs([(BODY, HEAD)], RunConfig(), VARIANTS, predictor)
+        masks = {
+            "_DISCS": synthgen._DISCS,
+            "_HAIRS": synthgen._HAIRS,
+            "head_mask": render.head_mask,
+            "hair_mask": render.hair_mask,
+            "ground_truth_edit_mask": ground_truth_edit_mask(BODY, HEAD),
+            "truth": ref.truth,
+            "long_hair": ref.long_hair,
+            "threshold": threshold(np.eye(4), 0.5),
+            "build_iomasks": build_iomasks(maps, 2.0, 0.6),
+            "mask_pairs": stage_masks,
+            "run_headswap": swap_result.mask,
+        }
+        assert {name: mask.dtype for name, mask in masks.items()} == dict.fromkeys(masks, np.bool_)
 
     def test_deterministic(self, predictor, swap_result):
         again = run_headswap(BODY, HEAD, RunConfig(), predictor)
@@ -358,7 +379,7 @@ class TestSwapPipeline:
     def test_full_window_edit_runs(self, predictor):
         cfg = RunConfig(edit_fraction=1.0)
         result = run_headswap(BODY, AttributeSpec(1, SHORT, 2, 1, 0), cfg, predictor)
-        outside = ~result.mask.astype(bool)
+        outside = ~result.mask
         body_image = render_avatar(BODY).image
         assert np.abs(result.output - body_image)[outside].max() == 0.0
 
@@ -573,7 +594,7 @@ class TestCensusSlice:
         for index, ((body, head), results) in enumerate(zip(pairs, swaps)):
             ref = swap_reference(body, head)
             for variant, result in zip(VARIANTS, results):
-                outside = ~result.mask.astype(bool)
+                outside = ~result.mask
                 assert result.output[outside].tobytes() == ref.body_image[outside].tobytes()
                 record = evaluate_swap(f"census-{index:03d}", ref, variant, result)
                 assert record["mse_outside"] == 0
@@ -665,7 +686,7 @@ class TestSettingsSweep:
         for (body, _), *per_pair in zip(pairs, *runs):
             image = render_avatar(body).image
             for a, b in zip(*per_pair):
-                outside = ~a.mask.astype(bool)
+                outside = ~a.mask
                 assert a.output[outside].tobytes() == image[outside].tobytes()
                 assert np.isfinite(a.output).all()
                 for x, y in ((a.output, b.output), (a.mask, b.mask), (a.io_map, b.io_map)):

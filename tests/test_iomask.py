@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from headswap.imaging import gaussian_filter, minmax_normalize
 from headswap.iomask import (
     VARIANTS,
     DegenerateReferenceError,
-    build_iomask,
+    build_iomasks,
     edit_maps,
     io_map,
     orthogonal_component,
@@ -77,7 +79,7 @@ class TestIoMap:
         body, traj = body_traj
         cond = body_condition(body)
         for variant in ("full", "naive", "no_orth"):
-            cfg = RunConfig(variant=variant, w=1.0).mask
+            cfg = RunConfig(variant=variant, w=1.0)
             field = io_map(traj, 40, cond, cond, cfg, sched50, predictor)
             assert (field == 0.0).all()
 
@@ -88,9 +90,9 @@ class TestIoMap:
         cond = body_condition(body)
         masks = []
         for variant in ("full", "naive", "no_orth"):
-            cfg = RunConfig(variant=variant, w=1.0).mask
+            cfg = RunConfig(variant=variant, w=1.0)
             field = io_map(traj, 40, cond, cond, cfg, sched50, predictor)
-            masks.append(build_iomask(field, cfg))
+            masks.append(build_iomasks(field, cfg.sigma, cfg.tau))
         assert all(np.array_equal(masks[0], m) for m in masks[1:])
         assert masks[0].sum() == 0
 
@@ -110,10 +112,10 @@ class TestIoMap:
         gt = ground_truth_edit_mask(body, head)
         fractions, ious = {}, {}
         for variant in ("full", "naive"):
-            cfg = RunConfig(variant=variant, w=3.0).mask
+            cfg = RunConfig(variant=variant, w=3.0)
             field = io_map(traj, 40, cond_h, cond_b, cfg, sched50, predictor)
-            fractions[variant] = field[gt.astype(bool)].sum() / field.sum()
-            ious[variant] = mask_iou(build_iomask(field, cfg), gt)
+            fractions[variant] = field[gt].sum() / field.sum()
+            ious[variant] = mask_iou(build_iomasks(field, cfg.sigma, cfg.tau), gt)
         assert fractions["naive"] > fractions["full"]  # measured, frozen
         assert ious["full"] > ious["naive"]
 
@@ -127,7 +129,7 @@ class TestIoMap:
         from headswap.diffusion import cfg_combine
         from headswap.synthgen import NULL_CONDITION
 
-        cfg = RunConfig(variant="full", w=3.0).mask
+        cfg = RunConfig(variant="full", w=3.0)
         eps_h = cfg_combine(
             predictor.evaluate(z_t, 40, NULL_CONDITION),
             predictor.evaluate(z_t, 40, cond_h),
@@ -149,16 +151,16 @@ class TestIoMap:
             traj = invert_trajectory(image, cond_b, sched50, predictor)
             stepped = stepped_inversion(image, cond_b, sched50, predictor)
             for v, variant in enumerate(VARIANTS):
-                args = (cfg.edit_start, conds_head[p], cond_b, cfg.swap_config(variant))
+                args = (cfg.edit_start, conds_head[p], cond_b, replace(cfg, variant=variant))
                 assert io_map(traj, *args, sched50, predictor).tobytes() == maps[p, v].tobytes()
                 stepped_map = io_map(stepped, *args, sched50, predictor)
-                assert np.array_equal(build_iomask(stepped_map, args[-1]), masks[p, v])
+                assert np.array_equal(build_iomasks(stepped_map, cfg.sigma, cfg.tau), masks[p, v])
 
     def test_step_out_of_range(self, body_traj, sched50, predictor):
         body, traj = body_traj
         cond = body_condition(body)
         with pytest.raises(ValueError):
-            io_map(traj, 0, cond, cond, RunConfig().mask, sched50, predictor)
+            io_map(traj, 0, cond, cond, RunConfig(), sched50, predictor)
 
     @pytest.mark.parametrize(
         "sched",
@@ -169,7 +171,7 @@ class TestIoMap:
         body, traj = body_traj
         cond = body_condition(body)
         with pytest.raises(ValueError, match="different noise schedule"):
-            io_map(traj, 40, cond, cond, RunConfig().mask, sched, predictor)
+            io_map(traj, 40, cond, cond, RunConfig(), sched, predictor)
 
     def test_latent_not_constant_on_classes_rejected(self, body_traj, sched50, predictor, rng):
         # c[40] x plus a small random field is not constant on the column classes
@@ -178,12 +180,12 @@ class TestIoMap:
         traj = sched50.inversion[:, None, None, None] * render_avatar(body).image
         traj[40] += 1e-6 * rng.normal(size=traj[40].shape)
         with pytest.raises(ValueError, match="constant on the corpus's column classes"):
-            io_map(traj, 40, cond, cond, RunConfig().mask, sched50, predictor)
+            io_map(traj, 40, cond, cond, RunConfig(), sched50, predictor)
         for latents in (traj[40:41], traj[39:41]):
             with pytest.raises(ValueError, match="constant on the corpus's column classes"):
                 conds = [cond] * len(latents)
                 edit_maps(latents, 40, conds, conds, VARIANTS, 3.0, predictor)
-        assert io_map(traj, 39, cond, cond, RunConfig().mask, sched50, predictor).shape == (32, 32)
+        assert io_map(traj, 39, cond, cond, RunConfig(), sched50, predictor).shape == (32, 32)
 
     def test_conditions_for_each_latent(self, body_traj, predictor):
         body, traj = body_traj
@@ -204,7 +206,8 @@ class TestIoMap:
 
 class TestBuildIoMask:
     def test_zero_map_gives_empty_mask(self):
-        mask = build_iomask(np.zeros((32, 32)), RunConfig(tau=0.6).mask)
+        cfg = RunConfig(tau=0.6)
+        mask = build_iomasks(np.zeros((32, 32)), cfg.sigma, cfg.tau)
         assert mask.sum() == 0
 
     def test_zero_tau_gives_full_mask(self, rng):
@@ -213,14 +216,15 @@ class TestBuildIoMask:
         spike = np.zeros((32, 32))
         spike[16, 16] = 1.0
         for field in (rng.uniform(0, 1, (32, 32)), spike):
-            mask = build_iomask(field, RunConfig(tau=0.0).mask)
+            cfg = RunConfig(tau=0.0)
+            mask = build_iomasks(field, cfg.sigma, cfg.tau)
             assert (mask == 1).all()
 
     def test_single_spike_filtered_below_threshold(self):
         spike = np.zeros((32, 32))
         spike[16, 16] = 1.0
-        cfg = RunConfig(tau=0.6, sigma=2.0).mask
-        mask = build_iomask(spike, cfg)
+        cfg = RunConfig(tau=0.6, sigma=2.0)
+        mask = build_iomasks(spike, cfg.sigma, cfg.tau)
         assert mask.sum() == 0
         # pin the mechanism with the dense-convolution reference: the
         # filtered peak is exactly the kernel's center weight, far below tau
@@ -230,13 +234,13 @@ class TestBuildIoMask:
 
     def test_scale_invariance(self, rng):
         field = rng.uniform(0, 1, (32, 32))
-        cfg = RunConfig().mask
-        base = build_iomask(field, cfg)
+        cfg = RunConfig()
+        base = build_iomasks(field, cfg.sigma, cfg.tau)
         for scale in (1e-9, 3.0, 1e7):
-            np.testing.assert_array_equal(build_iomask(scale * field, cfg), base)
+            np.testing.assert_array_equal(build_iomasks(scale * field, cfg.sigma, cfg.tau), base)
 
     def test_pipeline_order_normalize_filter_threshold(self, rng):
         field = rng.uniform(0, 5, (32, 32))
-        cfg = RunConfig(tau=0.55, sigma=1.3).mask
-        expected = (gaussian_filter(minmax_normalize(field), 1.3) >= 0.55).astype(np.uint8)
-        np.testing.assert_array_equal(build_iomask(field, cfg), expected)
+        cfg = RunConfig(tau=0.55, sigma=1.3)
+        expected = gaussian_filter(minmax_normalize(field), 1.3) >= 0.55
+        np.testing.assert_array_equal(build_iomasks(field, cfg.sigma, cfg.tau), expected)

@@ -103,7 +103,7 @@ class TestAttributeProbe:
         ref = swap_reference(body, head)
         region = np.zeros_like(ref.long_hair)
         region[31, :4] = True  # four pixels away from the disc and hair regions
-        assert not (region & (ref.oracle.head_mask | ref.oracle.hair_mask).astype(bool)).any()
+        assert not (region & (ref.oracle.head_mask | ref.oracle.hair_mask)).any()
         image = ref.oracle.image.copy()
         image[31, :4] = 0.0  # black is far from every hair color
         probe_ref = replace(ref, long_hair=region)

@@ -81,13 +81,13 @@ class TestRenderer:
         short_render = render_avatar(spec(style=SHORT))
         rows = np.arange(32)[:, None]
         below = rows > HEAD_CY + HEAD_RADIUS
-        assert (long_render.hair_mask.astype(bool) & below).sum() > 0
-        assert (short_render.hair_mask.astype(bool) & below).sum() == 0
+        assert (long_render.hair_mask & below).sum() > 0
+        assert (short_render.hair_mask & below).sum() == 0
 
     def test_masks_disjoint(self):
         for style in (SHORT, LONG):
             r = render_avatar(spec(style=style))
-            assert not (r.head_mask.astype(bool) & r.hair_mask.astype(bool)).any()
+            assert not (r.head_mask & r.hair_mask).any()
 
     def test_head_tilt_moves_disc(self):
         left = render_avatar(spec(tilt=-1))
@@ -265,7 +265,7 @@ class TestOracleSwap:
         out = oracle_swap(body, head)
         from headswap.synthgen import _TORSO_DOTS
 
-        dots = _TORSO_DOTS & ~out.hair_mask.astype(bool)
+        dots = _TORSO_DOTS & ~out.hair_mask
         assert dots.any()
         np.testing.assert_array_equal(
             out.image[dots], np.tile(CLOTHING_PALETTE[2], (dots.sum(), 1))
@@ -276,7 +276,7 @@ class TestOracleSwap:
         head = spec(skin=2, tilt=-1)
         out = oracle_swap(body, head)
         cy, cx = HEAD_CY, HEAD_CX + TILT_STEP  # body tilt +1
-        disc = out.head_mask.astype(bool)
+        disc = out.head_mask
         assert disc[cy, cx]
         brow_sites = np.zeros_like(disc)
         for dy, dx in BROW_OFFSETS:
@@ -291,21 +291,21 @@ class TestGroundTruthEditMask:
     def test_identity_equals_head_union_hair(self):
         a = spec(style=LONG)
         r = render_avatar(a)
-        expected = r.head_mask.astype(bool) | r.hair_mask.astype(bool)
-        np.testing.assert_array_equal(ground_truth_edit_mask(a, a), expected.astype(np.uint8))
+        expected = r.head_mask | r.hair_mask
+        np.testing.assert_array_equal(ground_truth_edit_mask(a, a), expected)
 
     def test_long_body_bald_head_includes_removal_region(self):
         body = spec(style=LONG)
         head = spec(style=BALD, skin=1)
-        gt = ground_truth_edit_mask(body, head).astype(bool)
-        body_hair = render_avatar(body).hair_mask.astype(bool)
+        gt = ground_truth_edit_mask(body, head)
+        body_hair = render_avatar(body).hair_mask
         assert (gt & body_hair).sum() == body_hair.sum()
 
     def test_bald_body_long_head_includes_growth_region(self):
         body = spec(style=BALD)
         head = spec(style=LONG, color=1)
-        gt = ground_truth_edit_mask(body, head).astype(bool)
-        oracle_hair = oracle_swap(body, head).hair_mask.astype(bool)
+        gt = ground_truth_edit_mask(body, head)
+        oracle_hair = oracle_swap(body, head).hair_mask
         rows = np.arange(32)[:, None]
         below = oracle_hair & (rows > HEAD_CY + HEAD_RADIUS)
         assert below.any()
@@ -315,8 +315,8 @@ class TestGroundTruthEditMask:
         specs = all_attribute_specs()
         for _ in range(25):
             body, head = (specs[int(i)] for i in rng.integers(0, 324, 2))
-            gt = ground_truth_edit_mask(body, head).astype(bool)
-            head_mask = render_avatar(body).head_mask.astype(bool)
+            gt = ground_truth_edit_mask(body, head)
+            head_mask = render_avatar(body).head_mask
             assert (gt | head_mask).sum() == gt.sum()
 
 
