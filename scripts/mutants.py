@@ -48,13 +48,26 @@ MUTANTS = {
     # every variant gets the last variant's map
     "maps_one_variant": (
         "src/headswap/iomask.py",
-        "variant_map(predictions, variant, w)",
-        "variant_map(predictions, variants[-1], w)",
+        "for v, variant in enumerate(variants):",
+        "for v, variant in enumerate(variants[-1:] * len(variants)):",
+    ),
+    # full's projection coefficient over class values, each class counted
+    # once, not over the gathered pixels
+    "full_coef_on_classes": (
+        "src/headswap/iomask.py",
+        "orthogonal_component(pixels(eps_head), pixels(eps_body))",
+        "pixels(orthogonal_component(eps_head[:, None, None], eps_body[:, None, None])[:, 0, 0])",
+    ),
+    # naive takes the guided head against the unguided body prediction, as no_orth does
+    "naive_unguided_body": (
+        "src/headswap/iomask.py",
+        "pixels(eps_head - cfg_combine(eps_null, eps_body, w))",
+        "pixels(eps_head - eps_body)",
     ),
     # the mask stage takes any latent, as if it were constant on the column classes
     "maps_any_latent": (
         "src/headswap/iomask.py",
-        "if not np.array_equal(z_g[:, classes.inv], z):",
+        "if not np.array_equal(z_g.take(classes.inv, axis=1), z):",
         "if False:",
     ),
     # the weight cut: each leaves the means' bits, and only a weight between
@@ -91,7 +104,7 @@ MUTANTS = {
     "inversion_skips_image_check": (
         "src/headswap/diffusion.py",
         "if indices.size == 1 and np.array_equal(\n"
-        "        image, classes.table[classes.inv, indices[0]].reshape(pred.grid_shape)\n"
+        "        image, classes.table[:, indices[0]].take(classes.inv).reshape(pred.grid_shape)\n"
         "    ):",
         "if indices.size == 1:",
     ),

@@ -390,7 +390,7 @@ def invert_trajectory(
     image = np.asarray(image, dtype=np.float64)
     indices, classes = pred._subset(cond)[0], pred.column_classes
     if indices.size == 1 and np.array_equal(
-        image, classes.table[classes.inv, indices[0]].reshape(pred.grid_shape)
+        image, classes.table[:, indices[0]].take(classes.inv).reshape(pred.grid_shape)
     ):
         return sched.inversion[:, None, None, None] * image
     latents = np.empty((sched.T + 1,) + image.shape, dtype=np.float64)

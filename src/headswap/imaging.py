@@ -19,7 +19,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 HEAT_ALPHA = 0.6
 _HEAT_RED = np.array([1.0, 0.0, 0.0])
@@ -71,10 +70,12 @@ def _blur_plan(sigma: float, height: int, width: int) -> tuple[np.ndarray, np.nd
 
 
 def _windows(arr: np.ndarray, size: int, axis: int) -> np.ndarray:
-    """The read-only windows of ``size`` samples along ``axis``, on a new last
-    axis: ``sliding_window_view(arr, size, axis=axis)``, without its checks."""
+    """The read-only windows of ``size`` samples along ``axis`` of ``arr`` on a
+    new last axis, strided as ``sliding_window_view``'s.  Both callers pass fresh
+    C-contiguous arrays, whose read-only buffer the view is made on."""
     shape = arr.shape[:axis] + (arr.shape[axis] - size + 1,) + arr.shape[axis + 1 :] + (size,)
-    return as_strided(arr, shape, arr.strides + arr.strides[axis : axis + 1], writeable=False)
+    strides = arr.strides + arr.strides[axis : axis + 1]
+    return np.ndarray(shape, arr.dtype, memoryview(arr).toreadonly(), 0, strides)
 
 
 def gaussian_filter(field, sigma: float) -> np.ndarray:

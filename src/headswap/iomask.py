@@ -4,7 +4,8 @@ The edit map compares the head-conditioned guided prediction against the
 body-conditioned prediction at the body's inversion latent.  The full
 variant keeps only the component of the guided prediction orthogonal to
 the body prediction (one global projection over the flattened grids);
-the ablation variants use plain differences.  The binary mask is then
+the ablation variants use plain differences, formed on the corpus's
+column-class values and gathered to pixels once.  The binary mask is then
 normalize -> Gaussian filter -> threshold.  Every stage takes a stack of
 pairs at once, each pair's bits those of a stack of one.
 """
@@ -64,10 +65,12 @@ def edit_maps(
 
     Latent p compares ``conds_head[p]`` with ``conds_body[p]``.  Like the
     denoise, it works on class values: the latents' class sums feed the
-    body, null and head ``posterior_plan``s, the implied noises and CFG act
-    per class, and the three predictions are gathered to pixels once for
-    every variant's map (``variant_map``).  Raises ValueError for a latent
-    that is not constant on the column classes, as c[t_edit] x is.
+    body, null and head ``posterior_plan``s, and the implied noises, CFG and
+    the plain differences act per class.  Only what a map needs as pixels is
+    gathered: the ``no_orth`` or ``naive`` difference, or ``full``'s two
+    predictions, whose projection's dot products run over pixels.  Raises
+    ValueError for an unknown variant or a latent that is not constant on
+    the column classes, as c[t_edit] x is.
     """
     sched, classes = pred.schedule, pred.column_classes
     ab = float(sched.alpha_bar[_check_step(t, 1, sched.T, sched)])
@@ -75,40 +78,32 @@ def edit_maps(
     if z_t.shape[1:] != pred.grid_shape or not len(z_t) == len(conds_head) == len(conds_body):
         raise ValueError(f"{len(conds_head)}, {len(conds_body)} conditions for latents {z_t.shape}")
     z = z_t.reshape(len(z_t), -1)
-    z_g = z[:, classes.first]
-    if not np.array_equal(z_g[:, classes.inv], z):
+    z_g = z.take(classes.first, axis=1)
+    if not np.array_equal(z_g.take(classes.inv, axis=1), z):
         raise ValueError("every latent must be constant on the corpus's column classes")
     sums = classes.sums(z)
     eps_body, eps_null, eps_head = (
         implied_noise(pred.posterior_plan(conds)(sums, ab), z_g, ab)
         for conds in (conds_body, [NULL_CONDITION] * len(z), conds_head)
     )
-    # ``take`` gathers C-ordered, so the projection's dot products keep their bits
-    predictions = [
-        np.take(eps, classes.inv, axis=-1).reshape(z_t.shape)
-        for eps in (eps_body, eps_null, cfg_combine(eps_null, eps_head, w))
-    ]
+    eps_head = cfg_combine(eps_null, eps_head, w)
+
+    def pixels(eps):
+        # ``take`` gathers C-ordered, so the projection's dot products keep their bits
+        return eps.take(classes.inv, axis=1).reshape(z_t.shape)
+
     maps = np.empty((len(z_t), len(variants)) + z_t.shape[1:3])
     for v, variant in enumerate(variants):
-        maps[:, v] = variant_map(predictions, variant, w)
+        if variant == "full":
+            diff = orthogonal_component(pixels(eps_head), pixels(eps_body))
+        elif variant == "no_orth":
+            diff = pixels(eps_head - eps_body)
+        elif variant == "naive":  # difference of two guided predictions
+            diff = pixels(eps_head - cfg_combine(eps_null, eps_body, w))
+        else:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        maps[:, v] = np.abs(diff).mean(axis=-1)
     return maps
-
-
-def variant_map(predictions, variant: str, w: float) -> np.ndarray:
-    """One variant's edit maps (..., H, W) from the body, null and guided head predictions.
-
-    Each is the channel-mean absolute value of the variant's difference field.
-    """
-    eps_body, eps_null, eps_head = predictions
-    if variant == "full":
-        diff = orthogonal_component(eps_head, eps_body)
-    elif variant == "no_orth":
-        diff = eps_head - eps_body
-    elif variant == "naive":  # difference of two guided predictions
-        diff = eps_head - cfg_combine(eps_null, eps_body, w)
-    else:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return np.abs(diff).mean(axis=-1)
 
 
 def io_map(

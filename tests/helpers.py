@@ -11,7 +11,8 @@ dict by each column's bytes (``byte_key_classes``) and rebuilds a
 predictor's corpus one image gather at a time (``class_images``), and the
 blended-denoise reference steps one latent at a time with the
 single-latent predictor, as the inversion reference (``stepped_inversion``)
-does with one ``evaluate`` call per step.
+does with one ``evaluate`` call per step.  The edit-map reference
+(``variant_map``) forms each variant's difference on pixel predictions.
 ``files_identical`` compares written artifacts byte for byte, and
 ``read_pnm`` reads a written P5/P6 file's raster bytes back.  The avatar
 reference (``paint_avatar``) paints one avatar's colours layer by layer
@@ -35,6 +36,7 @@ from headswap.diffusion import (
     ddim_sample_step,
 )
 from headswap import synthgen
+from headswap.iomask import VARIANTS, orthogonal_component
 from headswap.synthgen import NULL_CONDITION, AttributeSpec, AvatarRender, Condition
 
 
@@ -110,6 +112,22 @@ def pixel_posterior_eps(images: np.ndarray, z_t: np.ndarray, alpha_bar: float) -
         x0 = (pixel_posterior_weights(images, z, alpha_bar)[:, None] * flat).sum(axis=0)
         rows.append((z - math.sqrt(alpha_bar) * x0) / math.sqrt(1.0 - alpha_bar))
     return np.stack(rows).reshape(z_t.shape)
+
+
+def variant_map(predictions, variant: str, w: float) -> np.ndarray:
+    """One variant's edit maps (..., H, W) from the pixel body, null and
+    guided head predictions (..., H, W, C): the channel-mean absolute value
+    of the variant's difference field."""
+    eps_body, eps_null, eps_head = predictions
+    if variant == "full":
+        diff = orthogonal_component(eps_head, eps_body)
+    elif variant == "no_orth":
+        diff = eps_head - eps_body
+    elif variant == "naive":  # difference of two guided predictions
+        diff = eps_head - cfg_combine(eps_null, eps_body, w)
+    else:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return np.abs(diff).mean(axis=-1)
 
 
 def condition_match(cond: Condition, attrs: AttributeSpec) -> bool:

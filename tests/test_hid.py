@@ -35,7 +35,7 @@ from headswap.hid import (
     run_headswap,
     swap_pairs,
 )
-from headswap.iomask import VARIANTS, build_iomask, build_iomasks, edit_maps, variant_map
+from headswap.iomask import VARIANTS, build_iomask, build_iomasks, edit_maps
 from headswap.metrics import region_mse, swap_reference
 from headswap.synthgen import (
     ATTRIBUTE_VALUES,
@@ -56,6 +56,7 @@ from helpers import (
     per_latent_blend_denoise,
     pixel_posterior_eps,
     pixel_predictor,
+    variant_map,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -219,7 +220,7 @@ class TestIdentitySwap:
 def reference_maps(dataset, ab, z_t, conds_head, conds_body, variants, w):
     """Edit maps (P, V, H, W) at signal level ab made without the predictor:
     each prediction from the full pixel distances to its condition's images
-    (``pixel_posterior_eps``), then CFG and each variant's ``variant_map``."""
+    (``pixel_posterior_eps``), then CFG and each variant's reference ``variant_map``."""
 
     def predictions(conds):
         return np.stack([

@@ -3,7 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from headswap.diffusion import NoiseSchedule, cfg_combine, invert_trajectory, make_schedule
+from headswap.diffusion import (
+    NoiseSchedule,
+    cfg_combine,
+    implied_noise,
+    invert_trajectory,
+    make_schedule,
+)
 from headswap.experiment import sample_pairs
 from headswap.hid import RunConfig, body_condition, compose_head_condition, mask_pairs
 from headswap.imaging import gaussian_filter, minmax_normalize
@@ -14,11 +20,17 @@ from headswap.iomask import (
     edit_maps,
     io_map,
     orthogonal_component,
-    variant_map,
 )
 from headswap.metrics import mask_iou
-from headswap.synthgen import AttributeSpec, BALD, LONG, ground_truth_edit_mask, render_avatar
-from helpers import dense_gaussian_reference, stepped_inversion
+from headswap.synthgen import (
+    NULL_CONDITION,
+    AttributeSpec,
+    BALD,
+    LONG,
+    ground_truth_edit_mask,
+    render_avatar,
+)
+from helpers import dense_gaussian_reference, stepped_inversion, variant_map
 
 
 class TestOrthogonalComponent:
@@ -72,6 +84,36 @@ class TestVariantMap:
         eps_head[..., 0] = 1.0
         zeros = np.zeros_like(eps_head)
         np.testing.assert_array_equal(variant_map((zeros, zeros, eps_head), "no_orth", 3.0), 1 / 3)
+
+
+class TestEditMaps:
+    def test_maps_bit_equal_the_pixel_variant_maps(self, predictor):
+        # twelve sampled pairs, every variant: each map is the reference
+        # variant_map of the body, null and CFG-combined head predictions,
+        # each prediction gathered to pixels before any difference is formed
+        cfg, pairs = RunConfig(), sample_pairs(11, 12)
+        t, classes = cfg.edit_start, predictor.column_classes
+        ab = float(predictor.schedule.alpha_bar[t])
+        z_t = predictor.schedule.inversion[t] * np.stack(
+            [render_avatar(body).image for body, _ in pairs]
+        )
+        z = z_t.reshape(len(pairs), -1)
+        conds_body = [body_condition(body) for body, _ in pairs]
+        conds_head = [compose_head_condition(head, body) for body, head in pairs]
+
+        def pixel_prediction(conds):
+            means = predictor.posterior_plan(conds)(classes.sums(z), ab)
+            eps = implied_noise(means, z[:, classes.first], ab)
+            # C-ordered, as the projection's dot products need for their bits
+            return eps.take(classes.inv, axis=1).reshape(z_t.shape)
+
+        eps_body = pixel_prediction(conds_body)
+        eps_null = pixel_prediction([NULL_CONDITION] * len(pairs))
+        eps_head = cfg_combine(eps_null, pixel_prediction(conds_head), cfg.w)
+        maps = edit_maps(z_t, t, conds_head, conds_body, VARIANTS, cfg.w, predictor)
+        for v, variant in enumerate(VARIANTS):
+            expected = variant_map((eps_body, eps_null, eps_head), variant, cfg.w)
+            assert maps[:, v].tobytes() == expected.tobytes(), variant
 
 
 class TestIoMap:
